@@ -125,6 +125,13 @@ class Bins {
   double width_ = 0.0;      // uniform bin width
 };
 
+/// Throws std::invalid_argument (naming @p who) unless an @p nbins + 1 edge
+/// array can exist, i.e. nbins + 1 neither wraps nor exceeds what a
+/// std::vector<double> can hold. make_uniform_bins, make_quantile_bins and
+/// make_equal_weight_bins check this first, so a wire-supplied bin count
+/// like SIZE_MAX is a typed error, not a wrapped zero-length allocation.
+void check_edge_count(std::size_t nbins, const char* who);
+
 /// @p nbins equal-width bins over [lo, hi].
 Bins make_uniform_bins(double lo, double hi, std::size_t nbins);
 

@@ -110,10 +110,6 @@ class Engine {
   EngineStats stats() const;
   void clear_cache();
 
-  /// Maximum cached bitvectors; shrinking evicts immediately.
-  void set_cache_capacity(std::size_t entries);
-  std::size_t cache_capacity() const;
-
   /// Byte ceiling of the unified memory budget (bitvectors + columns +
   /// index segments). Shrinking evicts immediately; a single resident
   /// larger than the budget still completes as a streaming access.

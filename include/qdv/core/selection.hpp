@@ -31,7 +31,7 @@ namespace qdv::core {
 /// the request is geometrically servable and falls back to the exact kernel
 /// path otherwise; kExact always runs the kernels — on the same snapped
 /// grid when the request is servable, so it is the bit-exact differential
-/// twin of the kAuto answer (test_pyramid / the bombard verify phase).
+/// twin of the kAuto answer (test_pyramid / qdvbench zoom verification).
 enum class ZoomMode { kAuto, kExact };
 
 /// The resolved pyramid route of one servable zoom request: the snapped

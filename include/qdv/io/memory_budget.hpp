@@ -104,8 +104,9 @@ class MemoryBudget {
   void set_budget(std::uint64_t bytes);
   std::uint64_t budget() const;
 
-  /// Maximum live entries of @p cls (LRU-evicts that class beyond the cap);
-  /// backs Engine::set_cache_capacity() for the kBitVector class.
+  /// Maximum live entries of @p cls (LRU-evicts that class beyond the cap).
+  /// The engine caps kBitVector and the query service caps kResult at 1024
+  /// entries each, so an unlimited byte budget cannot grow without bound.
   void set_class_entry_cap(ResidentClass cls, std::size_t max_entries);
   std::size_t class_entry_cap(ResidentClass cls) const;
 

@@ -77,9 +77,9 @@ struct Request {
 
   // kZoom1D/kZoom2D viewport (view_hi must exceed view_lo per axis). Under
   // kAuto, servable requests snap to pyramid-level bin edges and carry
-  // level-tagged cache keys; kExact forces the kernel path (the bombard
-  // verify/baseline mode) and is never served from or stored in the result
-  // cache.
+  // level-tagged cache keys; kExact forces the kernel path (the wire's
+  // exact=1, for clients that verify or time the pyramid tier against it)
+  // and is never served from or stored in the result cache.
   double view_lo_x = 0.0;
   double view_hi_x = 0.0;
   double view_lo_y = 0.0;
@@ -160,25 +160,17 @@ struct ServiceConfig {
   /// Keep completed results resident in the engine's io::MemoryBudget
   /// (ResidentClass::kResult) so repeats are answered without re-executing;
   /// they compete in the same LRU as columns/segments/bitvectors. The
-  /// class is additionally capped at max_cached_results entries so an
-  /// unlimited budget cannot accrete distinct results without bound.
-  bool cache_results = true;
-  std::size_t max_cached_results = 1024;
-  /// Results with payloads above this are not cached (caching copies the
-  /// payload once; a full-table id dump is not worth that copy or the
-  /// budget residency — in-flight coalescing still dedupes concurrent
+  /// class is additionally capped at 1024 entries so an unlimited budget
+  /// cannot accrete distinct results without bound, and payloads above
+  /// 1 MiB are never cached (in-flight coalescing still dedupes concurrent
   /// duplicates of any size).
-  std::uint64_t max_cached_result_bytes = 1 << 20;
-  /// Completed-request latency samples retained for the percentiles.
-  std::size_t latency_capacity = 1 << 14;
+  bool cache_results = true;
 
   /// Load shedding: queued flights at/above this depth bounce new
-  /// submissions with Status::kRetryLater and a retry_after_ms hint —
+  /// submissions with Status::kRetryLater and a 50 ms retry hint —
   /// cheaper for everyone than queueing work that will blow its latency
   /// target. 0 disables (only the hard max_queue cap rejects then).
   std::size_t shed_queue_depth = 0;
-  /// Backoff hint carried by kRetryLater rejections.
-  std::uint64_t retry_after_ms = 50;
 
   /// Most named brushes one session may hold live (brush create beyond it
   /// fails with a typed error). Each brush is also charged an estimated
@@ -204,7 +196,7 @@ struct BrushOutcome {
 
 /// Value at quantile @p q (in [0, 1]) of an ascending-sorted sample set,
 /// nearest-rank; 0 when empty. The one percentile definition shared by
-/// ServiceStats and the bombard latency reporter.
+/// ServiceStats and qdvbench.
 double sorted_percentile(std::span<const double> sorted_ascending, double q);
 
 /// Snapshot of the service counters (see QueryService::stats()).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace qdv {
 
@@ -62,7 +63,14 @@ std::ptrdiff_t Bins::locate(double value) const {
   return std::min(bin, last);
 }
 
+void check_edge_count(std::size_t nbins, const char* who) {
+  if (nbins >= std::vector<double>().max_size())
+    throw std::invalid_argument(std::string(who) + ": " +
+                                std::to_string(nbins) + " bins is too many");
+}
+
 Bins make_uniform_bins(double lo, double hi, std::size_t nbins) {
+  check_edge_count(nbins, "make_uniform_bins");
   if (nbins == 0 || !(hi > lo))
     throw std::invalid_argument("make_uniform_bins: empty range");
   std::vector<double> edges(nbins + 1);
@@ -74,6 +82,7 @@ Bins make_uniform_bins(double lo, double hi, std::size_t nbins) {
 }
 
 Bins make_quantile_bins(std::span<const double> values, std::size_t nbins) {
+  check_edge_count(nbins, "make_quantile_bins");
   if (values.empty() || nbins == 0)
     throw std::invalid_argument("make_quantile_bins: empty input");
   // NaN rows never land in a bin (the locate contract), so they must not

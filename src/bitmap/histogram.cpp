@@ -48,6 +48,7 @@ std::size_t Histogram2D::nonempty_bins() const {
 }
 
 Bins make_equal_weight_bins(const Histogram1D& fine, std::size_t nbins) {
+  check_edge_count(nbins, "make_equal_weight_bins");
   if (nbins == 0) throw std::invalid_argument("make_equal_weight_bins: nbins == 0");
   const std::uint64_t total = fine.total();
   const std::size_t nfine = fine.bins.num_bins();

@@ -171,15 +171,6 @@ void Engine::clear_cache() {
   state_->budget->clear_class(io::ResidentClass::kBitVector);
 }
 
-void Engine::set_cache_capacity(std::size_t entries) {
-  state_->budget->set_class_entry_cap(io::ResidentClass::kBitVector,
-                                      std::max<std::size_t>(1, entries));
-}
-
-std::size_t Engine::cache_capacity() const {
-  return state_->budget->class_entry_cap(io::ResidentClass::kBitVector);
-}
-
 void Engine::set_memory_budget(std::uint64_t bytes) {
   state_->budget->set_budget(bytes);
 }

@@ -25,6 +25,36 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using SessionId = QueryService::SessionId;
 
+// Fixed service tunables. Result-cache entries are capped so an unlimited
+// byte budget cannot accrete distinct results without bound; payloads
+// above the byte cap are not cached at all (caching copies the payload
+// once, which a full-table id dump is not worth — in-flight coalescing
+// still dedupes concurrent duplicates of any size).
+constexpr std::size_t kMaxCachedResults = 1024;
+constexpr std::uint64_t kMaxCachedResultBytes = 1 << 20;
+// Completed-request latency samples retained for the percentiles.
+constexpr std::size_t kLatencyCapacity = 1 << 14;
+// Backoff hint carried by kRetryLater (load-shed) rejections.
+constexpr std::uint64_t kRetryAfterMs = 50;
+
+/// Saturating a + b and a * b. Admission estimates multiply wire-supplied
+/// bin counts; a wrapped estimate would slip a huge request under a finite
+/// session budget.
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? ~std::uint64_t{0} : r;
+}
+
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? ~std::uint64_t{0} : r;
+}
+
+/// Response bytes for @p words 8-byte payload words plus a fixed header.
+std::uint64_t payload_estimate(std::uint64_t words) {
+  return sat_add(sat_mul(words, 8), 64);
+}
+
 double seconds_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
@@ -120,6 +150,14 @@ ResultFuture ready_future(ResultPtr result) {
   return promise.get_future().share();
 }
 
+BrushOutcome brush_fail(std::string name, Status status, std::string message) {
+  BrushOutcome out;
+  out.status = status;
+  out.error = std::move(message);
+  out.name = std::move(name);
+  return out;
+}
+
 }  // namespace
 
 double sorted_percentile(std::span<const double> sorted_ascending, double q) {
@@ -175,6 +213,12 @@ struct QueryService::Impl {
     // leak brush budget).
     std::unordered_map<std::string, std::shared_ptr<core::Brush>> brushes;
     std::uint64_t brush_charge = 0;
+
+    /// True when holding @p extra more bytes would exceed a finite budget.
+    bool over_budget(std::uint64_t extra) const {
+      return budget_bytes != ServiceConfig::kUnlimitedBudget &&
+             sat_add(sat_add(inflight_bytes, brush_charge), extra) > budget_bytes;
+    }
   };
 
   mutable std::mutex mutex;
@@ -218,7 +262,7 @@ struct QueryService::Impl {
   void record_latency_locked(double s) {
     ++counters.latency_samples;
     latency_max = std::max(latency_max, s);
-    if (latencies.size() < config.latency_capacity) {
+    if (latencies.size() < kLatencyCapacity) {
       latencies.push_back(s);
     } else if (!latencies.empty()) {
       latencies[latency_pos] = s;
@@ -236,12 +280,16 @@ struct QueryService::Impl {
         return 64;
       case RequestKind::kHistogram1D:
       case RequestKind::kZoom1D:
-        return (r.nxbins + r.nxbins + 1) * 8 + 64;
+        // nxbins counts + nxbins + 1 edges.
+        return payload_estimate(sat_add(sat_mul(r.nxbins, 2), 1));
       case RequestKind::kHistogram2D:
       case RequestKind::kZoom2D:
-        return (r.nxbins * r.nybins + r.nxbins + r.nybins + 2) * 8 + 64;
+        // The count grid + both edge arrays.
+        return payload_estimate(
+            sat_add(sat_mul(r.nxbins, r.nybins),
+                    sat_add(sat_add(r.nxbins, r.nybins), 2)));
       case RequestKind::kIds:
-        return engine.dataset().table(r.timestep).num_rows() * 8 + 64;
+        return payload_estimate(engine.dataset().table(r.timestep).num_rows());
     }
     return 64;
   }
@@ -253,6 +301,58 @@ struct QueryService::Impl {
     return engine.num_timesteps() == 0
                ? 64
                : engine.dataset().table(0).num_rows() / 8 + 64;
+  }
+
+  /// The lookup every brush verb shares (caller holds the mutex): brush
+  /// @p lookup of @p session, or nullptr with @p fail set to the typed
+  /// error, reported under the verb's target @p name.
+  std::shared_ptr<core::Brush> find_brush_locked(SessionId session,
+                                                 const std::string& name,
+                                                 const std::string& lookup,
+                                                 BrushOutcome& fail) const {
+    const auto sit = sessions.find(session);
+    if (sit == sessions.end()) {
+      fail = brush_fail(name, Status::kError, "unknown session");
+      return nullptr;
+    }
+    const auto bit = sit->second.brushes.find(lookup);
+    if (bit == sit->second.brushes.end()) {
+      fail = brush_fail(name, Status::kError, "unknown brush '" + lookup + "'");
+      return nullptr;
+    }
+    return bit->second;
+  }
+
+  /// Shared body of refine/invert/combine: look up brush @p name (and the
+  /// operand @p other, when given) under the lock, then apply @p edit
+  /// outside it — edits only record a delta and bump the epoch, and
+  /// concurrent queries keep evaluating their pinned epochs.
+  template <typename Edit>
+  BrushOutcome edit_brush(SessionId session, const std::string& name,
+                          const std::string* other, Edit&& edit) {
+    BrushOutcome out;
+    out.name = name;
+    std::shared_ptr<core::Brush> brush;
+    std::shared_ptr<core::Brush> operand;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      brush = find_brush_locked(session, name, name, out);
+      if (!brush) return out;
+      if (other) {
+        operand = find_brush_locked(session, name, *other, out);
+        if (!operand) return out;
+      }
+      out.session_brushes = sessions.at(session).brushes.size();
+    }
+    try {
+      out.epoch = edit(*brush, operand.get());
+    } catch (const std::exception& e) {
+      return brush_fail(name, Status::kError, e.what());
+    }
+    out.resident_bytes = brush->resident_bytes();
+    std::lock_guard<std::mutex> lock(mutex);
+    ++counters.brush_edits;
+    return out;
   }
 
   /// Highest-priority, fairness-ordered queued flight; nullptr when empty.
@@ -504,13 +604,13 @@ struct QueryService::Impl {
         result = run_flight(*flight);
       }
       result->sequence = ordinal;
-      // Exact-mode zooms are deliberately never cached: they exist to
-      // measure/verify the kernel path (bombard's verify and baseline
-      // phases), so every one must actually execute.
+      // Exact-mode zooms are deliberately never cached: a client asks for
+      // exact=1 to measure or verify the kernel path against the pyramid
+      // tier, so every one must actually execute.
       const bool exact_zoom = is_zoom(flight->request.kind) &&
                               flight->request.zoom_mode == core::ZoomMode::kExact;
       if (config.cache_results && !exact_zoom && result->status == Status::kOk &&
-          result->payload_bytes <= config.max_cached_result_bytes) {
+          result->payload_bytes <= kMaxCachedResultBytes) {
         // Cache a copy marked kCached: later identical requests are served
         // from the budget (same LRU as columns/segments/bitvectors), while
         // the live flight's requesters see the kExecuted original.
@@ -567,13 +667,12 @@ QueryService::QueryService(core::Engine engine, ServiceConfig config)
   if (config.cache_results &&
       impl_->budget->class_entry_cap(io::ResidentClass::kResult) ==
           io::MemoryBudget::kNoEntryCap)
-    impl_->budget->set_class_entry_cap(
-        io::ResidentClass::kResult,
-        std::max<std::size_t>(1, config.max_cached_results));
+    impl_->budget->set_class_entry_cap(io::ResidentClass::kResult,
+                                       kMaxCachedResults);
   impl_->max_concurrency = config.max_concurrency > 0
                                ? config.max_concurrency
                                : par::ThreadPool::global().size();
-  impl_->latencies.reserve(std::min<std::size_t>(config.latency_capacity, 4096));
+  impl_->latencies.reserve(std::min<std::size_t>(kLatencyCapacity, 4096));
 }
 
 QueryService::~QueryService() {
@@ -785,7 +884,7 @@ ResultFuture QueryService::submit(SessionId session, Request request) {
     return ready_future(make_rejection(
         Status::kRetryLater,
         "shedding load; retry after " +
-            std::to_string(impl->config.retry_after_ms) + " ms"));
+            std::to_string(kRetryAfterMs) + " ms"));
   }
   if (impl->queued >= impl->config.max_queue) {
     ++impl->counters.rejected_queue;
@@ -793,13 +892,12 @@ ResultFuture QueryService::submit(SessionId session, Request request) {
         make_rejection(Status::kRejectedQueue, "admission queue full"));
   }
   Impl::Session& sess = sit->second;
-  if (sess.budget_bytes != ServiceConfig::kUnlimitedBudget &&
-      sess.inflight_bytes + sess.brush_charge + estimate > sess.budget_bytes) {
+  if (sess.over_budget(estimate)) {
     ++impl->counters.rejected_budget;
     return ready_future(
         make_rejection(Status::kRejectedBudget, "session byte budget exhausted"));
   }
-  sess.inflight_bytes += estimate;
+  sess.inflight_bytes = sat_add(sess.inflight_bytes, estimate);
 
   auto flight = std::make_shared<Flight>();
   flight->key = std::move(key);
@@ -834,18 +932,6 @@ ResultPtr QueryService::execute(SessionId session, Request request) {
   return submit(session, std::move(request)).get();
 }
 
-namespace {
-
-BrushOutcome brush_fail(std::string name, Status status, std::string message) {
-  BrushOutcome out;
-  out.status = status;
-  out.error = std::move(message);
-  out.name = std::move(name);
-  return out;
-}
-
-}  // namespace
-
 BrushOutcome QueryService::brush_create(SessionId session,
                                         const std::string& name,
                                         const std::string& query_text) {
@@ -879,8 +965,7 @@ BrushOutcome QueryService::brush_create(SessionId session,
         name, Status::kError,
         "session brush cap reached (" +
             std::to_string(impl->config.max_brushes_per_session) + ")");
-  if (sess.budget_bytes != ServiceConfig::kUnlimitedBudget &&
-      sess.inflight_bytes + sess.brush_charge + charge > sess.budget_bytes)
+  if (sess.over_budget(charge))
     return brush_fail(name, Status::kRejectedBudget,
                       "session byte budget exhausted (brush state counts "
                       "against it)");
@@ -898,7 +983,6 @@ BrushOutcome QueryService::brush_create(SessionId session,
 BrushOutcome QueryService::brush_refine(SessionId session,
                                         const std::string& name,
                                         const std::string& query_text) {
-  const auto impl = impl_;
   if (query_text.empty())
     return brush_fail(name, Status::kError, "brush refine needs q=<predicate>");
   QueryPtr extra;
@@ -907,101 +991,27 @@ BrushOutcome QueryService::brush_refine(SessionId session,
   } catch (const std::exception& e) {
     return brush_fail(name, Status::kError, e.what());
   }
-  std::shared_ptr<core::Brush> brush;
-  std::uint64_t session_brushes = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    const auto sit = impl->sessions.find(session);
-    if (sit == impl->sessions.end())
-      return brush_fail(name, Status::kError, "unknown session");
-    const auto bit = sit->second.brushes.find(name);
-    if (bit == sit->second.brushes.end())
-      return brush_fail(name, Status::kError, "unknown brush '" + name + "'");
-    brush = bit->second;
-    session_brushes = sit->second.brushes.size();
-  }
-  BrushOutcome out;
-  out.name = name;
-  out.session_brushes = session_brushes;
-  try {
-    // Record the delta outside the service lock (refine plans the extra
-    // predicate); concurrent queries keep evaluating their pinned epochs.
-    out.epoch = brush->refine(std::move(extra));
-  } catch (const std::exception& e) {
-    return brush_fail(name, Status::kError, e.what());
-  }
-  out.resident_bytes = brush->resident_bytes();
-  std::lock_guard<std::mutex> lock(impl->mutex);
-  ++impl->counters.brush_edits;
-  return out;
+  return impl_->edit_brush(session, name, nullptr,
+                           [&](core::Brush& brush, core::Brush*) {
+                             return brush.refine(std::move(extra));
+                           });
 }
 
 BrushOutcome QueryService::brush_invert(SessionId session,
                                         const std::string& name) {
-  const auto impl = impl_;
-  std::shared_ptr<core::Brush> brush;
-  std::uint64_t session_brushes = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    const auto sit = impl->sessions.find(session);
-    if (sit == impl->sessions.end())
-      return brush_fail(name, Status::kError, "unknown session");
-    const auto bit = sit->second.brushes.find(name);
-    if (bit == sit->second.brushes.end())
-      return brush_fail(name, Status::kError, "unknown brush '" + name + "'");
-    brush = bit->second;
-    session_brushes = sit->second.brushes.size();
-  }
-  BrushOutcome out;
-  out.name = name;
-  out.session_brushes = session_brushes;
-  try {
-    out.epoch = brush->invert();
-  } catch (const std::exception& e) {
-    return brush_fail(name, Status::kError, e.what());
-  }
-  out.resident_bytes = brush->resident_bytes();
-  std::lock_guard<std::mutex> lock(impl->mutex);
-  ++impl->counters.brush_edits;
-  return out;
+  return impl_->edit_brush(
+      session, name, nullptr,
+      [](core::Brush& brush, core::Brush*) { return brush.invert(); });
 }
 
 BrushOutcome QueryService::brush_combine(SessionId session,
                                          const std::string& name,
                                          const std::string& other,
                                          core::Brush::CombineOp op) {
-  const auto impl = impl_;
-  std::shared_ptr<core::Brush> brush;
-  std::shared_ptr<core::Brush> operand;
-  std::uint64_t session_brushes = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    const auto sit = impl->sessions.find(session);
-    if (sit == impl->sessions.end())
-      return brush_fail(name, Status::kError, "unknown session");
-    const auto bit = sit->second.brushes.find(name);
-    if (bit == sit->second.brushes.end())
-      return brush_fail(name, Status::kError, "unknown brush '" + name + "'");
-    const auto oit = sit->second.brushes.find(other);
-    if (oit == sit->second.brushes.end())
-      return brush_fail(name, Status::kError,
-                        "unknown brush '" + other + "'");
-    brush = bit->second;
-    operand = oit->second;
-    session_brushes = sit->second.brushes.size();
-  }
-  BrushOutcome out;
-  out.name = name;
-  out.session_brushes = session_brushes;
-  try {
-    out.epoch = brush->combine(*operand, op);
-  } catch (const std::exception& e) {
-    return brush_fail(name, Status::kError, e.what());
-  }
-  out.resident_bytes = brush->resident_bytes();
-  std::lock_guard<std::mutex> lock(impl->mutex);
-  ++impl->counters.brush_edits;
-  return out;
+  return impl_->edit_brush(session, name, &other,
+                           [op](core::Brush& brush, core::Brush* operand) {
+                             return brush.combine(*operand, op);
+                           });
 }
 
 BrushOutcome QueryService::brush_drop(SessionId session,
@@ -1011,15 +1021,10 @@ BrushOutcome QueryService::brush_drop(SessionId session,
   BrushOutcome out;
   out.name = name;
   std::lock_guard<std::mutex> lock(impl->mutex);
-  const auto sit = impl->sessions.find(session);
-  if (sit == impl->sessions.end())
-    return brush_fail(name, Status::kError, "unknown session");
-  Impl::Session& sess = sit->second;
-  const auto bit = sess.brushes.find(name);
-  if (bit == sess.brushes.end())
-    return brush_fail(name, Status::kError, "unknown brush '" + name + "'");
-  brush = std::move(bit->second);
-  sess.brushes.erase(bit);
+  brush = impl->find_brush_locked(session, name, name, out);
+  if (!brush) return out;
+  Impl::Session& sess = impl->sessions.at(session);
+  sess.brushes.erase(name);
   const std::uint64_t charge = impl->brush_estimate();
   sess.brush_charge -= std::min(sess.brush_charge, charge);
   ++impl->counters.brush_drops;

@@ -1,5 +1,6 @@
 // Binning strategies: uniform locate arithmetic, quantile bins, precision
 // bins (round constants land exactly on edges), and equal-weight merging.
+#include <limits>
 #include <vector>
 
 #include "bitmap/bins.hpp"
@@ -76,6 +77,16 @@ void test_invalid() {
   CHECK_THROWS(make_uniform_bins(0.0, 1.0, 0));
   CHECK_THROWS(Bins({1.0}));
   CHECK_THROWS(Bins({2.0, 1.0}));
+  // An nbins + 1 edge array that cannot exist is rejected up front, before
+  // nbins + 1 wraps to an empty allocation the edge loop would overrun.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  CHECK_THROWS(make_uniform_bins(0.0, 1.0, huge));
+  const std::vector<double> values = {1.0, 2.0, 3.0};
+  CHECK_THROWS(make_quantile_bins(values, huge));
+  Histogram1D fine;
+  fine.bins = make_uniform_bins(0.0, 1.0, 4);
+  fine.counts.assign(4, 1);
+  CHECK_THROWS(make_equal_weight_bins(fine, huge));
 }
 
 }  // namespace

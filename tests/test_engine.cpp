@@ -124,21 +124,32 @@ void test_cache_accounting() {
 
 void test_cache_eviction() {
   core::Engine engine = core::Engine::open(dataset_dir());
-  engine.set_cache_capacity(2);
-  (void)engine.select("px > 1e10").count(37);
+  // Room for everything (the budgeted ctest variant starts at 32 KiB).
+  engine.set_memory_budget(std::uint64_t{1} << 30);
+  const char* texts[] = {"px > 1e10", "y > 0", "x > 0"};
+  for (const char* text : texts) (void)engine.select(text).count(37);
+  const core::EngineStats full = engine.stats();
+  CHECK(full.entries >= 3);
+
+  // Shrinking evicts least recently used first: re-touch the two newest
+  // leaves, take away one byte of room, and both must still be hits.
   (void)engine.select("y > 0").count(37);
   (void)engine.select("x > 0").count(37);
-  const core::EngineStats s = engine.stats();
-  CHECK(s.entries <= 2);
-  CHECK(s.evictions >= 1);
-  // The least recently used entry is gone: re-evaluating it is a miss.
-  const std::uint64_t misses_before = s.misses;
-  (void)engine.select("px > 1e10").count(37);
-  CHECK(engine.stats().misses > misses_before);
+  engine.set_memory_budget(full.resident_bytes - 1);
+  const core::EngineStats touched = engine.stats();
+  (void)engine.select("y > 0").count(37);
+  (void)engine.select("x > 0").count(37);
+  CHECK_EQ(engine.stats().hits, touched.hits + 2);
+  CHECK_EQ(engine.stats().misses, touched.misses);
 
-  // Shrinking the capacity evicts immediately.
-  engine.set_cache_capacity(1);
-  CHECK(engine.stats().entries <= 1);
+  // A one-byte budget holds only pinned headers: every cached bitvector is
+  // evicted at once, and re-evaluating one is a miss.
+  engine.set_memory_budget(1);
+  const core::EngineStats s = engine.stats();
+  CHECK_EQ(s.entries, 0u);
+  CHECK(s.evictions >= full.entries);
+  (void)engine.select("px > 1e10").count(37);
+  CHECK(engine.stats().misses > s.misses);
 }
 
 void test_session_views_share_cache() {

@@ -671,6 +671,35 @@ void test_malformed_query_text_probes() {
   server.stop();
 }
 
+/// Wire-supplied bin counts whose edge arrays cannot exist. `bins=SIZE_MAX`
+/// once wrapped `nbins + 1` to a zero-length edge array that the bin loop
+/// then overran (a server crash from one line); a `hist2` shape whose
+/// admission estimate wrapped to 80 bytes slipped under a finite budget.
+void test_oversized_bin_counts() {
+  svc::QueryService service{core::Engine::open(dataset_dir())};
+  svc::SocketServer server(
+      service, qdv::test::scratch_dir("service_bins") / "qdv.sock");
+  server.start();
+  svc::SocketClient client(server.socket_path());
+  CHECK(client.request("hist1 t=0 x=px bins=18446744073709551615 q=px > 0")
+            .rfind("err ", 0) == 0);
+  CHECK_EQ(client.request("ping"), "ok pong");
+  server.stop();
+
+  svc::ServiceConfig budgeted;
+  budgeted.session_budget_bytes = 1 << 20;
+  svc::QueryService tight{core::Engine::open(dataset_dir()), budgeted};
+  svc::SocketServer tight_server(
+      tight, qdv::test::scratch_dir("service_bins_budget") / "qdv.sock");
+  tight_server.start();
+  svc::SocketClient tight_client(tight_server.socket_path());
+  CHECK(tight_client
+            .request("hist2 t=0 x=px y=x bins=4611686018427387904 q=px > 0")
+            .rfind("err over-budget", 0) == 0);
+  CHECK_EQ(tight_client.request("ping"), "ok pong");
+  tight_server.stop();
+}
+
 }  // namespace
 
 int main() {
@@ -686,5 +715,6 @@ int main() {
   test_brush_wire_session();
   test_abrupt_disconnect_releases_session_state();
   test_malformed_query_text_probes();
+  test_oversized_bin_counts();
   return qdv::test::finish("test_service");
 }

@@ -131,7 +131,7 @@ void check_result_matches_serial(const core::Engine& reference,
     case svc::RequestKind::kZoom1D:
     case svc::RequestKind::kZoom2D:
       // The stress mix never generates zoom requests; test_pyramid and the
-      // bombard zoom scenario own that coverage.
+      // qdvbench zoom workload own that coverage.
       CHECK(false);
       break;
   }
