@@ -11,7 +11,7 @@
 //
 // The Scalar-Ref column is the pre-kernel gather (per-bit for_each_set +
 // per-value Bins::locate) over the same condition bitvector: the
-// FastBit-Regular / Scalar-Ref ratio is the dense-block kernel speedup,
+// FastBit-Regular / Scalar-Ref ratio is the block kernel speedup,
 // recorded as old/new rows in the JSON output (--json / QDV_BENCH_JSON).
 #include <algorithm>
 #include <cstdio>

@@ -1,8 +1,8 @@
 // Old-vs-new rows for every execution kernel of DESIGN.md Section 10, over
 // synthetic data (no dataset on disk needed): the scalar pre-PR paths
 // (per-bit for_each_set + per-value Bins::locate + pairwise or_many +
-// thread spawn/join per batch) against the block kernels (dense-block
-// cursor + Bins::Locator + k-way OR + persistent pool). Every comparison
+// thread spawn/join per batch) against the block kernels (content walk +
+// Bins::Locator + k-way OR + persistent pool). Every comparison
 // asserts the two paths produce identical results and exits nonzero on any
 // mismatch, so this doubles as the CI benchmark smoke check.
 //

@@ -86,7 +86,7 @@ class BitVector {
   /// Scalar reference implementation: one callback per set bit, fills
   /// expanded bit by bit. Hot paths use qdv::kern::for_each_set_blocked
   /// (bitmap/kernels.hpp) instead; this stays element-at-a-time on purpose —
-  /// it is the differential-test baseline for the dense-block kernels.
+  /// it is the differential-test baseline for the block kernels.
   template <typename Fn>
   void for_each_set(Fn&& fn) const {
     std::uint64_t pos = 0;

@@ -1,15 +1,15 @@
 // Block-oriented execution kernels over WAH bitvectors (DESIGN.md
-// Section 10): the dense-block cursor that decodes compressed words into
-// aligned 64-bit machine words (fills stay symbolic run descriptors), the
-// k-way single-pass OR used by every multi-bin range probe, and the sharded
-// tally driver for intra-timestep parallel histograms.
+// Section 10): the content walk that decodes compressed words in one pass
+// (zero fills skipped, one-fills reported as row ranges, literal runs read
+// in place), the k-way single-pass OR used by every multi-bin range probe,
+// and the sharded tally driver for intra-timestep parallel histograms.
 //
 // Every kernel here has a scalar reference twin in qdv::kern::ref used by
 // the differential tests (tests/test_kernels.cpp); the references are the
 // original element-at-a-time implementations and must never be "optimized".
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -20,15 +20,8 @@
 
 #include "bitmap/bins.hpp"
 #include "bitmap/bitvector.hpp"
-#include "bitmap/simd.hpp"
 
 namespace qdv::kern {
-
-#if defined(__GNUC__) || defined(__clang__)
-#define QDV_PREFETCH(addr) __builtin_prefetch(addr)
-#else
-#define QDV_PREFETCH(addr) ((void)0)
-#endif
 
 /// Access shim for the kernel layer: BitVector grants friendship to this
 /// struct alone, so every kernel reads the compressed words through one
@@ -59,116 +52,137 @@ struct BitVectorOps {
   static void set_nbits(BitVector& v, std::uint64_t nbits) { v.nbits_ = nbits; }
 };
 
-/// Streaming decoder of a WAH BitVector into dense blocks.
-///
-/// Each block is either a *run* — `nbits` identical bits starting at `base`,
-/// never expanded — or a *dense span* of 64-bit words (LSB-first within each
-/// word, word w covers rows [base + 64w, base + 64w + 63]). Short fills
-/// (under kRunThresholdBits) are absorbed into the dense buffer so sparse
-/// literal/fill interleavings don't fragment into tiny blocks; long fills
-/// stay symbolic so an all-ones gigabit vector costs O(1) blocks.
-///
-/// An optional row window [begin, end) restricts decoding for sharded
-/// consumers: set bits outside the window are masked off (dense spans may
-/// still start/stop on 31-bit group boundaries that straddle the window, with
-/// the out-of-window bits cleared), and run blocks are clipped exactly. A
-/// windowed cursor skips words before `begin` with one cheap step each, so a
-/// sharded gather pays O(shards * words) aggregate skip work — acceptable
-/// because sharded_tally caps the shard count (pool size, scratch ceiling).
-///
-/// The dense words live in a buffer owned by the cursor and are only valid
-/// until the next call to next().
-class DenseBlockCursor {
- public:
-  struct Block {
-    std::uint64_t base = 0;   // row of bit 0 of the block
-    std::uint64_t nbits = 0;  // rows covered
-    bool is_run = false;      // true: nbits copies of `value`, words == nullptr
-    bool value = false;
-    const std::uint64_t* words = nullptr;  // ceil(nbits / 64) words when dense
+/// Single-pass content walk of a WAH vector clipped to rows [begin, end):
+/// zero fills are skipped arithmetically (never materialized), one-fill row
+/// ranges are reported via on_ones(lo, hi), and maximal runs of literal
+/// words are reported via on_groups(words, ngroups, base_row) *directly
+/// over the compressed word array* — no intermediate dense-word buffer, so
+/// an all-ones multi-billion-bit fill costs O(1) calls. Window-straddling
+/// boundary groups are masked into a stack copy so consumers never see
+/// out-of-window bits; a windowed walk still steps over the words before
+/// `begin` one at a time, so sharded consumers pay O(shards * words)
+/// aggregate skip work (sharded_tally caps the shard count). This is the
+/// one WAH decoder of the kernel layer: to_positions_blocked, the gather
+/// kernels and for_each_set_blocked all ride it.
+template <bool kFullWindow, typename OnOnes, typename OnGroups>
+void walk_content(const BitVector& v, std::uint64_t begin, std::uint64_t end,
+                  OnOnes&& on_ones, OnGroups&& on_groups) {
+  begin = std::min(begin, v.size());
+  end = std::min(end, v.size());
+  if (begin >= end) return;
+  constexpr std::uint32_t G = BitVectorOps::kGroupBits;
+
+  const auto emit_groups = [&](const std::uint32_t* groups, std::size_t ng,
+                               std::uint64_t start) {
+    if constexpr (kFullWindow) {
+      // Full-window walk: WAH invariants put no content past size() and the
+      // tail group is zero-padded, so no run needs clipping or masking —
+      // this keeps the per-run cost of sparse bitmaps at the bare decode.
+      on_groups(groups, ng, start);
+      return;
+    }
+    const std::uint64_t stop = start + static_cast<std::uint64_t>(ng) * G;
+    if (stop <= begin || start >= end) return;
+    std::size_t g0 =
+        start < begin ? static_cast<std::size_t>((begin - start) / G) : 0;
+    const std::size_t g1 =
+        stop > end ? static_cast<std::size_t>((end - start + G - 1) / G) : ng;
+    const std::uint64_t first_base = start + static_cast<std::uint64_t>(g0) * G;
+    const std::uint64_t last_base =
+        start + static_cast<std::uint64_t>(g1 - 1) * G;
+    const std::uint32_t drop_lo =
+        begin > first_base ? static_cast<std::uint32_t>(begin - first_base) : 0;
+    const std::uint32_t keep_hi =
+        end < last_base + G ? static_cast<std::uint32_t>(end - last_base) : G;
+    if (g0 + 1 == g1 && (drop_lo > 0 || keep_hi < G)) {
+      std::uint32_t w = groups[g0] & BitVectorOps::kLiteralMask;
+      if (drop_lo > 0) w &= ~0u << drop_lo;
+      if (keep_hi < G) w &= (1u << keep_hi) - 1u;
+      on_groups(&w, std::size_t{1}, first_base);
+      return;
+    }
+    if (drop_lo > 0) {
+      const std::uint32_t w =
+          (groups[g0] & BitVectorOps::kLiteralMask) & (~0u << drop_lo);
+      on_groups(&w, std::size_t{1}, first_base);
+      ++g0;
+    }
+    const std::size_t mid_end = keep_hi < G ? g1 - 1 : g1;
+    if (g0 < mid_end)
+      on_groups(groups + g0, mid_end - g0,
+                start + static_cast<std::uint64_t>(g0) * G);
+    if (keep_hi < G) {
+      const std::uint32_t w =
+          (groups[g1 - 1] & BitVectorOps::kLiteralMask) & ((1u << keep_hi) - 1u);
+      on_groups(&w, std::size_t{1}, last_base);
+    }
   };
 
-  /// Dense buffer capacity (bits per dense block before a flush).
-  static constexpr std::size_t kBufWords = 256;
-  /// One-fills at least this long stay symbolic run blocks; shorter ones
-  /// are expanded into the dense buffer (33 groups = 1023 bits).
-  static constexpr std::uint64_t kRunThresholdBits = 33 * BitVector::kGroupBits;
-  /// Zero fills go symbolic much sooner: consumers skip zero runs for free,
-  /// while expanding them costs buffer writes — on very sparse vectors
-  /// (selectivity ~1e-3 and below) the gaps between set bits would
-  /// otherwise dominate the decode.
-  static constexpr std::uint64_t kZeroRunThresholdBits = 8 * BitVector::kGroupBits;
-
-  explicit DenseBlockCursor(const BitVector& v)
-      : DenseBlockCursor(v, 0, v.size()) {}
-
-  /// Restrict decoding to rows [begin, end) — clamped to v.size().
-  DenseBlockCursor(const BitVector& v, std::uint64_t begin, std::uint64_t end);
-
-  /// Produce the next block; false once the (windowed) vector is exhausted.
-  bool next(Block& out);
-
- private:
-  void step();
-  void handle_run(bool value, std::uint64_t run_bits);
-  void handle_literal(std::uint32_t literal, std::uint32_t nbits);
-  void emit_dense(Block& out);
-  void push_bits(std::uint64_t bits, std::uint32_t n);
-  void push_zeros(std::uint64_t n);
-  void push_ones(std::uint64_t n);
-
-  std::span<const std::uint32_t> words_;
-  std::uint32_t active_ = 0;
-  std::uint32_t active_bits_ = 0;
-  std::uint64_t begin_ = 0;
-  std::uint64_t end_ = 0;
-
-  std::uint64_t pos_ = 0;  // logical bit position of the next undecoded group
-  std::size_t idx_ = 0;    // next compressed word
-  bool tail_done_ = false;
-  bool done_ = false;
-
-  // Dense accumulation state: buf_[0..nwords_) full words plus accbits_
-  // pending bits in acc_, covering rows starting at dense_base_.
-  std::uint64_t dense_base_ = 0;
-  std::size_t nwords_ = 0;
-  std::uint64_t acc_ = 0;
-  std::uint32_t accbits_ = 0;
-  // Headroom so one absorbed sub-threshold fill can never overflow.
-  std::array<std::uint64_t, kBufWords + (kRunThresholdBits / 64) + 2> buf_;
-
-  // A long fill waiting to be emitted once the dense buffer has flushed.
-  bool have_pending_run_ = false;
-  bool pending_value_ = false;
-  std::uint64_t pending_base_ = 0;
-  std::uint64_t pending_bits_ = 0;
-};
+  const std::span<const std::uint32_t> words = BitVectorOps::words(v);
+  const std::size_t nwords = words.size();
+  std::uint64_t pos = 0;
+  std::size_t i = 0;
+  while (i < nwords && pos < end) {
+    const std::uint32_t w = words[i];
+    if (w & BitVectorOps::kFillFlag) {
+      const std::uint64_t run =
+          static_cast<std::uint64_t>(w & BitVectorOps::kCountMask) * G;
+      if (w & BitVectorOps::kFillValueBit) {
+        const std::uint64_t lo = std::max(pos, begin);
+        const std::uint64_t hi = std::min(pos + run, end);
+        if (lo < hi) on_ones(lo, hi);
+      }
+      pos += run;
+      ++i;
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < nwords && !(words[j] & BitVectorOps::kFillFlag)) ++j;
+    emit_groups(words.data() + i, j - i, pos);
+    pos += static_cast<std::uint64_t>(j - i) * G;
+    i = j;
+  }
+  if (pos < end && BitVectorOps::active_bits(v) > 0) {
+    // The tail is one zero-padded literal group; rows past size() are zero
+    // and end <= size(), so the window mask covers all clipping.
+    const std::uint32_t tail = BitVectorOps::active(v);
+    if (tail != 0) emit_groups(&tail, 1, pos);
+  }
+}
 
 /// Invoke fn(row) for every set bit of @p v inside [begin, end), ascending,
-/// via dense blocks: one-runs become straight row loops (no per-bit decode)
-/// and dense words are walked with countr_zero. The scalar twin is
-/// BitVector::for_each_set.
+/// over walk_content: one-fills become straight row loops (no per-bit
+/// decode), and literal runs are fused two 31-bit groups at a time into one
+/// 62-bit word walked with countr_zero — half the loop trips of a per-group
+/// decode, which is what keeps this at parity with a dense-word decoder at
+/// high selectivity. Rows stay 64-bit, so vectors past 2^32 rows work. The
+/// scalar twin is BitVector::for_each_set.
 template <typename Fn>
 inline void for_each_set_blocked(const BitVector& v, std::uint64_t begin,
                                  std::uint64_t end, Fn&& fn) {
-  DenseBlockCursor cursor(v, begin, end);
-  DenseBlockCursor::Block b;
-  while (cursor.next(b)) {
-    if (b.is_run) {
-      if (b.value)
-        for (std::uint64_t i = 0; i < b.nbits; ++i) fn(b.base + i);
-      continue;
+  constexpr std::uint64_t G = BitVectorOps::kGroupBits;
+  const auto each_bit = [&](std::uint64_t bits, std::uint64_t base) {
+    while (bits) {
+      fn(base + static_cast<std::uint64_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
     }
-    const std::size_t nw = (b.nbits + 63) / 64;
-    for (std::size_t w = 0; w < nw; ++w) {
-      std::uint64_t bits = b.words[w];
-      const std::uint64_t base = b.base + static_cast<std::uint64_t>(w) * 64;
-      while (bits) {
-        fn(base + static_cast<std::uint64_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-      }
-    }
-  }
+  };
+  const auto on_ones = [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t row = lo; row < hi; ++row) fn(row);
+  };
+  // Literal words have the fill flag (bit 31) clear, so two of them fuse
+  // without masking.
+  const auto on_groups = [&](const std::uint32_t* groups, std::size_t ng,
+                             std::uint64_t base) {
+    std::size_t g = 0;
+    for (; g + 2 <= ng; g += 2, base += 2 * G)
+      each_bit(groups[g] | (std::uint64_t{groups[g + 1]} << G), base);
+    if (g < ng) each_bit(groups[g], base);
+  };
+  if (begin == 0 && end >= v.size())
+    walk_content<true>(v, 0, v.size(), on_ones, on_groups);
+  else
+    walk_content<false>(v, begin, end, on_ones, on_groups);
 }
 
 /// Whole-vector variant of the windowed overload above.
@@ -177,65 +191,10 @@ inline void for_each_set_blocked(const BitVector& v, Fn&& fn) {
   for_each_set_blocked(v, 0, v.size(), std::forward<Fn>(fn));
 }
 
-/// Invoke fn(std::span<const std::uint32_t>) over batches (<= 1024 rows) of
-/// the set rows of @p v inside [begin, end), ascending. Materializing rows
-/// in batches lets gather loops issue software prefetches a fixed distance
-/// ahead — the conditional-histogram gather is DRAM-latency-bound at
-/// moderate selectivity, where consecutive set rows land on different cache
-/// lines of the value columns.
-template <typename Fn>
-inline void for_each_set_batched(const BitVector& v, std::uint64_t begin,
-                                 std::uint64_t end, Fn&& fn) {
-  const simd::Ops& ops = simd::ops();
-  DenseBlockCursor cursor(v, begin, end);
-  DenseBlockCursor::Block b;
-  constexpr std::size_t kBatch = 1024;
-  std::array<std::uint32_t, kBatch + simd::kPositionSlack> rows;
-  while (cursor.next(b)) {
-    if (b.is_run) {
-      if (!b.value) continue;
-      std::uint64_t base = b.base;
-      std::uint64_t left = b.nbits;
-      while (left > 0) {
-        const auto n =
-            static_cast<std::size_t>(std::min<std::uint64_t>(left, kBatch));
-        for (std::size_t i = 0; i < n; ++i)
-          rows[i] = static_cast<std::uint32_t>(base + i);
-        fn(std::span<const std::uint32_t>(rows.data(), n));
-        base += n;
-        left -= n;
-      }
-      continue;
-    }
-    // Dense words go through the dispatched position-extraction kernel in
-    // spans sized so each span's worst case (all bits set) fits the batch.
-    const std::size_t nw = (static_cast<std::size_t>(b.nbits) + 63) / 64;
-    std::size_t n = 0;
-    std::size_t w = 0;
-    while (w < nw) {
-      const std::size_t take = std::min(nw - w, (kBatch - n) / 64);
-      if (take == 0) {
-        fn(std::span<const std::uint32_t>(rows.data(), n));
-        n = 0;
-        continue;
-      }
-      n += ops.positions_from_words(
-          b.words + w, take, b.base + static_cast<std::uint64_t>(w) * 64,
-          rows.data() + n);
-      w += take;
-    }
-    if (n > 0) fn(std::span<const std::uint32_t>(rows.data(), n));
-  }
-}
-
-/// Prefetch distance (rows) for the gather kernels below: far enough to
-/// cover DRAM latency, near enough to stay inside one batch.
-inline constexpr std::size_t kGatherPrefetch = 16;
-
 /// True when @p v is so sparse (under ~1 set bit per 64) that the scalar
-/// WAH decode — which skips zero fills arithmetically and never
-/// materializes words — beats the dense-block cursor. Dense and run-heavy
-/// vectors take the block path. The scan bails out the moment the density
+/// WAH decode — which skips zero fills arithmetically and pays no per-run
+/// setup — beats the block walk of for_each_set_blocked. Dense and
+/// run-heavy vectors take the block walk. The scan bails out the moment the density
 /// threshold is crossed, so on dense vectors it touches only a prefix of
 /// the words (a one-fill exits immediately); on sparse vectors a bounded
 /// prefix decides from its own density — the old full scan cost as much as
@@ -281,8 +240,9 @@ void gather_hist2d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
                    const Bins::Locator& xloc, const Bins::Locator& yloc,
                    std::size_t ny, std::uint64_t* counts);
 
-/// Set-bit positions of @p v via the dense-block cursor (one-runs are bulk
-/// appended). Backs BitVector::to_positions.
+/// Set-bit positions of @p v via walk_content (one-runs are bulk appended;
+/// strongly compressed bitmaps take a word-at-a-time scalar loop). Backs
+/// BitVector::to_positions.
 void to_positions_blocked(const BitVector& v, std::vector<std::uint32_t>& out);
 
 /// Set-bit count via a single pass over the compressed words (fills are

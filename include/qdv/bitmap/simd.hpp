@@ -93,15 +93,10 @@ inline bool rows_are_sparse(const std::uint32_t* rows, std::size_t n) {
 struct Ops {
   Isa isa;
 
-  /// Ascending positions of the set bits of @p nwords dense 64-bit words
-  /// (LSB-first; word w covers rows [base + 64w, base + 64w + 63]). Writes
-  /// to @p out (plus kPositionSlack slack), returns the count written.
-  std::size_t (*positions_from_words)(const std::uint64_t* words,
-                                      std::size_t nwords, std::uint64_t base,
-                                      std::uint32_t* out);
-
-  /// Same over 31-bit WAH literal groups (group g covers rows
-  /// [base + 31g, base + 31g + 30]; bit 31 of each word is ignored).
+  /// Ascending positions of the set bits of @p ngroups 31-bit WAH literal
+  /// groups (group g covers rows [base + 31g, base + 31g + 30]; bit 31 of
+  /// each word is ignored). Writes to @p out (plus kPositionSlack slack),
+  /// returns the count written.
   std::size_t (*positions_from_groups)(const std::uint32_t* groups,
                                        std::size_t ngroups, std::uint64_t base,
                                        std::uint32_t* out);
@@ -133,6 +128,14 @@ const Ops& ops();
 
 /// Kernel table of an explicit level; @p isa must satisfy supported().
 const Ops& ops_for(Isa isa);
+
+/// True when @p table's hist1d (hist2d) entries are vector kernels. A
+/// vector level may keep the scalar level's bodies for a family (AVX2 does
+/// for hist1d, DESIGN.md Section 12), so the histogram dispatch counters
+/// ask these rather than comparing `isa`. A gather still counts as vector
+/// when it extracted rows with a vector position kernel.
+bool has_vector_hist1d(const Ops& table);
+bool has_vector_hist2d(const Ops& table);
 
 // ------------------------------------------------------------------------
 // Dispatch observability: per-kernel-family counts of how often the public

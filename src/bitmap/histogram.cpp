@@ -93,7 +93,7 @@ Bins make_adaptive_bins(double lo, double hi, std::span<const double> values,
   const Bins::Locator locate = fine.bins.locator();
   const simd::LocatorView view = locate.view();
   const simd::Ops& ops = simd::ops();
-  simd::count_hist1d_call(ops.isa != simd::Isa::kScalar);
+  simd::count_hist1d_call(simd::has_vector_hist1d(ops));
   kern::sharded_tally(
       values.size(), fine.counts.size(), fine.counts.data(),
       [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
@@ -126,7 +126,7 @@ Histogram1D HistogramEngine::histogram1d(const std::string& variable,
   const Bins::Locator locate = h.bins.locator();
   const simd::LocatorView view = locate.view();
   const simd::Ops& ops = simd::ops();
-  simd::count_hist1d_call(ops.isa != simd::Isa::kScalar);
+  simd::count_hist1d_call(simd::has_vector_hist1d(ops));
   kern::sharded_tally(
       values.size(), h.counts.size(), h.counts.data(),
       [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
@@ -144,8 +144,8 @@ Histogram1D HistogramEngine::histogram1d(const std::string& variable,
   h.counts.assign(h.bins.num_bins(), 0);
   const std::span<const double> values = table_->column(variable);
   const Bins::Locator locate = h.bins.locator();
-  // Dense-block gather with value prefetch; each shard decodes only its row
-  // window of the condition bitvector.
+  // Block gather; each shard decodes only its row window of the condition
+  // bitvector.
   kern::sharded_tally(
       values.size(), h.counts.size(), h.counts.data(),
       [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
@@ -190,7 +190,7 @@ Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string
   const simd::LocatorView xview = xloc.view();
   const simd::LocatorView yview = yloc.view();
   const simd::Ops& ops = simd::ops();
-  simd::count_hist2d_call(ops.isa != simd::Isa::kScalar);
+  simd::count_hist2d_call(simd::has_vector_hist2d(ops));
   kern::sharded_tally(
       xs.size(), h.counts.size(), h.counts.data(),
       [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {

@@ -1,302 +1,18 @@
 #include "bitmap/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 
+#include "bitmap/simd.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace qdv::kern {
-
-// ------------------------------------------------------------------------
-// DenseBlockCursor
-// ------------------------------------------------------------------------
-
-DenseBlockCursor::DenseBlockCursor(const BitVector& v, std::uint64_t begin,
-                                   std::uint64_t end)
-    : words_(BitVectorOps::words(v)),
-      active_(BitVectorOps::active(v)),
-      active_bits_(BitVectorOps::active_bits(v)),
-      begin_(std::min(begin, v.size())),
-      end_(std::min(end, v.size())) {
-  if (begin_ >= end_) done_ = true;
-  dense_base_ = begin_;
-}
-
-bool DenseBlockCursor::next(Block& out) {
-  for (;;) {
-    if (have_pending_run_) {
-      // Flush the dense buffer first so blocks come out in row order.
-      if (nwords_ > 0 || accbits_ > 0) {
-        emit_dense(out);
-        return true;
-      }
-      out.base = pending_base_;
-      out.nbits = pending_bits_;
-      out.is_run = true;
-      out.value = pending_value_;
-      out.words = nullptr;
-      have_pending_run_ = false;
-      dense_base_ = pending_base_ + pending_bits_;
-      return true;
-    }
-    if (done_) {
-      if (nwords_ > 0 || accbits_ > 0) {
-        emit_dense(out);
-        return true;
-      }
-      return false;
-    }
-    if (nwords_ >= kBufWords) {
-      emit_dense(out);
-      return true;
-    }
-    // Hot path: consecutive literal groups fully inside the window need no
-    // clipping and no per-word dispatch — this is the shape of every
-    // moderately-selective bitmap between its fills.
-    if (pos_ >= begin_) {
-      while (idx_ < words_.size() && nwords_ < kBufWords &&
-             pos_ + BitVectorOps::kGroupBits <= end_) {
-        const std::uint32_t w = words_[idx_];
-        if (w & BitVectorOps::kFillFlag) break;
-        ++idx_;
-        if (nwords_ == 0 && accbits_ == 0) dense_base_ = pos_;
-        pos_ += BitVectorOps::kGroupBits;
-        push_bits(w, BitVectorOps::kGroupBits);
-      }
-      if (nwords_ >= kBufWords) {
-        emit_dense(out);
-        return true;
-      }
-    }
-    step();
-  }
-}
-
-void DenseBlockCursor::step() {
-  if (pos_ >= end_) {
-    done_ = true;
-    return;
-  }
-  if (idx_ < words_.size()) {
-    const std::uint32_t w = words_[idx_++];
-    if (w & BitVectorOps::kFillFlag) {
-      handle_run((w & BitVectorOps::kFillValueBit) != 0,
-                 static_cast<std::uint64_t>(w & BitVectorOps::kCountMask) *
-                     BitVectorOps::kGroupBits);
-    } else {
-      handle_literal(w, BitVectorOps::kGroupBits);
-    }
-    return;
-  }
-  if (!tail_done_ && active_bits_ > 0) {
-    tail_done_ = true;
-    handle_literal(active_, active_bits_);
-    return;
-  }
-  done_ = true;
-}
-
-void DenseBlockCursor::handle_run(bool value, std::uint64_t run_bits) {
-  const std::uint64_t start = pos_;
-  pos_ += run_bits;
-  const std::uint64_t lo = std::max(start, begin_);
-  const std::uint64_t hi = std::min(pos_, end_);
-  if (lo >= hi) return;  // no overlap with the row window
-  const std::uint64_t n = hi - lo;
-  if (n >= (value ? kRunThresholdBits : kZeroRunThresholdBits)) {
-    have_pending_run_ = true;
-    pending_value_ = value;
-    pending_base_ = lo;
-    pending_bits_ = n;
-    return;
-  }
-  // Short fill: absorb into the dense buffer (contiguous with it by
-  // construction — either the buffer is empty or it ends exactly at lo).
-  if (nwords_ == 0 && accbits_ == 0) dense_base_ = lo;
-  if (value)
-    push_ones(n);
-  else
-    push_zeros(n);
-}
-
-void DenseBlockCursor::handle_literal(std::uint32_t literal, std::uint32_t nbits) {
-  const std::uint64_t start = pos_;
-  pos_ += nbits;
-  if (pos_ <= begin_ || start >= end_) return;  // fully outside the window
-  std::uint32_t w = literal;
-  // Mask window edges; the group itself stays whole, so dense blocks keep
-  // 31-bit-group alignment and the masked bits read as zeros.
-  if (start < begin_)
-    w &= ~0u << static_cast<std::uint32_t>(begin_ - start);
-  if (pos_ > end_)
-    w &= (1u << static_cast<std::uint32_t>(end_ - start)) - 1u;
-  if (nwords_ == 0 && accbits_ == 0) dense_base_ = start;
-  push_bits(w, nbits);
-}
-
-void DenseBlockCursor::emit_dense(Block& out) {
-  std::size_t nw = nwords_;
-  const std::uint64_t nbits =
-      static_cast<std::uint64_t>(nwords_) * 64 + accbits_;
-  if (accbits_ > 0) buf_[nw++] = acc_;
-  out.base = dense_base_;
-  out.nbits = nbits;
-  out.is_run = false;
-  out.value = false;
-  out.words = buf_.data();
-  dense_base_ += nbits;
-  nwords_ = 0;
-  acc_ = 0;
-  accbits_ = 0;
-}
-
-void DenseBlockCursor::push_bits(std::uint64_t bits, std::uint32_t n) {
-  acc_ |= bits << accbits_;
-  const std::uint32_t total = accbits_ + n;
-  if (total >= 64) {
-    buf_[nwords_++] = acc_;
-    const std::uint32_t spilled = total - 64;
-    acc_ = spilled > 0 ? (bits >> (n - spilled)) : 0;
-    accbits_ = spilled;
-  } else {
-    accbits_ = total;
-  }
-}
-
-void DenseBlockCursor::push_zeros(std::uint64_t n) {
-  std::uint64_t total = accbits_ + n;
-  if (total < 64) {
-    accbits_ = static_cast<std::uint32_t>(total);
-    return;
-  }
-  buf_[nwords_++] = acc_;
-  acc_ = 0;
-  total -= 64;
-  while (total >= 64) {
-    buf_[nwords_++] = 0;
-    total -= 64;
-  }
-  accbits_ = static_cast<std::uint32_t>(total);
-}
-
-void DenseBlockCursor::push_ones(std::uint64_t n) {
-  std::uint64_t total = accbits_ + n;
-  acc_ |= ~std::uint64_t{0} << accbits_;
-  if (total < 64) {
-    acc_ &= (std::uint64_t{1} << total) - 1u;
-    accbits_ = static_cast<std::uint32_t>(total);
-    return;
-  }
-  buf_[nwords_++] = acc_;
-  total -= 64;
-  while (total >= 64) {
-    buf_[nwords_++] = ~std::uint64_t{0};
-    total -= 64;
-  }
-  acc_ = total > 0 ? (std::uint64_t{1} << total) - 1u : 0;
-  accbits_ = static_cast<std::uint32_t>(total);
-}
 
 // ------------------------------------------------------------------------
 // Position / count / gather kernels
 // ------------------------------------------------------------------------
 
 namespace {
-
-/// Single-pass content walk of a WAH vector clipped to rows [begin, end):
-/// zero fills are skipped arithmetically (never materialized), one-fill row
-/// ranges are reported via on_ones(lo, hi), and maximal runs of literal
-/// words are reported via on_groups(words, ngroups, base_row) *directly
-/// over the compressed word array* — no intermediate dense-word buffer.
-/// Window-straddling boundary groups are masked into a stack copy so
-/// consumers never see out-of-window bits. This is the decode under
-/// to_positions_blocked and the gather kernels: one pass, so sparse
-/// selections cost exactly the scalar WAH decode (plus bulk group
-/// extraction) with no density pre-scan.
-template <bool kFullWindow, typename OnOnes, typename OnGroups>
-void walk_content(const BitVector& v, std::uint64_t begin, std::uint64_t end,
-                  OnOnes&& on_ones, OnGroups&& on_groups) {
-  begin = std::min(begin, v.size());
-  end = std::min(end, v.size());
-  if (begin >= end) return;
-  constexpr std::uint32_t G = BitVectorOps::kGroupBits;
-
-  const auto emit_groups = [&](const std::uint32_t* groups, std::size_t ng,
-                               std::uint64_t start) {
-    if constexpr (kFullWindow) {
-      // Full-window walk: WAH invariants put no content past size() and the
-      // tail group is zero-padded, so no run needs clipping or masking —
-      // this keeps the per-run cost of sparse bitmaps at the bare decode.
-      on_groups(groups, ng, start);
-      return;
-    }
-    const std::uint64_t stop = start + static_cast<std::uint64_t>(ng) * G;
-    if (stop <= begin || start >= end) return;
-    std::size_t g0 =
-        start < begin ? static_cast<std::size_t>((begin - start) / G) : 0;
-    const std::size_t g1 =
-        stop > end ? static_cast<std::size_t>((end - start + G - 1) / G) : ng;
-    const std::uint64_t first_base = start + static_cast<std::uint64_t>(g0) * G;
-    const std::uint64_t last_base =
-        start + static_cast<std::uint64_t>(g1 - 1) * G;
-    const std::uint32_t drop_lo =
-        begin > first_base ? static_cast<std::uint32_t>(begin - first_base) : 0;
-    const std::uint32_t keep_hi =
-        end < last_base + G ? static_cast<std::uint32_t>(end - last_base) : G;
-    if (g0 + 1 == g1 && (drop_lo > 0 || keep_hi < G)) {
-      std::uint32_t w = groups[g0] & BitVectorOps::kLiteralMask;
-      if (drop_lo > 0) w &= ~0u << drop_lo;
-      if (keep_hi < G) w &= (1u << keep_hi) - 1u;
-      on_groups(&w, std::size_t{1}, first_base);
-      return;
-    }
-    if (drop_lo > 0) {
-      const std::uint32_t w =
-          (groups[g0] & BitVectorOps::kLiteralMask) & (~0u << drop_lo);
-      on_groups(&w, std::size_t{1}, first_base);
-      ++g0;
-    }
-    const std::size_t mid_end = keep_hi < G ? g1 - 1 : g1;
-    if (g0 < mid_end)
-      on_groups(groups + g0, mid_end - g0,
-                start + static_cast<std::uint64_t>(g0) * G);
-    if (keep_hi < G) {
-      const std::uint32_t w =
-          (groups[g1 - 1] & BitVectorOps::kLiteralMask) & ((1u << keep_hi) - 1u);
-      on_groups(&w, std::size_t{1}, last_base);
-    }
-  };
-
-  const std::span<const std::uint32_t> words = BitVectorOps::words(v);
-  const std::size_t nwords = words.size();
-  std::uint64_t pos = 0;
-  std::size_t i = 0;
-  while (i < nwords && pos < end) {
-    const std::uint32_t w = words[i];
-    if (w & BitVectorOps::kFillFlag) {
-      const std::uint64_t run =
-          static_cast<std::uint64_t>(w & BitVectorOps::kCountMask) * G;
-      if (w & BitVectorOps::kFillValueBit) {
-        const std::uint64_t lo = std::max(pos, begin);
-        const std::uint64_t hi = std::min(pos + run, end);
-        if (lo < hi) on_ones(lo, hi);
-      }
-      pos += run;
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < nwords && !(words[j] & BitVectorOps::kFillFlag)) ++j;
-    emit_groups(words.data() + i, j - i, pos);
-    pos += static_cast<std::uint64_t>(j - i) * G;
-    i = j;
-  }
-  if (pos < end && BitVectorOps::active_bits(v) > 0) {
-    // The tail is one zero-padded literal group; rows past size() are zero
-    // and end <= size(), so the window mask covers all clipping.
-    const std::uint32_t tail = BitVectorOps::active(v);
-    if (tail != 0) emit_groups(&tail, 1, pos);
-  }
-}
 
 /// Row-batch capacity of the gather kernels below (plus position-kernel
 /// overstore slack). Sized so per-batch costs (kernel-entry gate checks,
@@ -498,15 +214,23 @@ void to_positions_blocked(const BitVector& v, std::vector<std::uint32_t>& out) {
   simd::count_positions_call(used_vector);
 }
 
-void gather_hist1d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
-                   const double* values, const Bins::Locator& loc,
-                   std::uint64_t* counts) {
-  const simd::Ops& ops = simd::ops();
-  // See to_positions_blocked: vector use is recorded per route taken, not
-  // per table active at entry.
-  const bool vt = ops.isa != simd::Isa::kScalar;
+namespace {
+
+/// The body gather_hist1d and gather_hist2d share: one walk of @p v over
+/// [begin, end) that batches set rows into rows_kernel(table, rows, n) and
+/// hands one-fill row ranges to dense_kernel(lo, hi). The selectivity gates
+/// pick per literal run (inline ctz vs the position kernel) and per batch
+/// (scalar vs active table). @p vector_hist says whether @p ops' entries
+/// for this histogram family are vector kernels. Returns whether any vector
+/// kernel ran, position extraction included: under AVX2 (scalar hist1d
+/// bodies) a hist1d gather counts as vector exactly when it extracted rows
+/// with the AVX2 position kernel.
+template <typename RowsKernel, typename DenseKernel>
+bool gather_driver(const BitVector& v, std::uint64_t begin, std::uint64_t end,
+                   const simd::Ops& ops, bool vector_hist,
+                   RowsKernel&& rows_kernel, DenseKernel&& dense_kernel) {
+  const bool vector_positions = ops.isa != simd::Isa::kScalar;
   bool used_vector = false;
-  const simd::LocatorView L = loc.view();
   std::array<std::uint32_t, kGatherBatch + simd::kPositionSlack> rows;
   std::size_t n = 0;
   // Sparse or tiny batches dispatch to the scalar table directly: the
@@ -518,16 +242,16 @@ void gather_hist1d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
     if (n > 0) {
       const bool vec =
           n >= simd::kMinVectorRows && !simd::rows_are_sparse(rows.data(), n);
-      used_vector |= vec && vt;
-      (vec ? ops : sco).hist1d_rows(rows.data(), n, values, L, counts);
+      used_vector |= vec && vector_hist;
+      rows_kernel(vec ? ops : sco, rows.data(), n);
       n = 0;
     }
   };
   const auto on_ones = [&](std::uint64_t lo, std::uint64_t hi) {
     flush();
     // One-fill: the rows are contiguous — no index materialization.
-    used_vector |= vt;
-    ops.hist1d_dense(values + lo, static_cast<std::size_t>(hi - lo), L, counts);
+    used_vector |= vector_hist;
+    dense_kernel(lo, hi);
   };
   const auto on_groups = [&](const std::uint32_t* groups, std::size_t ng,
                              std::uint64_t base) {
@@ -544,7 +268,7 @@ void gather_hist1d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
       if (take <= kInlineRunGroups || run_is_sparse(groups + g, take)) {
         n += positions_inline(groups + g, take, b, rows.data() + n);
       } else {
-        used_vector |= vt;
+        used_vector |= vector_positions;
         n += ops.positions_from_groups(groups + g, take, b, rows.data() + n);
       }
       g += take;
@@ -562,7 +286,25 @@ void gather_hist1d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
     walk_content<false>(v, begin, end, on_ones, on_groups);
   }
   flush();
-  simd::count_hist1d_call(used_vector);
+  return used_vector;
+}
+
+}  // namespace
+
+void gather_hist1d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
+                   const double* values, const Bins::Locator& loc,
+                   std::uint64_t* counts) {
+  const simd::Ops& ops = simd::ops();
+  const simd::LocatorView L = loc.view();
+  simd::count_hist1d_call(gather_driver(
+      v, begin, end, ops, simd::has_vector_hist1d(ops),
+      [&](const simd::Ops& table, const std::uint32_t* rows, std::size_t n) {
+        table.hist1d_rows(rows, n, values, L, counts);
+      },
+      [&](std::uint64_t lo, std::uint64_t hi) {
+        ops.hist1d_dense(values + lo, static_cast<std::size_t>(hi - lo), L,
+                         counts);
+      }));
 }
 
 void gather_hist2d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
@@ -570,65 +312,17 @@ void gather_hist2d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
                    const Bins::Locator& xloc, const Bins::Locator& yloc,
                    std::size_t ny, std::uint64_t* counts) {
   const simd::Ops& ops = simd::ops();
-  // See to_positions_blocked: vector use is recorded per route taken, not
-  // per table active at entry.
-  const bool vt = ops.isa != simd::Isa::kScalar;
-  bool used_vector = false;
   const simd::LocatorView Lx = xloc.view();
   const simd::LocatorView Ly = yloc.view();
-  std::array<std::uint32_t, kGatherBatch + simd::kPositionSlack> rows;
-  std::size_t n = 0;
-  // See gather_hist1d: sparse batches go straight to the scalar table.
-  const simd::Ops& sco = simd::ops_for(simd::Isa::kScalar);
-  const auto flush = [&] {
-    if (n > 0) {
-      const bool vec =
-          n >= simd::kMinVectorRows && !simd::rows_are_sparse(rows.data(), n);
-      used_vector |= vec && vt;
-      (vec ? ops : sco).hist2d_rows(rows.data(), n, xs, ys, Lx, Ly, ny, counts);
-      n = 0;
-    }
-  };
-  const auto on_ones = [&](std::uint64_t lo, std::uint64_t hi) {
-    flush();
-    used_vector |= vt;
-    ops.hist2d_dense(xs + lo, ys + lo, static_cast<std::size_t>(hi - lo), Lx,
-                     Ly, ny, counts);
-  };
-  const auto on_groups = [&](const std::uint32_t* groups, std::size_t ng,
-                             std::uint64_t base) {
-    std::size_t g = 0;
-    while (g < ng) {
-      const std::size_t take =
-          std::min(ng - g, (kGatherBatch - n) / BitVectorOps::kGroupBits);
-      if (take == 0) {
-        flush();
-        continue;
-      }
-      const std::uint64_t b =
-          base + static_cast<std::uint64_t>(g) * BitVectorOps::kGroupBits;
-      if (take <= kInlineRunGroups || run_is_sparse(groups + g, take)) {
-        n += positions_inline(groups + g, take, b, rows.data() + n);
-      } else {
-        used_vector |= vt;
-        n += ops.positions_from_groups(groups + g, take, b, rows.data() + n);
-      }
-      g += take;
-    }
-  };
-  if (begin == 0 && end >= v.size()) {
-    if (!sparse_full_walk(v, on_ones,
-                          [&](std::uint32_t w, std::uint64_t base) {
-                            if (n + BitVectorOps::kGroupBits > kGatherBatch)
-                              flush();
-                            n += positions_inline(&w, 1, base, rows.data() + n);
-                          }))
-      walk_content<true>(v, 0, v.size(), on_ones, on_groups);
-  } else {
-    walk_content<false>(v, begin, end, on_ones, on_groups);
-  }
-  flush();
-  simd::count_hist2d_call(used_vector);
+  simd::count_hist2d_call(gather_driver(
+      v, begin, end, ops, simd::has_vector_hist2d(ops),
+      [&](const simd::Ops& table, const std::uint32_t* rows, std::size_t n) {
+        table.hist2d_rows(rows, n, xs, ys, Lx, Ly, ny, counts);
+      },
+      [&](std::uint64_t lo, std::uint64_t hi) {
+        ops.hist2d_dense(xs + lo, ys + lo, static_cast<std::size_t>(hi - lo),
+                         Lx, Ly, ny, counts);
+      }));
 }
 
 std::uint64_t count_words(const BitVector& v) {

@@ -137,6 +137,14 @@ const Ops& ops_for(Isa isa) {
   return *table;
 }
 
+bool has_vector_hist1d(const Ops& table) {
+  return table.hist1d_rows != detail::scalar_ops()->hist1d_rows;
+}
+
+bool has_vector_hist2d(const Ops& table) {
+  return table.hist2d_rows != detail::scalar_ops()->hist2d_rows;
+}
+
 DispatchCounts dispatch_counts() {
   return {g_positions_calls.snapshot(), g_hist1d_calls.snapshot(),
           g_hist2d_calls.snapshot()};

@@ -7,20 +7,19 @@
 //    expansion (kBytePositions + cvtepu8 widen + vector store) of all four
 //    bytes — the sparse inline gate in kernels.cpp keeps short literal runs
 //    out of this TU, and for the runs that do arrive a popcount gate's
-//    mispredicts cost more than emitting empty bytes. 64-bit dense words
-//    keep a small popcount gate (sparse words are common inside dense
-//    blocks and decode faster bit-by-bit).
+//    mispredicts cost more than emitting empty bytes.
 //  - locate: 4-lane uniform locate (cvttpd + clamp + edge settle; affine
 //    bin sets synthesize the verify edges in-register, others gather them)
 //    and 4-lane branchless halving search over the cached edges, exact
 //    lane-wise twins of Bins::Locator (NaN fails the ordered compares and
 //    routes to -1 exactly like the scalar path).
-//  - histogram accumulate: gathered values -> vector locate -> bin indices
+//  - hist2d accumulate: gathered values -> vector locate -> bin indices
 //    spilled to a lane buffer and accumulated scalar per lane, which is
 //    conflict-safe by construction (no scatter) and exact for duplicate
 //    bins within a vector. Batches whose rows are very sparse (average
 //    spacing past a cache line) stay scalar: the gathers are latency-bound
-//    there and vector setup cannot win.
+//    there and vector setup cannot win. The hist1d entries point at the
+//    scalar level's bodies.
 #include "simd_common.hpp"
 
 #if defined(__AVX2__)
@@ -103,20 +102,6 @@ inline __m128i locate4(const LocatorView& L, __m256d v) {
   return L.affine ? locate4_uniform<true>(L, v) : locate4_uniform<false>(L, v);
 }
 
-/// Below this popcount a 64-bit dense word decodes faster bit-by-bit than
-/// through the byte LUT (8 shuffle+store steps regardless of content).
-constexpr int kDenseWordBits = 4;
-
-/// Nearly-contiguous row batches (mean spacing under ~3 doubles) stay
-/// scalar in this TU: four-lane AVX2 gathers move one element per cycle
-/// while the dense regime streams cache-resident lines, so the scalar
-/// locate loop wins. AVX-512 (8 lanes + compressed index replay) still
-/// profits there, so the gate is AVX2-local. Sparse batches are gated by
-/// simd::rows_are_sparse (header; re-checked here for direct Ops users).
-inline bool rows_are_dense_avx2(const std::uint32_t* rows, std::size_t n) {
-  return static_cast<std::size_t>(rows[n - 1] - rows[0]) < n * 3;
-}
-
 inline std::size_t emit_byte(std::uint32_t m, std::uint32_t base,
                              std::uint32_t* out) {
   const __m256i pos = _mm256_cvtepu8_epi32(
@@ -125,28 +110,6 @@ inline std::size_t emit_byte(std::uint32_t m, std::uint32_t base,
                       _mm256_add_epi32(pos, _mm256_set1_epi32(
                                                 static_cast<int>(base))));
   return static_cast<std::size_t>(std::popcount(m));
-}
-
-std::size_t positions_from_words_avx2(const std::uint64_t* words,
-                                      std::size_t nwords, std::uint64_t base,
-                                      std::uint32_t* out) {
-  std::size_t n = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    std::uint64_t bits = words[w];
-    if (bits == 0) continue;
-    const auto wbase = static_cast<std::uint32_t>(base + 64 * w);
-    if (std::popcount(bits) <= kDenseWordBits) {
-      while (bits) {
-        out[n++] = wbase + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-      }
-      continue;
-    }
-    for (unsigned k = 0; k < 8; ++k)
-      n += emit_byte(static_cast<std::uint32_t>((bits >> (8 * k)) & 0xFFu),
-                     wbase + 8 * k, out + n);
-  }
-  return n;
 }
 
 std::size_t positions_from_groups_avx2(const std::uint32_t* groups,
@@ -170,34 +133,6 @@ std::size_t positions_from_groups_avx2(const std::uint32_t* groups,
     n += emit_byte(bits >> 24, gbase + 24, out + n);
   }
   return n;
-}
-
-void hist1d_rows_avx2(const std::uint32_t* rows, std::size_t n,
-                      const double* values, const LocatorView& L,
-                      std::uint64_t* counts) {
-  if (L.empty || n < kMinVectorRows || rows_are_sparse(rows, n) ||
-      rows_are_dense_avx2(rows, n)) {
-    hist1d_rows_scalar(rows, n, values, L, counts);
-    return;
-  }
-  alignas(16) std::int32_t bins[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Prefetch every row of the vector four iterations ahead: at low
-    // selectivity each gathered row is its own cache line, so skipping
-    // lanes would leave the gather waiting on unprefetched DRAM misses.
-    if (i + 20 <= n)
-      for (int l = 0; l < 4; ++l)
-        _mm_prefetch(reinterpret_cast<const char*>(values + rows[i + 16 + l]),
-                     _MM_HINT_T0);
-    const __m128i r =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + i));
-    const __m256d v = _mm256_i32gather_pd(values, r, 8);
-    _mm_store_si128(reinterpret_cast<__m128i*>(bins), locate4(L, v));
-    for (int l = 0; l < 4; ++l)
-      if (bins[l] >= 0) ++counts[static_cast<std::size_t>(bins[l])];
-  }
-  hist1d_rows_scalar(rows + i, n - i, values, L, counts);
 }
 
 void hist2d_rows_avx2(const std::uint32_t* rows, std::size_t n,
@@ -234,23 +169,6 @@ void hist2d_rows_avx2(const std::uint32_t* rows, std::size_t n,
   hist2d_rows_scalar(rows + i, n - i, xs, ys, xloc, yloc, ny, counts);
 }
 
-void hist1d_dense_avx2(const double* values, std::size_t n,
-                       const LocatorView& L, std::uint64_t* counts) {
-  if (L.empty || n < kMinVectorRows) {
-    hist1d_dense_scalar(values, n, L, counts);
-    return;
-  }
-  alignas(16) std::int32_t bins[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(bins),
-                    locate4(L, _mm256_loadu_pd(values + i)));
-    for (int l = 0; l < 4; ++l)
-      if (bins[l] >= 0) ++counts[static_cast<std::size_t>(bins[l])];
-  }
-  hist1d_dense_scalar(values + i, n - i, L, counts);
-}
-
 void hist2d_dense_avx2(const double* xs, const double* ys, std::size_t n,
                        const LocatorView& xloc, const LocatorView& yloc,
                        std::size_t ny, std::uint64_t* counts) {
@@ -274,13 +192,16 @@ void hist2d_dense_avx2(const double* xs, const double* ys, std::size_t n,
   hist2d_dense_scalar(xs + i, ys + i, n - i, xloc, yloc, ny, counts);
 }
 
+// The hist1d entries are the scalar table's own bodies: four-lane gather +
+// locate measured a median 1.21x over scalar at sel=0.5, under the 1.5x a
+// vector family needs to be kept (DESIGN.md Section 12). hist2d, with two
+// locates per row, measured 1.53x and stays.
 constexpr Ops kAvx2Ops = {
     Isa::kAvx2,
-    &positions_from_words_avx2,
     &positions_from_groups_avx2,
-    &hist1d_rows_avx2,
+    &detail::hist1d_rows_baseline,
     &hist2d_rows_avx2,
-    &hist1d_dense_avx2,
+    &detail::hist1d_dense_baseline,
     &hist2d_dense_avx2,
 };
 

@@ -3,15 +3,15 @@
 // CMakeLists.txt); runtime dispatch requires the matching CPUID bits, and
 // when the compiler lacks the target the TU degrades to a nullptr accessor.
 //
-// Position extraction uses mask-compress stores: each 16-bit chunk of a
-// word becomes a __mmask16 driving _mm512_mask_compressstoreu_epi32 over an
-// iota+base vector, writing exactly popcount lanes (no overstore). The
-// chunk loop is branchless — no per-word popcount gate and no empty-chunk
-// skip — because at the mixed densities that reach this TU (the sparse
+// Position extraction uses mask-compress stores: each 16-bit half of a
+// literal group becomes a __mmask16 driving _mm512_mask_compressstoreu_epi32
+// over an iota+base vector, writing exactly popcount lanes (no overstore).
+// The loop is branchless past an empty-group skip — no per-group popcount
+// gate — because at the mixed densities that reach this TU (the sparse
 // inline gate in kernels.cpp already keeps short literal runs scalar) the
 // mispredicted gates cost more than redundant compress stores. The locate
-// and histogram kernels are 8-lane versions of the AVX2 shapes, using
-// native __mmask8 predication instead of blend vectors; uniform bin sets
+// and histogram kernels are 8-lane gather + locate loops with native
+// __mmask8 predication; uniform bin sets
 // with bit-exactly affine edges (LocatorView::affine) synthesize their
 // verify edges in-register instead of gathering them, and hist2d runs two
 // phases (vector bin compute + compressed flat indices, then a prefetched
@@ -99,25 +99,6 @@ inline __m256i locate8(const LocatorView& L, __m512d v) {
 
 const __m512i kIota16 = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                           11, 12, 13, 14, 15);
-
-std::size_t positions_from_words_avx512(const std::uint64_t* words,
-                                        std::size_t nwords, std::uint64_t base,
-                                        std::uint32_t* out) {
-  std::size_t n = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t bits = words[w];
-    if (bits == 0) continue;
-    const auto wbase = static_cast<std::uint32_t>(base + 64 * w);
-    for (unsigned c = 0; c < 4; ++c) {
-      const auto m = static_cast<__mmask16>(bits >> (16 * c));
-      const __m512i pos = _mm512_add_epi32(
-          kIota16, _mm512_set1_epi32(static_cast<int>(wbase + 16 * c)));
-      _mm512_mask_compressstoreu_epi32(out + n, m, pos);
-      n += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
-    }
-  }
-  return n;
-}
 
 std::size_t positions_from_groups_avx512(const std::uint32_t* groups,
                                          std::size_t ngroups,
@@ -361,7 +342,6 @@ void hist2d_dense_avx512(const double* xs, const double* ys, std::size_t n,
 
 constexpr Ops kAvx512Ops = {
     Isa::kAvx512,
-    &positions_from_words_avx512,
     &positions_from_groups_avx512,
     &hist1d_rows_avx512,
     &hist2d_rows_avx512,

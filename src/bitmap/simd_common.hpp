@@ -1,7 +1,7 @@
 // Internal scalar bodies shared by the per-ISA translation units of the
 // SIMD dispatch layer (simd_scalar.cpp / simd_avx2.cpp / simd_avx512.cpp).
 //
-// Everything here is `static`: each TU is compiled with different target
+// Every body here is `static`: each TU is compiled with different target
 // flags, and these helpers double as the tail/sparse paths of the vector
 // levels, so they must NOT be merged across TUs by the linker — an
 // AVX2-codegen copy picked for the scalar table would crash a non-AVX2
@@ -54,21 +54,6 @@ static inline std::int64_t locate_view(const LocatorView& L, double value) {
   }
   const auto bin = static_cast<std::int64_t>(lo);
   return bin < L.last ? bin : L.last;
-}
-
-static inline std::size_t positions_from_words_scalar(
-    const std::uint64_t* words, std::size_t nwords, std::uint64_t base,
-    std::uint32_t* out) {
-  std::size_t n = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    std::uint64_t bits = words[w];
-    const auto wbase = static_cast<std::uint32_t>(base + 64 * w);
-    while (bits) {
-      out[n++] = wbase + static_cast<std::uint32_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-    }
-  }
-  return n;
 }
 
 static inline std::size_t positions_from_groups_scalar(
@@ -135,6 +120,20 @@ static inline void hist2d_dense_scalar(const double* xs, const double* ys,
       ++counts[static_cast<std::size_t>(bx) * ny + static_cast<std::size_t>(by)];
   }
 }
+
+namespace detail {
+
+// The scalar table's hist1d entries, defined once in simd_scalar.cpp
+// (baseline flags, external linkage). A vector level without hist1d kernels
+// of its own points its table here, so it runs exactly the scalar level's
+// code and has_vector_hist1d() can tell by comparing entries.
+void hist1d_rows_baseline(const std::uint32_t* rows, std::size_t n,
+                          const double* values, const LocatorView& loc,
+                          std::uint64_t* counts);
+void hist1d_dense_baseline(const double* values, std::size_t n,
+                           const LocatorView& loc, std::uint64_t* counts);
+
+}  // namespace detail
 
 /// Byte-decode table for the AVX2 position kernels: entry m packs the bit
 /// positions (0-7) of the set bits of byte m into successive output bytes.

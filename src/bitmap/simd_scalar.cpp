@@ -7,15 +7,25 @@
 
 namespace qdv::simd::detail {
 
+void hist1d_rows_baseline(const std::uint32_t* rows, std::size_t n,
+                          const double* values, const LocatorView& loc,
+                          std::uint64_t* counts) {
+  hist1d_rows_scalar(rows, n, values, loc, counts);
+}
+
+void hist1d_dense_baseline(const double* values, std::size_t n,
+                           const LocatorView& loc, std::uint64_t* counts) {
+  hist1d_dense_scalar(values, n, loc, counts);
+}
+
 namespace {
 
 constexpr Ops kScalarOps = {
     Isa::kScalar,
-    &positions_from_words_scalar,
     &positions_from_groups_scalar,
-    &hist1d_rows_scalar,
+    &hist1d_rows_baseline,
     &hist2d_rows_scalar,
-    &hist1d_dense_scalar,
+    &hist1d_dense_baseline,
     &hist2d_dense_scalar,
 };
 

@@ -57,7 +57,7 @@ SummaryStats conditional_stats(const io::TimestepTable& table,
   if (condition == nullptr) {
     for (std::uint64_t row = 0; row < values.size(); ++row) accumulate(row);
   } else {
-    // Dense-block gather: same ascending row order as the scalar
+    // Block gather: same ascending row order as the scalar
     // for_each_set, so the floating-point sums are bit-identical.
     kern::for_each_set_blocked(table.query(*condition, mode),
                                std::ref(accumulate));

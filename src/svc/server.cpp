@@ -42,17 +42,30 @@ bool write_line(int fd, const std::string& line) {
          io::XferResult::kOk;
 }
 
+/// Longest request line the server buffers before giving up on the
+/// connection: one client must not be able to grow server memory without
+/// bound by never sending a newline.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Read up to the next newline (leftover bytes stay in @p buffer); false on
 /// EOF / error with nothing buffered. On a receive timeout errno stays
-/// EAGAIN for the caller to inspect.
-bool read_line(int fd, std::string& buffer, std::string& line) {
+/// EAGAIN for the caller to inspect; once more than @p max_bytes arrive
+/// without a newline, errno is EMSGSIZE.
+bool read_line(int fd, std::string& buffer, std::string& line,
+               std::size_t max_bytes = std::string::npos) {
+  std::size_t scanned = 0;  // bytes already known to hold no newline
   for (;;) {
-    const std::size_t pos = buffer.find('\n');
+    const std::size_t pos = buffer.find('\n', scanned);
     if (pos != std::string::npos) {
       line = buffer.substr(0, pos);
       buffer.erase(0, pos + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return true;
+    }
+    scanned = buffer.size();
+    if (scanned > max_bytes) {
+      errno = EMSGSIZE;
+      return false;
     }
     char chunk[4096];
     std::size_t got = 0;
@@ -121,7 +134,7 @@ struct SocketServer::Impl {
     std::string buffer;
     std::string line;
     bool greeted = false;
-    while (read_line(fd, buffer, line)) {
+    while (read_line(fd, buffer, line, kMaxRequestLineBytes)) {
       if (line.empty()) continue;
       WireRequest wire;
       std::string error;
@@ -151,7 +164,7 @@ struct SocketServer::Impl {
                          "' (stale client, or hand-driven session missing "
                          "the greeting)");
         }
-        break;
+        return;
       }
       if (!parsed) {
         response = "err " + error;
@@ -161,7 +174,7 @@ struct SocketServer::Impl {
         response = "ok pong";
       } else if (wire.op == WireRequest::Op::kQuit) {
         write_line(fd, "ok bye");
-        break;
+        return;
       } else if (wire.op == WireRequest::Op::kStats) {
         response = format_stats_line(service.stats());
       } else if (wire.op == WireRequest::Op::kBrush) {
@@ -192,8 +205,11 @@ struct SocketServer::Impl {
         const ResultPtr result = service.execute(session, wire.request);
         response = format_response_line(*result, wire.ids_limit);
       }
-      if (!write_line(fd, response)) break;
+      if (!write_line(fd, response)) return;
     }
+    if (errno == EMSGSIZE)
+      write_line(fd, "err line too long (max " +
+                         std::to_string(kMaxRequestLineBytes) + " bytes)");
   }
 
   /// Join and drop finished connections (called on each accept, so a

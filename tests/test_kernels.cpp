@@ -3,6 +3,7 @@
 // adversarial shapes — fills crossing the 30-bit fill-counter boundary,
 // mixed-length operands, empty/all-ones vectors, selectivities from 1e-5
 // to 1.0 — and results must be bit-identical.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -64,7 +65,27 @@ std::vector<std::uint64_t> ref_positions(const BitVector& v) {
   return out;
 }
 
-/// The adversarial shape zoo shared by the cursor and OR tests.
+/// One- and zero-fills alternating with runs of exactly @p literal_groups
+/// mixed literal groups: odd and even run lengths reach the fused-pair loop
+/// of for_each_set_blocked both with and without a leftover single group.
+BitVector fills_between_literals(std::size_t literal_groups, std::uint64_t seed) {
+  BitVector v;
+  std::uint64_t state = seed;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int rep = 0; rep < 4; ++rep) {
+    v.append_run(rep % 2 == 0, 31 * 40);
+    for (std::size_t b = 0; b < literal_groups * 31; ++b) v.append_bit(next() & 1);
+  }
+  v.append_run(true, 17);  // partial tail group
+  return v;
+}
+
+/// The adversarial shape zoo shared by the walk and OR tests.
 std::vector<BitVector> shape_zoo() {
   std::vector<BitVector> shapes;
   shapes.emplace_back();                        // empty
@@ -82,24 +103,25 @@ std::vector<BitVector> shape_zoo() {
   shapes.push_back(make_sparse(40000, 0.1, 31));
   shapes.push_back(make_sparse(40000, 0.5, 37));
   shapes.push_back(make_sparse(40000, 1.0, 41));
-  // Dense buffer boundary: just below / at / above kBufWords * 64 bits of
-  // consecutive literals.
-  const std::uint64_t buf_bits = qdv::kern::DenseBlockCursor::kBufWords * 64;
-  shapes.push_back(make_runs(buf_bits - 1, 43, 2));
-  shapes.push_back(make_runs(buf_bits, 47, 2));
-  shapes.push_back(make_runs(buf_bits + 65, 53, 2));
-  // Fill exactly at the symbolic-run threshold boundary.
+  // Long literal runs: just below / at / above 16384 bits of consecutive
+  // literals (256 64-bit words).
+  shapes.push_back(make_runs(16383, 43, 2));
+  shapes.push_back(make_runs(16384, 47, 2));
+  shapes.push_back(make_runs(16384 + 65, 53, 2));
+  // Fills of 33 groups (1023 bits) and one bit shorter, off group alignment.
   {
     BitVector v = make_runs(310, 59, 2);
-    v.append_run(true, qdv::kern::DenseBlockCursor::kRunThresholdBits);
-    v.append_run(false, qdv::kern::DenseBlockCursor::kRunThresholdBits - 1);
+    v.append_run(true, 1023);
+    v.append_run(false, 1022);
     v.append_run(true, 17);
     shapes.push_back(std::move(v));
   }
+  for (std::size_t groups = 1; groups <= 3; ++groups)
+    shapes.push_back(fills_between_literals(groups, 61 + groups));
   return shapes;
 }
 
-void test_cursor_matches_for_each_set() {
+void test_blocked_matches_for_each_set() {
   for (const BitVector& v : shape_zoo()) {
     const std::vector<std::uint64_t> expect = ref_positions(v);
     std::vector<std::uint64_t> got;
@@ -108,7 +130,7 @@ void test_cursor_matches_for_each_set() {
     });
     CHECK(got == expect);
     CHECK_EQ(v.count(), expect.size());
-    // to_positions rides the same cursor.
+    // to_positions rides the same walk.
     const std::vector<std::uint32_t> pos32 = v.to_positions();
     CHECK_EQ(pos32.size(), expect.size());
     for (std::size_t i = 0; i < pos32.size(); ++i)
@@ -116,23 +138,7 @@ void test_cursor_matches_for_each_set() {
   }
 }
 
-void test_cursor_blocks_tile_and_stay_ordered() {
-  for (const BitVector& v : shape_zoo()) {
-    qdv::kern::DenseBlockCursor cursor(v);
-    qdv::kern::DenseBlockCursor::Block b;
-    std::uint64_t prev_end = 0;
-    bool first = true;
-    while (cursor.next(b)) {
-      CHECK(b.nbits > 0);
-      if (!first) CHECK_EQ(b.base, prev_end);  // contiguous tiling
-      first = false;
-      prev_end = b.base + b.nbits;
-    }
-    if (!first) CHECK(prev_end >= v.size());  // covers the whole vector
-  }
-}
-
-void test_cursor_windows() {
+void test_blocked_windows() {
   for (const BitVector& v : shape_zoo()) {
     const std::vector<std::uint64_t> all = ref_positions(v);
     const std::uint64_t n = v.size();
@@ -140,6 +146,8 @@ void test_cursor_windows() {
         {0, n},           {0, n / 2},       {n / 2, n},     {n / 3, 2 * n / 3},
         {0, 0},           {n, n},           {1, 2},         {31, 62},
         {30, 33},         {n > 5 ? n - 5 : 0, n},           {7, 8},
+        // Inside the first / second group of a fused pair, and past fills.
+        {35, 118},        {5, 40},          {n / 2 + 17, n > 40 ? n - 40 : n},
     };
     for (const auto& w : windows) {
       const std::uint64_t begin = w[0], end = w[1];
@@ -183,22 +191,25 @@ void test_giant_fills_cross_counter_boundary() {
     BitVector v;
     v.append_run(true, kGiant);
     CHECK_EQ(v.count(), kGiant);
-    // Count via run blocks only: iterating bits would take forever.
-    qdv::kern::DenseBlockCursor cursor(v);
-    qdv::kern::DenseBlockCursor::Block b;
+    // The walk reports the fill as row ranges — at most one per fill word —
+    // and only the 14-bit active tail as a literal group: iterating bits
+    // would take forever.
     std::uint64_t ones = 0;
-    std::size_t blocks = 0;
-    while (cursor.next(b)) {
-      ++blocks;
-      if (b.is_run) {
-        if (b.value) ones += b.nbits;
-      } else {
-        for (std::size_t w = 0; w < (b.nbits + 63) / 64; ++w)
-          ones += static_cast<std::uint64_t>(std::popcount(b.words[w]));
-      }
-    }
+    std::size_t ones_calls = 0, group_calls = 0;
+    qdv::kern::walk_content<true>(
+        v, 0, v.size(),
+        [&](std::uint64_t lo, std::uint64_t hi) {
+          ++ones_calls;
+          ones += hi - lo;
+        },
+        [&](const std::uint32_t* groups, std::size_t ng, std::uint64_t) {
+          ++group_calls;
+          CHECK_EQ(ng, 1u);
+          ones += static_cast<std::uint64_t>(std::popcount(groups[0]));
+        });
     CHECK_EQ(ones, kGiant);
-    CHECK(blocks <= 4);  // fills stay symbolic, never expanded
+    CHECK(ones_calls <= 2);
+    CHECK_EQ(group_calls, 1u);
   }
 }
 
@@ -427,25 +438,6 @@ void test_simd_position_kernels_differential() {
     state ^= state << 17;
     return state;
   };
-  // Word fixtures: all-zero, all-one, single bits at both ends, alternating,
-  // plus random sparse/dense/mixed runs (ragged lengths).
-  std::vector<std::vector<std::uint64_t>> word_sets;
-  word_sets.push_back({});
-  word_sets.push_back({0});
-  word_sets.push_back({~std::uint64_t{0}});
-  word_sets.push_back({1, std::uint64_t{1} << 63, 0x5555555555555555ull,
-                       0xAAAAAAAAAAAAAAAAull, 0, ~std::uint64_t{0}});
-  {
-    std::vector<std::uint64_t> dense, sparse, mixed;
-    for (int i = 0; i < 137; ++i) {
-      dense.push_back(next());
-      sparse.push_back(i % 9 == 0 ? std::uint64_t{1} << (next() % 64) : 0);
-      mixed.push_back(i % 2 ? next() : (i % 4 ? 0 : ~std::uint64_t{0}));
-    }
-    word_sets.push_back(std::move(dense));
-    word_sets.push_back(std::move(sparse));
-    word_sets.push_back(std::move(mixed));
-  }
   // Group fixtures: bit 31 set on some words must be ignored (fill flag
   // position is not payload).
   std::vector<std::vector<std::uint32_t>> group_sets;
@@ -462,18 +454,6 @@ void test_simd_position_kernels_differential() {
   const std::uint64_t bases[] = {0, 31, 64, 1000003};  // unaligned starts
   for (const simd::Isa level : supported_levels()) {
     const simd::Ops& ops = simd::ops_for(level);
-    for (const auto& words : word_sets) {
-      for (const std::uint64_t base : bases) {
-        std::vector<std::uint32_t> a(words.size() * 64 + simd::kPositionSlack);
-        std::vector<std::uint32_t> b(a.size());
-        const std::size_t na =
-            scalar.positions_from_words(words.data(), words.size(), base, a.data());
-        const std::size_t nb =
-            ops.positions_from_words(words.data(), words.size(), base, b.data());
-        CHECK_EQ(na, nb);
-        for (std::size_t i = 0; i < na; ++i) CHECK_EQ(a[i], b[i]);
-      }
-    }
     for (const auto& groups : group_sets) {
       for (const std::uint64_t base : bases) {
         std::vector<std::uint32_t> a(groups.size() * 31 + simd::kPositionSlack);
@@ -652,13 +632,46 @@ void test_simd_forced_levels_end_to_end() {
   simd::force(initial);
 }
 
+void test_avx2_hist_counters_follow_the_route() {
+  // The histogram dispatch counters record whether any vector kernel ran.
+  // The AVX2 table keeps the scalar hist1d bodies, so an AVX2 hist1d gather
+  // that runs only the dense kernel (an all-ones selection of whole groups)
+  // counts as scalar, and one that extracts a dense random selection with
+  // the AVX2 position kernel counts as vector. hist2d keeps its AVX2
+  // kernels and counts as vector either way.
+  if (!simd::supported(simd::Isa::kAvx2)) return;
+  const simd::Isa initial = simd::active();
+  simd::force(simd::Isa::kAvx2);
+  constexpr std::uint64_t kRows = 31 * 160;
+  const std::vector<double> xs(kRows, 0.5);
+  const Bins bins = qdv::make_uniform_bins(0.0, 1.0, 16);
+  const Bins::Locator loc = bins.locator();
+  const BitVector all = BitVector::ones(kRows);
+  const BitVector dense = make_sparse(kRows, 0.5, 11);
+  for (const BitVector* sel : {&all, &dense}) {
+    const bool extracts = sel == &dense;
+    std::vector<std::uint64_t> h1(16, 0), h2(16 * 16, 0);
+    simd::reset_dispatch_counts();
+    qdv::kern::gather_hist1d(*sel, 0, kRows, xs.data(), loc, h1.data());
+    qdv::kern::gather_hist2d(*sel, 0, kRows, xs.data(), xs.data(), loc, loc,
+                             16, h2.data());
+    const simd::DispatchCounts counts = simd::dispatch_counts();
+    CHECK_EQ(counts.hist1d.scalar, extracts ? 0u : 1u);
+    CHECK_EQ(counts.hist1d.vector, extracts ? 1u : 0u);
+    CHECK_EQ(counts.hist2d.scalar, 0u);
+    CHECK_EQ(counts.hist2d.vector, 1u);
+    CHECK_EQ(h1[8], sel->count());
+    CHECK_EQ(h2[8 * 16 + 8], sel->count());
+  }
+  simd::force(initial);
+}
+
 }  // namespace
 
 int main() {
   test_simd_force_env_override();
-  test_cursor_matches_for_each_set();
-  test_cursor_blocks_tile_and_stay_ordered();
-  test_cursor_windows();
+  test_blocked_matches_for_each_set();
+  test_blocked_windows();
   test_giant_fills_cross_counter_boundary();
   test_or_many_kway_vs_pairwise();
   test_locator_matches_locate();
@@ -667,5 +680,6 @@ int main() {
   test_simd_position_kernels_differential();
   test_simd_hist_kernels_differential();
   test_simd_forced_levels_end_to_end();
+  test_avx2_hist_counters_follow_the_route();
   return qdv::test::finish("test_kernels");
 }

@@ -366,6 +366,28 @@ void test_strict_numeric_field_parsing() {
   CHECK(!svc::parse_request_line("brush drop name=b with=c", wire, error));
 }
 
+/// Plain AF_UNIX connection to @p path (retrying while the server binds),
+/// for legs that must speak raw bytes instead of SocketClient lines.
+int connect_raw(const std::filesystem::path& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string text = path.string();
+  std::memcpy(addr.sun_path, text.c_str(), text.size() + 1);
+  int fd = -1;
+  for (int attempt = 0; fd < 0 && attempt < 100; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    CHECK(fd >= 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+        0) {
+      ::close(fd);
+      fd = -1;
+      ::usleep(10000);
+    }
+  }
+  CHECK(fd >= 0);
+  return fd;
+}
+
 /// A hand-driven socket session (no SocketClient, so no automatic
 /// handshake): the server must reject a wrong-version hello and a missing
 /// greeting with explicit `err protocol version mismatch` lines, while a
@@ -377,22 +399,7 @@ void test_protocol_version_handshake() {
   server.start();
 
   const auto raw_session = [&](const std::string& first_line) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    const std::string path = server.socket_path().string();
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    int fd = -1;
-    for (int attempt = 0; fd < 0 && attempt < 100; ++attempt) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      CHECK(fd >= 0);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof addr) != 0) {
-        ::close(fd);
-        fd = -1;
-        ::usleep(10000);
-      }
-    }
-    CHECK(fd >= 0);
+    const int fd = connect_raw(server.socket_path());
     const std::string out = first_line + "\n";
     CHECK(::send(fd, out.data(), out.size(), 0) ==
           static_cast<ssize_t>(out.size()));
@@ -427,6 +434,47 @@ void test_protocol_version_handshake() {
   CHECK_EQ(client.request("ping"), "ok pong");
   CHECK_EQ(client.request("hello v=" + std::to_string(svc::kProtocolVersion)),
            "ok qdv v=" + std::to_string(svc::kProtocolVersion));
+  server.stop();
+}
+
+/// A request line that never ends must not grow server memory without
+/// bound: past 1 MiB with no newline the server answers `err line too long`
+/// and closes that connection, and keeps serving new clients.
+void test_request_line_cap() {
+  svc::QueryService service{core::Engine::open(dataset_dir())};
+  svc::SocketServer server(
+      service, qdv::test::scratch_dir("service_line_cap") / "qdv.sock");
+  server.start();
+
+  const int fd = connect_raw(server.socket_path());
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  std::string out = "hello v=" + std::to_string(svc::kProtocolVersion) + "\n";
+  out.append(std::size_t{2} << 20, 'x');  // 2 MiB, no newline
+  // The server stops reading past its cap, so the tail of this send fails
+  // once it closes the connection; that is expected.
+  for (std::size_t sent = 0; sent < out.size();) {
+    const ssize_t n =
+        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+    reply.append(buf, static_cast<std::size_t>(n));
+  // Closed, not timed out: EOF, or a reset because the server dropped the
+  // bytes it never read.
+  CHECK(n == 0 || errno == ECONNRESET);
+  ::close(fd);
+  CHECK_EQ(reply, "ok qdv v=" + std::to_string(svc::kProtocolVersion) +
+                      "\nerr line too long (max 1048576 bytes)\n");
+
+  svc::SocketClient client(server.socket_path());
+  CHECK_EQ(client.request("ping"), "ok pong");
   server.stop();
 }
 
@@ -711,6 +759,7 @@ int main() {
   test_protocol_round_trip();
   test_strict_numeric_field_parsing();
   test_protocol_version_handshake();
+  test_request_line_cap();
   test_socket_server_end_to_end();
   test_brush_wire_session();
   test_abrupt_disconnect_releases_session_state();
