@@ -4,8 +4,8 @@
 //   generate <dir> [--preset 2d|3d|bench] [--particles N] [--timesteps N]
 //            [--seed S] [--index-bins N] [--no-pyramids] [--pair-bins N]
 //   info     <dir>
-//   query    <dir> -t <timestep> -q "<query>" [--scan] [--eager]
-//            [--budget <MiB>] [--count-only] [--stats]
+//   query    <dir> -t <timestep> -q "<query>" [--scan] [--budget <MiB>]
+//            [--count-only] [--stats]
 //   explain  <dir> -q "<query>"
 //   histogram <dir> -t <timestep> -x <var> -y <var> [--bins N] [--adaptive]
 //            [-q "<query>"] [--csv <file>]
@@ -238,6 +238,11 @@ int cmd_corrupt(const std::string& dir, const Args& args) {
 }
 
 int cmd_query(const std::string& dir, const Args& args) {
+  if (const auto bad = args.unknown_option(
+          {"--scan", "--budget", "--count-only", "--stats"})) {
+    std::cerr << "query: unknown option " << *bad << "\n";
+    return 2;
+  }
   const auto text = args.option("-q");
   if (!text) {
     std::cerr << "query: missing -q \"<query>\"\n";
@@ -245,7 +250,6 @@ int cmd_query(const std::string& dir, const Args& args) {
   }
   const std::size_t t = args.size_option("-t", 0);
   io::OpenOptions options = io::default_open_options();
-  if (args.flag("--eager")) options.mode = io::LoadMode::kEager;
   if (args.option("--budget"))
     options.budget_bytes =
         static_cast<std::uint64_t>(args.size_option("--budget", 0)) << 20;

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -77,9 +76,9 @@ class Pyramid {
 
   void save(const std::filesystem::path& file) const;
 
-  /// Open a `.pyr` file: header + edges eager, levels lazy (budget-cached
-  /// under keys "<budget_prefix>|L<l>" when @p budget is non-null, else in a
-  /// small local cache). Throws std::runtime_error on a missing or
+  /// Open a `.pyr` file: header + edges read now, levels lazily (cached in
+  /// @p budget under keys "<budget_prefix>|L<l>"; a null @p budget gets a
+  /// private unlimited one). Throws std::runtime_error on a missing or
   /// malformed file, io::IntegrityError when @p integrity records a header
   /// checksum that does not match. Level loads verify per-level checksums
   /// the same way; a mismatching level quarantines the pyramid (see

@@ -67,8 +67,8 @@ class BitmapIndex {
   const BitVector& bin_bitmap(std::size_t bin) const { return bitmaps_[bin]; }
   std::size_t memory_bytes() const;
 
+  /// Writes the `.bmi` image that SegmentedBitmapIndex::open reads back.
   void save(std::ostream& out) const;
-  static BitmapIndex load(std::istream& in);
 
  private:
   Bins bins_;
@@ -93,7 +93,9 @@ class IdIndex {
   std::size_t memory_bytes() const;
 
   void save(std::ostream& out) const;
-  static IdIndex load(std::istream& in);
+  /// Parse a saved image (e.g. a mapped `.idi`). Throws std::runtime_error
+  /// when the image is shorter than its declared entry count needs.
+  static IdIndex load(std::span<const std::byte> image);
 
  private:
   std::vector<std::uint64_t> sorted_ids_;

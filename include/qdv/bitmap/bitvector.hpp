@@ -124,7 +124,8 @@ class BitVector {
   static BitVector load(std::span<const std::byte> image, std::size_t& offset);
 
   /// Byte length of the serialized record at @p offset, computed from its
-  /// header alone — used to skip records without decoding them.
+  /// header alone — used to skip records without decoding them. Throws
+  /// std::runtime_error when the record would overrun @p image.
   static std::size_t serialized_size(std::span<const std::byte> image,
                                      std::size_t offset);
 

@@ -40,7 +40,6 @@ class WorkerServer {
   void wait_shutdown();
 
   const std::filesystem::path& socket_path() const;
-  std::uint64_t requests_served() const;
 
  private:
   struct Impl;

@@ -5,7 +5,7 @@
 //
 // Granularity follows decode granularity, so out-of-core verification cost
 // stays O(bytes touched): whole-file entries for columns / meta / manifest
-// / eager index loads, plus per-section entries for the lazily-decoded
+// / `.idi` id indices, plus per-section entries for the lazily-decoded
 // regions — each WAH segment of a `.bmi`, each level count array of a
 // `.pyr`, and the headers in front of them.
 //

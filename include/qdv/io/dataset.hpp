@@ -40,23 +40,22 @@ struct IndexConfig {
   std::vector<std::pair<std::string, std::string>> pyramid_pairs{{"x", "px"}};
 };
 
-/// How Dataset::open materializes on-disk data.
+/// How Dataset::open configures the dataset.
 struct OpenOptions {
-  LoadMode mode = LoadMode::kLazy;
   /// Byte ceiling of the dataset's unified memory budget (columns, index
   /// segments, and — when an Engine adopts the budget — query bitvectors).
   std::uint64_t budget_bytes = MemoryBudget::kUnlimited;
 };
 
-/// The defaults Dataset::open(dir) uses: lazy loading, with the
-/// QDV_MEMORY_BUDGET environment variable (bytes), when set, seeding
-/// budget_bytes. Start from this when layering CLI flags on top.
+/// The defaults Dataset::open(dir) uses: the QDV_MEMORY_BUDGET environment
+/// variable (bytes), when set, seeds budget_bytes. Start from this when
+/// layering CLI flags on top.
 OpenOptions default_open_options();
 
 class Dataset {
  public:
-  /// Open with defaults: lazy mmap-backed loading; the QDV_MEMORY_BUDGET
-  /// environment variable (bytes), when set, seeds the memory budget.
+  /// Open with defaults: the QDV_MEMORY_BUDGET environment variable
+  /// (bytes), when set, seeds the memory budget.
   static Dataset open(const std::filesystem::path& dir);
   static Dataset open(const std::filesystem::path& dir,
                       const OpenOptions& options);
@@ -68,10 +67,11 @@ class Dataset {
   /// Cached per-timestep table (shared across callers; see drop_cache()).
   const TimestepTable& table(std::size_t t) const;
 
-  /// A fresh, uncached, unbudgeted table — used by benchmarks and parallel
-  /// tasks that need cold-start I/O semantics or private column caches.
-  std::shared_ptr<TimestepTable> open_table(
-      std::size_t t, LoadMode mode = LoadMode::kLazy) const;
+  /// A fresh, uncached table with its own unlimited memory budget — used by
+  /// benchmarks and parallel tasks that need cold-start I/O semantics or
+  /// private column caches. It pays its own I/O and charges nothing to
+  /// memory_budget().
+  std::shared_ptr<TimestepTable> open_table(std::size_t t) const;
 
   /// The dataset-wide memory budget all cached tables charge residents to
   /// (never null; unlimited unless configured).

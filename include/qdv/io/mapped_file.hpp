@@ -32,7 +32,7 @@ namespace qdv::io {
 /// the lifetime of the object.
 ///
 /// Uses POSIX mmap; falls back to reading the whole file into a heap buffer
-/// when mmap is unavailable or QDV_NO_MMAP is set (the fallback cannot drop
+/// when mmap fails or QDV_NO_MMAP is set (the fallback cannot drop
 /// residency, so release_pages() is a no-op there).
 class MappedFile {
  public:
@@ -82,17 +82,16 @@ class MappedFile {
 template <typename T>
 class ColumnHandle {
  public:
-  ColumnHandle() = default;
   ColumnHandle(std::filesystem::path file, std::uint64_t rows)
       : path_(std::move(file)), rows_(rows) {}
 
   /// Map the column file (no-op when already loaded) and return the values.
   /// Throws std::runtime_error when the file is missing or shorter than
-  /// rows() * sizeof(T).
+  /// the row count times sizeof(T).
   std::span<const T> load() {
     if (!map_) {
       auto mapped = MappedFile::map(path_);
-      if (mapped->size() < rows_ * sizeof(T))
+      if (mapped->size() / sizeof(T) < rows_)
         throw std::runtime_error("truncated column file " + path_.string());
       map_ = std::move(mapped);
     }
@@ -116,8 +115,6 @@ class ColumnHandle {
 
   /// Bytes of column payload governed by this handle.
   std::uint64_t bytes() const { return rows_ * sizeof(T); }
-  std::uint64_t rows() const { return rows_; }
-  const std::filesystem::path& file() const { return path_; }
 
   /// The underlying mapping (nullptr before load()); pin it to keep the
   /// bytes alive independently of this handle.

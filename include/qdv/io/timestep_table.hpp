@@ -7,13 +7,14 @@
 // files `<var>.f64` / `id.u64`, and serialized indices `<var>.bmi` /
 // `id.idi`.
 //
-// Out-of-core behavior (DESIGN.md Section 9): under LoadMode::kLazy the
-// table mmaps column files on first touch and opens `.bmi` indices as
-// segment directories (SegmentedBitmapIndex), decoding per-bin WAH bitmaps
-// only when a query's bin coverage needs them. All residents are charged to
-// the table's MemoryBudget (when one is attached); budget eviction drops
-// mapped pages / decoded segments but never invalidates a span already
-// handed out — mappings stay address-valid for the table's lifetime.
+// Out-of-core behavior (DESIGN.md Section 9): the table mmaps column files
+// on first touch and opens `.bmi` indices as segment directories
+// (SegmentedBitmapIndex), decoding per-bin WAH bitmaps only when a query's
+// bin coverage needs them. Every binary artifact is verified from the bytes
+// its decoder reads. All residents are charged to the table's MemoryBudget;
+// budget eviction drops mapped pages / decoded segments but never
+// invalidates a span already handed out — mappings stay address-valid for
+// the table's lifetime.
 //
 // Ownership: a TimestepTable owns its mappings and decoded indices; spans
 // returned by column()/id_column() and pointers returned by the index
@@ -49,57 +50,42 @@ class Pyramid;
 
 namespace qdv::io {
 
-/// How a table materializes on-disk data.
-enum class LoadMode {
-  kLazy,   // mmap columns, segment-wise index decoding (the default)
-  kEager,  // whole-file heap reads, fully deserialized indices (seed behavior)
-};
-
 class TimestepTable {
  public:
-  /// Open the timestep stored in @p dir (reads meta.txt eagerly, everything
-  /// else lazily). @p budget, when given, is charged for every resident the
-  /// table loads and may evict them; pass nullptr for an unbudgeted table.
-  /// @p integrity, when given, receives this table's verification /
-  /// degradation counters (Dataset shares one across all its tables);
-  /// nullptr allocates a private one. Checksums come from the directory's
-  /// `checksums.qdv` sidecar (io/checksum.hpp) — absent sidecar means every
-  /// decode counts as unverified but everything still opens.
-  explicit TimestepTable(std::filesystem::path dir, std::size_t step = 0,
-                         LoadMode mode = LoadMode::kLazy,
-                         std::shared_ptr<MemoryBudget> budget = nullptr,
-                         std::shared_ptr<IntegrityStats> integrity = nullptr);
+  /// Open the timestep stored in @p dir (reads meta.txt now, everything
+  /// else lazily). @p budget is charged for every resident the table loads
+  /// and may evict them; @p integrity receives this table's verification /
+  /// degradation counters (Dataset shares one across all its tables). Both
+  /// must be non-null. Checksums come from the directory's `checksums.qdv`
+  /// sidecar (io/checksum.hpp) — absent sidecar means every decode counts
+  /// as unverified but everything still opens.
+  TimestepTable(std::filesystem::path dir, std::shared_ptr<MemoryBudget> budget,
+                std::shared_ptr<IntegrityStats> integrity);
 
   std::uint64_t num_rows() const { return rows_; }
-  std::size_t step() const { return step_; }
   const std::vector<std::string>& variables() const { return variables_; }
-  LoadMode load_mode() const { return mode_; }
-  const std::shared_ptr<MemoryBudget>& memory_budget() const { return budget_; }
 
-  /// Raw column values, mapped (kLazy) or read (kEager) on first use. The
-  /// span stays valid for the table's lifetime, across budget evictions.
+  /// Raw column values, mapped on first use. The span stays valid for the
+  /// table's lifetime, across budget evictions.
   std::span<const double> column(const std::string& name) const;
 
   /// The identifier column (unsigned 64-bit); same lifetime rules.
   std::span<const std::uint64_t> id_column(const std::string& name) const;
 
-  /// Read-ahead: load @p name's column and ask the kernel to fault its
-  /// pages in asynchronously (madvise(WILLNEED); under kEager the load
-  /// itself reads the file). Used by par::Prefetcher.
+  /// Read-ahead: map @p name's column and ask the kernel to fault its
+  /// pages in asynchronously (madvise(WILLNEED)). Used by par::Prefetcher.
   void prefetch_column(const std::string& name) const;
   void prefetch_id_column(const std::string& name) const;
 
-  /// Segment directory of @p name's bitmap index (kLazy mode), or nullptr
-  /// when none exists on disk. Pointer valid for the table's lifetime.
+  /// Segment directory of @p name's bitmap index, or nullptr when none
+  /// exists on disk (or it is quarantined). Pointer valid for the table's
+  /// lifetime.
   const SegmentedBitmapIndex* value_index(const std::string& name) const;
 
-  /// Fully deserialized bitmap index of @p name (the kEager path; loads the
-  /// whole .bmi on demand in either mode), or nullptr when none exists.
-  const BitmapIndex* index(const std::string& name) const;
-
   /// Identifier index of @p name, or nullptr when none exists on disk.
-  /// Always fully resident (binary search needs it whole); charged to the
-  /// budget as pinned. Pointer valid for the table's lifetime.
+  /// Always fully resident (binary search needs it whole): the `.idi` is
+  /// mapped, verified whole and parsed once, then charged to the budget as
+  /// pinned. Pointer valid for the table's lifetime.
   const IdIndex* id_index(const std::string& name) const;
 
   /// On-disk existence checks (no loading) — what the planner probes.
@@ -158,10 +144,8 @@ class TimestepTable {
 
  private:
   std::filesystem::path dir_;
-  std::size_t step_ = 0;
   std::uint64_t rows_ = 0;
-  LoadMode mode_ = LoadMode::kLazy;
-  std::shared_ptr<MemoryBudget> budget_;
+  std::shared_ptr<MemoryBudget> budget_;  // never null
   std::string budget_prefix_;  // per-directory key namespace in the budget
   std::vector<std::string> variables_;
   std::unordered_map<std::string, std::pair<double, double>> domains_;
@@ -175,10 +159,6 @@ class TimestepTable {
   mutable std::unordered_map<std::string, ColumnHandle<std::uint64_t>> id_handles_;
   mutable std::unordered_map<std::string, std::optional<SegmentedBitmapIndex>>
       seg_indices_;
-  mutable std::unordered_map<std::string, std::vector<double>> columns_;  // kEager
-  mutable std::unordered_map<std::string, std::vector<std::uint64_t>>
-      id_columns_;  // kEager
-  mutable std::unordered_map<std::string, std::optional<BitmapIndex>> indices_;
   mutable std::unordered_map<std::string, std::optional<IdIndex>> id_indices_;
   // Keyed by .pyr file stem ("x", "x__px"); nullptr = probed, absent.
   mutable std::unordered_map<std::string, std::shared_ptr<const agg::Pyramid>>
@@ -191,13 +171,11 @@ class TimestepTable {
   std::shared_ptr<const agg::Pyramid> open_pyramid(
       const std::string& stem) const;
 
-  // Whole-file verification of a column/meta artifact, at most once per
-  // file (mutex_ held). Throws IntegrityError on mismatch — columns are
-  // ground truth, there is nothing to demote to.
-  void verify_file_locked(const std::string& filename, const void* data,
-                          std::size_t nbytes) const;
-  // Same contract, streaming from disk (the eager heap-read paths).
-  void verify_disk_locked(const std::string& filename) const;
+  // Whole-file verification of a mapped column or id index, at most once
+  // per file (mutex_ held). Throws IntegrityError on mismatch: a column is
+  // ground truth and surfaces it, an id index demotes to the scan path.
+  void verify_file_locked(const std::string& filename,
+                          const MappedFile& file) const;
 
   template <typename T>
   std::span<const T> lazy_column(

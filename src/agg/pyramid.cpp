@@ -56,13 +56,10 @@ struct Pyramid::LevelIo {
   }
   int fd = -1;
   std::uint64_t data_offset = 0;
-  std::shared_ptr<io::MemoryBudget> budget;
+  std::shared_ptr<io::MemoryBudget> budget;  // never null
   std::string prefix;
   PyramidIntegrity integrity;
   std::atomic<bool> quarantined{false};
-  // Fallback cache when the caller supplied no budget (tools, tests).
-  std::mutex mutex;
-  std::vector<std::shared_ptr<const std::vector<std::uint64_t>>> local;
 };
 
 Pyramid Pyramid::build1d(std::span<const double> values, Bins leaf) {
@@ -165,7 +162,9 @@ std::shared_ptr<Pyramid> Pyramid::open(const std::filesystem::path& file,
     throw std::runtime_error("qdv::agg: cannot open " + file.string());
   auto io = std::make_shared<LevelIo>();
   io->fd = fd;
-  io->budget = std::move(budget);
+  // No caller budget (fsck, tools, tests): levels cache in a private one.
+  io->budget =
+      budget ? std::move(budget) : std::make_shared<io::MemoryBudget>();
   io->prefix = std::move(budget_prefix);
   io->integrity = std::move(integrity);
 
@@ -185,14 +184,25 @@ std::shared_ptr<Pyramid> Pyramid::open(const std::filesystem::path& file,
     offset += sizeof(leaf_log2);
     if ((ndims != 1 && ndims != 2) || leaf_log2 > 30)
       throw std::runtime_error("qdv::agg: bad .pyr header in " + file.string());
+    // ndims and leaf_log2 fix the size of everything after them: check it
+    // against the file before allocating edges or levels, so a forged
+    // leaf_log2 cannot commit gigabytes ahead of a short read.
+    const std::uint64_t nedges = (std::uint64_t{1} << leaf_log2) + 1;
+    std::uint64_t expect = offset + sizeof(p->rows_) +
+                           ndims * (sizeof(nedges) + nedges * sizeof(double));
+    for (std::uint32_t l = 0; l <= leaf_log2; ++l)
+      expect += (std::uint64_t{1} << (l * ndims)) * sizeof(std::uint64_t);
+    if (std::filesystem::file_size(file) != expect)
+      throw std::runtime_error(
+          "qdv::agg: .pyr size does not match its header in " + file.string());
     p->leaf_log2_ = leaf_log2;
     read_exact(fd, &p->rows_, sizeof(p->rows_), offset);
     offset += sizeof(p->rows_);
     for (std::uint32_t axis = 0; axis < ndims; ++axis) {
-      std::uint64_t nedges = 0;
-      read_exact(fd, &nedges, sizeof(nedges), offset);
-      offset += sizeof(nedges);
-      if (nedges != (std::uint64_t{1} << leaf_log2) + 1)
+      std::uint64_t stored = 0;
+      read_exact(fd, &stored, sizeof(stored), offset);
+      offset += sizeof(stored);
+      if (stored != nedges)
         throw std::runtime_error("qdv::agg: bad .pyr edge count in " +
                                  file.string());
       std::vector<double> edges(nedges);
@@ -293,19 +303,13 @@ std::shared_ptr<const std::vector<std::uint64_t>> Pyramid::level(
     return counts;
   };
 
-  if (io_->budget) {
-    const std::string key = io_->prefix + "|L" + std::to_string(l);
-    if (auto hit = io_->budget->get(key, io::ResidentClass::kPyramid))
-      return std::static_pointer_cast<const std::vector<std::uint64_t>>(hit);
-    auto counts = load();
-    io_->budget->put(key, counts, entries * sizeof(std::uint64_t),
-                     io::ResidentClass::kPyramid);
-    return counts;
-  }
-  std::lock_guard<std::mutex> lock(io_->mutex);
-  if (io_->local.empty()) io_->local.resize(num_levels());
-  if (!io_->local[l]) io_->local[l] = load();
-  return io_->local[l];
+  const std::string key = io_->prefix + "|L" + std::to_string(l);
+  if (auto hit = io_->budget->get(key, io::ResidentClass::kPyramid))
+    return std::static_pointer_cast<const std::vector<std::uint64_t>>(hit);
+  auto counts = load();
+  io_->budget->put(key, counts, entries * sizeof(std::uint64_t),
+                   io::ResidentClass::kPyramid);
+  return counts;
 }
 
 SlicePlan Pyramid::plan_slice_at(std::size_t axis, std::size_t level,

@@ -1,7 +1,7 @@
 #include "bitmap/bitmap_index.hpp"
 
 #include <algorithm>
-#include <istream>
+#include <cstring>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -169,24 +169,6 @@ void BitmapIndex::save(std::ostream& out) const {
   outside_.save(out);
 }
 
-BitmapIndex BitmapIndex::load(std::istream& in) {
-  BitmapIndex index;
-  std::uint64_t nedges = 0, nbitmaps = 0;
-  in.read(reinterpret_cast<char*>(&index.nrows_), sizeof(index.nrows_));
-  in.read(reinterpret_cast<char*>(&nedges), sizeof(nedges));
-  std::vector<double> edges(nedges);
-  in.read(reinterpret_cast<char*>(edges.data()),
-          static_cast<std::streamsize>(nedges * sizeof(double)));
-  index.bins_ = Bins(std::move(edges));
-  in.read(reinterpret_cast<char*>(&nbitmaps), sizeof(nbitmaps));
-  if (!in) throw std::runtime_error("BitmapIndex::load: truncated stream");
-  index.bitmaps_.reserve(nbitmaps);
-  for (std::uint64_t i = 0; i < nbitmaps; ++i)
-    index.bitmaps_.push_back(BitVector::load(in));
-  index.outside_ = BitVector::load(in);
-  return index;
-}
-
 IdIndex IdIndex::build(std::span<const std::uint64_t> ids) {
   IdIndex index;
   index.rows_.resize(ids.size());
@@ -233,17 +215,21 @@ void IdIndex::save(std::ostream& out) const {
             static_cast<std::streamsize>(n * sizeof(std::uint32_t)));
 }
 
-IdIndex IdIndex::load(std::istream& in) {
+IdIndex IdIndex::load(std::span<const std::byte> image) {
+  const auto n = detail::read_unaligned<std::uint64_t>(image, 0);
+  // Bound the on-disk count by the bytes behind it before allocating: a
+  // forged count must fail here, not commit gigabytes first.
+  constexpr std::size_t kEntryBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  if (n > (image.size() - sizeof(n)) / kEntryBytes)
+    throw std::runtime_error("IdIndex::load: truncated image");
   IdIndex index;
-  std::uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  index.sorted_ids_.resize(n);
-  index.rows_.resize(n);
-  in.read(reinterpret_cast<char*>(index.sorted_ids_.data()),
-          static_cast<std::streamsize>(n * sizeof(std::uint64_t)));
-  in.read(reinterpret_cast<char*>(index.rows_.data()),
-          static_cast<std::streamsize>(n * sizeof(std::uint32_t)));
-  if (!in) throw std::runtime_error("IdIndex::load: truncated stream");
+  index.sorted_ids_.resize(static_cast<std::size_t>(n));
+  index.rows_.resize(static_cast<std::size_t>(n));
+  const std::byte* ids = image.data() + sizeof(n);
+  std::memcpy(index.sorted_ids_.data(), ids, n * sizeof(std::uint64_t));
+  std::memcpy(index.rows_.data(), ids + n * sizeof(std::uint64_t),
+              n * sizeof(std::uint32_t));
   return index;
 }
 

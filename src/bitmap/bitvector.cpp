@@ -369,6 +369,12 @@ constexpr std::size_t kRecordHeaderBytes = 24;
 std::size_t BitVector::serialized_size(std::span<const std::byte> image,
                                        std::size_t offset) {
   const auto nwords = detail::read_unaligned<std::uint64_t>(image, offset + 8);
+  // Bound the count before multiplying, so a forged word count can neither
+  // wrap the size around nor point past the image.
+  if (image.size() - offset < kRecordHeaderBytes ||
+      nwords > (image.size() - offset - kRecordHeaderBytes) /
+                   sizeof(std::uint32_t))
+    throw std::runtime_error("BitVector: truncated serialized image");
   return kRecordHeaderBytes +
          static_cast<std::size_t>(nwords) * sizeof(std::uint32_t);
 }

@@ -16,24 +16,29 @@ SegmentedBitmapIndex SegmentedBitmapIndex::open(
   std::size_t cursor = 0;
   index.nrows_ = read_unaligned<std::uint64_t>(image, cursor);
   cursor += 8;
+  // Every count read from the image is bounded by the bytes behind it
+  // before anything is allocated: a forged count must throw, not commit
+  // gigabytes first.
   const auto nedges = read_unaligned<std::uint64_t>(image, cursor);
   cursor += 8;
-  std::vector<double> edges(static_cast<std::size_t>(nedges));
-  if (cursor + nedges * sizeof(double) > image.size())
+  if (nedges > (image.size() - cursor) / sizeof(double))
     throw std::runtime_error("SegmentedBitmapIndex: truncated index image");
+  std::vector<double> edges(static_cast<std::size_t>(nedges));
   std::memcpy(edges.data(), image.data() + cursor,
               static_cast<std::size_t>(nedges) * sizeof(double));
   cursor += static_cast<std::size_t>(nedges) * sizeof(double);
   index.bins_ = Bins(std::move(edges));
   const auto nbitmaps = read_unaligned<std::uint64_t>(image, cursor);
   cursor += 8;
+  // One record per bin (then the outside record): a count that disagrees
+  // with the edges above would let bin lookups index past the directory.
+  if (nbitmaps != index.bins_.num_bins())
+    throw std::runtime_error("SegmentedBitmapIndex: bitmap count mismatch");
   // The directory: walk the record headers only, never the payloads.
   index.offsets_.reserve(static_cast<std::size_t>(nbitmaps) + 2);
   index.offsets_.push_back(cursor);
   for (std::uint64_t b = 0; b <= nbitmaps; ++b) {  // bins, then outside
-    cursor += BitVector::serialized_size(image, cursor);
-    if (cursor > image.size())
-      throw std::runtime_error("SegmentedBitmapIndex: truncated index image");
+    cursor += BitVector::serialized_size(image, cursor);  // throws on overrun
     index.offsets_.push_back(cursor);
   }
   index.outside_empty_ =

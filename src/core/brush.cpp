@@ -178,16 +178,18 @@ std::shared_ptr<const BitVector> Brush::bits(const Snapshot& snap,
             bits = std::make_shared<const BitVector>(~*bits);
             break;
           case Op::Kind::kCombine: {
-            const BitVector& other = *op.operand.bits(t);
+            // Held by value: the engine cache may evict the operand at any
+            // moment, leaving this pointer its only owner.
+            const auto other = op.operand.bits(t);
             switch (op.combine_op) {
               case CombineOp::kAnd:
-                bits = std::make_shared<const BitVector>(*bits & other);
+                bits = std::make_shared<const BitVector>(*bits & *other);
                 break;
               case CombineOp::kOr:
-                bits = std::make_shared<const BitVector>(*bits | other);
+                bits = std::make_shared<const BitVector>(*bits | *other);
                 break;
               case CombineOp::kAndNot:
-                bits = std::make_shared<const BitVector>(*bits & ~other);
+                bits = std::make_shared<const BitVector>(*bits & ~*other);
                 break;
             }
             break;

@@ -167,8 +167,16 @@ struct Coordinator::Impl {
   }
 
   void probe_workers() {
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      Worker& w = *workers[i];
+    // attach_worker() may grow the list meanwhile, so probe a snapshot taken
+    // under state_mutex; workers are never removed, so the pointers stay
+    // valid.
+    std::vector<Worker*> snapshot;
+    {
+      std::lock_guard<std::mutex> lock(state_mutex);
+      for (const auto& w : workers) snapshot.push_back(w.get());
+    }
+    for (std::size_t i = 0; i < snapshot.size(); ++i) {
+      Worker& w = *snapshot[i];
       if (!w.alive.load(std::memory_order_relaxed)) continue;
       // A spawned child that exited is dead no matter what its socket says.
       if (w.pid > 0 && !w.reaped) {

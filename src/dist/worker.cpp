@@ -93,8 +93,10 @@ struct WorkerServer::Impl {
   std::condition_variable shutdown_cv;
   bool shutdown_requested = false;
 
-  std::atomic<std::uint64_t> requests{0};
-
+  /// One live (or recently finished, not yet reaped) connection. `fd` is
+  /// reset to -1 under the mutex before the handler closes it, so stop()
+  /// can never shut down a kernel-reused descriptor; `done` flips as the
+  /// handler's last step, making the thread joinable without blocking.
   struct Conn {
     int fd = -1;
     std::shared_ptr<std::atomic<bool>> done;
@@ -153,7 +155,6 @@ struct WorkerServer::Impl {
         return f;
       }
       case MsgType::kShardQuery:
-        ++requests;
         return handle_query(request);
       case MsgType::kShutdown: {
         Frame f;
@@ -280,7 +281,11 @@ struct WorkerServer::Impl {
   }
 
   void serve_connection(int fd, const std::shared_ptr<std::atomic<bool>>& done) {
-    Channel channel(fd);  // no recv timeout: idle between requests is normal
+    // The channel closes its descriptor on any wire error, so it gets a
+    // duplicate: `fd` itself stays open (stop() shuts it down to wake the
+    // channel) until it is unregistered below. No recv timeout: idle
+    // between requests is normal.
+    Channel channel(::dup(fd));
     bool request_shutdown = false;
     for (;;) {
       Frame request;
@@ -312,6 +317,7 @@ struct WorkerServer::Impl {
       for (Conn& c : conns)
         if (c.done == done) c.fd = -1;
     }
+    ::close(fd);
     done->store(true, std::memory_order_release);
     if (request_shutdown) {
       std::lock_guard<std::mutex> lock(shutdown_mutex);
@@ -401,10 +407,6 @@ void WorkerServer::wait_shutdown() {
 
 const std::filesystem::path& WorkerServer::socket_path() const {
   return impl_->path;
-}
-
-std::uint64_t WorkerServer::requests_served() const {
-  return impl_->requests.load(std::memory_order_relaxed);
 }
 
 int run_worker(const std::filesystem::path& dataset_dir,

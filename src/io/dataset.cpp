@@ -19,7 +19,6 @@ std::string step_dir_name(std::size_t t) {
 struct Dataset::Impl {
   std::filesystem::path dir;
   std::size_t timesteps = 0;
-  LoadMode mode = LoadMode::kLazy;
   std::shared_ptr<MemoryBudget> budget;
   std::shared_ptr<IntegrityStats> integrity;
   std::vector<std::string> variables;
@@ -46,7 +45,6 @@ Dataset Dataset::open(const std::filesystem::path& dir,
                       const OpenOptions& options) {
   auto impl = std::make_shared<Impl>();
   impl->dir = dir;
-  impl->mode = options.mode;
   impl->budget = std::make_shared<MemoryBudget>(options.budget_bytes);
   impl->integrity = std::make_shared<IntegrityStats>();
   // The root sidecar covers the manifest — ground truth for timestep count
@@ -119,16 +117,15 @@ const TimestepTable& Dataset::table(std::size_t t) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   if (!impl_->cache[t])
     impl_->cache[t] = std::make_shared<TimestepTable>(
-        step_dir(t), t, impl_->mode, impl_->budget, impl_->integrity);
+        step_dir(t), impl_->budget, impl_->integrity);
   return *impl_->cache[t];
 }
 
-std::shared_ptr<TimestepTable> Dataset::open_table(std::size_t t,
-                                                   LoadMode mode) const {
+std::shared_ptr<TimestepTable> Dataset::open_table(std::size_t t) const {
   if (t >= impl_->timesteps)
     throw std::out_of_range("timestep out of range: " + std::to_string(t));
-  return std::make_shared<TimestepTable>(step_dir(t), t, mode, nullptr,
-                                         impl_->integrity);
+  return std::make_shared<TimestepTable>(
+      step_dir(t), std::make_shared<MemoryBudget>(), impl_->integrity);
 }
 
 const std::shared_ptr<MemoryBudget>& Dataset::memory_budget() const {

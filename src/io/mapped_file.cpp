@@ -1,18 +1,12 @@
 #include "io/mapped_file.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdlib>
 
 #include "io/io_util.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define QDV_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define QDV_HAVE_MMAP 0
-#endif
 
 namespace qdv::io {
 
@@ -23,8 +17,8 @@ bool mmap_disabled() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-// Heap fallback when mmap is unavailable: one EINTR-safe full read through
-// io_util (the fault injector's file-site choke point).
+// Heap fallback when mmap fails or is disabled: one EINTR-safe full read
+// through io_util (the fault injector's file-site choke point).
 std::vector<std::byte> read_whole_file(const std::filesystem::path& file,
                                        std::size_t size) {
   const int fd = ::open(file.c_str(), O_RDONLY | O_CLOEXEC);
@@ -52,7 +46,6 @@ std::shared_ptr<MappedFile> MappedFile::map(const std::filesystem::path& file) {
   out->size_ = static_cast<std::size_t>(size);
   if (out->size_ == 0) return out;  // empty file: empty span, nothing to map
 
-#if QDV_HAVE_MMAP
   if (!mmap_disabled()) {
     const int fd = ::open(file.c_str(), O_RDONLY);
     if (fd >= 0) {
@@ -65,38 +58,29 @@ std::shared_ptr<MappedFile> MappedFile::map(const std::filesystem::path& file) {
       }
     }
   }
-#endif
   out->fallback_ = read_whole_file(file, out->size_);
   out->data_ = out->fallback_.data();
   return out;
 }
 
 MappedFile::~MappedFile() {
-#if QDV_HAVE_MMAP
-  if (mmapped_ && data_ != nullptr)
+  if (mmapped_)
     ::munmap(const_cast<std::byte*>(data_), size_);
-#endif
 }
 
 void MappedFile::advise_sequential() const {
-#if QDV_HAVE_MMAP
-  if (mmapped_ && data_ != nullptr)
+  if (mmapped_)
     ::madvise(const_cast<std::byte*>(data_), size_, MADV_SEQUENTIAL);
-#endif
 }
 
 void MappedFile::advise_willneed() const {
-#if QDV_HAVE_MMAP
-  if (mmapped_ && data_ != nullptr)
+  if (mmapped_)
     ::madvise(const_cast<std::byte*>(data_), size_, MADV_WILLNEED);
-#endif
 }
 
 void MappedFile::release_pages() const {
-#if QDV_HAVE_MMAP
-  if (mmapped_ && data_ != nullptr)
+  if (mmapped_)
     ::madvise(const_cast<std::byte*>(data_), size_, MADV_DONTNEED);
-#endif
 }
 
 }  // namespace qdv::io

@@ -11,18 +11,6 @@ namespace qdv::io {
 
 namespace {
 
-template <typename T>
-std::vector<T> read_binary_column(const std::filesystem::path& file,
-                                  std::uint64_t rows) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open column file " + file.string());
-  std::vector<T> data(rows);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(rows * sizeof(T)));
-  if (!in) throw std::runtime_error("truncated column file " + file.string());
-  return data;
-}
-
 // Verify one recorded section of @p filename against @p bytes (the exact
 // range a decode is about to trust). Unrecorded sections count as
 // unverified; a mismatch counts a failure and throws IntegrityError — the
@@ -49,12 +37,11 @@ void verify_section(const ChecksumSet* sums, IntegrityStats& stats,
 
 }  // namespace
 
-TimestepTable::TimestepTable(std::filesystem::path dir, std::size_t step,
-                             LoadMode mode, std::shared_ptr<MemoryBudget> budget,
+TimestepTable::TimestepTable(std::filesystem::path dir,
+                             std::shared_ptr<MemoryBudget> budget,
                              std::shared_ptr<IntegrityStats> integrity)
-    : dir_(std::move(dir)), step_(step), mode_(mode), budget_(std::move(budget)),
-      integrity_(integrity ? std::move(integrity)
-                           : std::make_shared<IntegrityStats>()) {
+    : dir_(std::move(dir)), budget_(std::move(budget)),
+      integrity_(std::move(integrity)) {
   budget_prefix_ = dir_.string();
   try {
     sums_ = ChecksumSet::load_dir(dir_);
@@ -97,8 +84,7 @@ TimestepTable::TimestepTable(std::filesystem::path dir, std::size_t step,
 }
 
 void TimestepTable::verify_file_locked(const std::string& filename,
-                                       const void* data,
-                                       std::size_t nbytes) const {
+                                       const MappedFile& file) const {
   if (verified_files_.count(filename)) return;
   verified_files_.insert(filename);
   const ChecksumSet::FileSum* sum = sums_ ? sums_->file(filename) : nullptr;
@@ -106,29 +92,12 @@ void TimestepTable::verify_file_locked(const std::string& filename,
     integrity_->unverified.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (sum->size != nbytes || crc32c(data, nbytes) != sum->crc) {
+  if (sum->size != file.size() ||
+      crc32c(file.bytes().data(), file.size()) != sum->crc) {
     integrity_->failures.fetch_add(1, std::memory_order_relaxed);
     verified_files_.erase(filename);  // re-check (and re-throw) on retry
     throw IntegrityError("checksum mismatch in " +
                          (dir_ / filename).string());
-  }
-  integrity_->verified.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TimestepTable::verify_disk_locked(const std::string& filename) const {
-  if (verified_files_.count(filename)) return;
-  verified_files_.insert(filename);
-  const ChecksumSet::FileSum* sum = sums_ ? sums_->file(filename) : nullptr;
-  if (!sum) {
-    integrity_->unverified.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::filesystem::path file = dir_ / filename;
-  if (std::filesystem::file_size(file) != sum->size ||
-      crc32c_file(file) != sum->crc) {
-    integrity_->failures.fetch_add(1, std::memory_order_relaxed);
-    verified_files_.erase(filename);
-    throw IntegrityError("checksum mismatch in " + file.string());
   }
   integrity_->verified.fetch_add(1, std::memory_order_relaxed);
 }
@@ -143,20 +112,13 @@ std::span<const T> TimestepTable::lazy_column(
     it = handles.emplace(name, ColumnHandle<T>(dir_ / (name + extension), rows_))
              .first;
   ColumnHandle<T>& handle = it->second;
-  if (!budget_) {
-    const std::span<const T> loaded = handle.load();
-    verify_file_locked(name + extension, handle.mapping()->bytes().data(),
-                       handle.mapping()->size());
-    return loaded;
-  }
   const std::string key = budget_prefix_ + "|col|" + name;
   if (budget_->get(key, ResidentClass::kColumn) && handle.loaded())
     return handle.values();
   const std::span<const T> values = handle.load();
   // Whole-file verification on first touch (columns are the scan-path
   // ground truth, so a mismatch is a typed error, not a demotion).
-  verify_file_locked(name + extension, handle.mapping()->bytes().data(),
-                     handle.mapping()->size());
+  verify_file_locked(name + extension, *handle.mapping());
   // A column larger than the whole budget streams through the page cache:
   // hint sequential access and let put() evict the charge right back out —
   // the mapping (and every span into it) stays valid regardless.
@@ -169,54 +131,29 @@ std::span<const T> TimestepTable::lazy_column(
 }
 
 std::span<const double> TimestepTable::column(const std::string& name) const {
-  if (mode_ == LoadMode::kLazy)
-    return lazy_column(column_handles_, name, ".f64");
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = columns_.find(name);
-  if (it == columns_.end()) {
-    verify_disk_locked(name + ".f64");
-    it = columns_
-             .emplace(name, read_binary_column<double>(dir_ / (name + ".f64"), rows_))
-             .first;
-  }
-  return it->second;
+  return lazy_column(column_handles_, name, ".f64");
 }
 
 std::span<const std::uint64_t> TimestepTable::id_column(const std::string& name) const {
-  if (mode_ == LoadMode::kLazy) return lazy_column(id_handles_, name, ".u64");
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = id_columns_.find(name);
-  if (it == id_columns_.end()) {
-    verify_disk_locked(name + ".u64");
-    it = id_columns_
-             .emplace(name,
-                      read_binary_column<std::uint64_t>(dir_ / (name + ".u64"), rows_))
-             .first;
-  }
-  return it->second;
+  return lazy_column(id_handles_, name, ".u64");
 }
 
+// column() / id_column() leave the handle mapped (or throw), and handles
+// are never dropped, so the lookups below always find a live mapping.
 void TimestepTable::prefetch_column(const std::string& name) const {
-  (void)column(name);  // map (kLazy) or read (kEager) + charge the budget
-  if (mode_ != LoadMode::kLazy) return;
+  (void)column(name);  // map + charge the budget
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = column_handles_.find(name);
-  if (it != column_handles_.end() && it->second.loaded())
-    it->second.mapping()->advise_willneed();
+  column_handles_.at(name).mapping()->advise_willneed();
 }
 
 void TimestepTable::prefetch_id_column(const std::string& name) const {
   (void)id_column(name);
-  if (mode_ != LoadMode::kLazy) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = id_handles_.find(name);
-  if (it != id_handles_.end() && it->second.loaded())
-    it->second.mapping()->advise_willneed();
+  id_handles_.at(name).mapping()->advise_willneed();
 }
 
 const SegmentedBitmapIndex* TimestepTable::value_index(
     const std::string& name) const {
-  if (mode_ == LoadMode::kEager) return nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string fname = name + ".bmi";
   if (quarantined_.count(fname)) return nullptr;
@@ -239,10 +176,9 @@ const SegmentedBitmapIndex* TimestepTable::value_index(
                        opened->segment_image(outside));
         // The directory (edges + offsets) is pinned: raw pointers to the
         // index are handed out, so it must never be evicted.
-        if (budget_)
-          budget_->put(budget_prefix_ + "|idxmeta|" + name, mapped,
-                       opened->metadata_bytes(), ResidentClass::kIndexSegment,
-                       {}, /*pinned=*/true);
+        budget_->put(budget_prefix_ + "|idxmeta|" + name, mapped,
+                     opened->metadata_bytes(), ResidentClass::kIndexSegment,
+                     {}, /*pinned=*/true);
       } catch (const std::exception&) {
         // Corrupt or truncated index: quarantine it — its predicates
         // demote to the scan path (DESIGN.md §15).
@@ -257,32 +193,6 @@ const SegmentedBitmapIndex* TimestepTable::value_index(
   return it->second ? &*it->second : nullptr;
 }
 
-const BitmapIndex* TimestepTable::index(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::string fname = name + ".bmi";
-  if (quarantined_.count(fname)) return nullptr;
-  auto it = indices_.find(name);
-  if (it == indices_.end()) {
-    std::optional<BitmapIndex> loaded;
-    const std::filesystem::path file = dir_ / fname;
-    if (std::filesystem::exists(file)) {
-      try {
-        // Eager loads deserialize everything, so verification is the
-        // whole-file sum (still once per file).
-        verify_disk_locked(fname);
-        if (std::ifstream in(file, std::ios::binary); in)
-          loaded = BitmapIndex::load(in);
-      } catch (const std::exception&) {
-        if (quarantined_.insert(fname).second)
-          integrity_->demotions.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-      }
-    }
-    it = indices_.emplace(name, std::move(loaded)).first;
-  }
-  return it->second ? &*it->second : nullptr;
-}
-
 const IdIndex* TimestepTable::id_index(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string fname = name + ".idi";
@@ -293,9 +203,11 @@ const IdIndex* TimestepTable::id_index(const std::string& name) const {
     const std::filesystem::path file = dir_ / fname;
     if (std::filesystem::exists(file)) {
       try {
-        verify_disk_locked(fname);
-        if (std::ifstream in(file, std::ios::binary); in)
-          loaded = IdIndex::load(in);
+        // Parsed whole, so verified whole — from the same mapped bytes the
+        // parser reads. The mapping is dropped once the arrays are copied.
+        const auto mapped = MappedFile::map(file);
+        verify_file_locked(fname, *mapped);
+        loaded = IdIndex::load(mapped->bytes());
       } catch (const std::exception&) {
         if (quarantined_.insert(fname).second)
           integrity_->demotions.fetch_add(1, std::memory_order_relaxed);
@@ -303,10 +215,9 @@ const IdIndex* TimestepTable::id_index(const std::string& name) const {
       }
       // Pinned accounting-only charge: the id index is handed out as a raw
       // pointer and must stay whole for binary search.
-      if (loaded && budget_)
-        budget_->put(budget_prefix_ + "|ididx|" + name, nullptr,
-                     loaded->memory_bytes(), ResidentClass::kIndexSegment, {},
-                     /*pinned=*/true);
+      budget_->put(budget_prefix_ + "|ididx|" + name, nullptr,
+                   loaded->memory_bytes(), ResidentClass::kIndexSegment, {},
+                   /*pinned=*/true);
     }
     it = id_indices_.emplace(name, std::move(loaded)).first;
   }
@@ -390,26 +301,17 @@ bool TimestepTable::has_indices() const {
 SegmentedBitmapIndex::SegmentFetch TimestepTable::segment_fetch(
     const std::string& name, const SegmentedBitmapIndex& idx) const {
   // The fetch is where a decode first trusts a segment's bytes, so it is
-  // also where per-segment checksums verify — which is why a fetch is
-  // returned even without a budget (it just caches nothing then). A cached
-  // segment was verified when it was decoded; eviction re-decodes and
-  // therefore re-verifies.
-  auto verify_and_decode = [sums = sums_, integrity = integrity_, dir = dir_,
-                            fname = name + ".bmi", index = &idx](std::size_t s) {
-    verify_section(sums.get(), *integrity, dir, fname,
-                   index->segment_offset(s), index->segment_image(s));
-    return std::make_shared<const BitVector>(index->decode_segment(s));
-  };
-  if (!budget_)
-    return [verify_and_decode](std::size_t s) {
-      return std::shared_ptr<const BitVector>(verify_and_decode(s));
-    };
+  // also where per-segment checksums verify. A cached segment was verified
+  // when it was decoded; eviction re-decodes and therefore re-verifies.
   return [budget = budget_, prefix = budget_prefix_ + "|seg|" + name + "|",
-          verify_and_decode](std::size_t s) {
+          sums = sums_, integrity = integrity_, dir = dir_,
+          fname = name + ".bmi", index = &idx](std::size_t s) {
     const std::string key = prefix + std::to_string(s);
     if (auto cached = budget->get(key, ResidentClass::kIndexSegment))
       return std::static_pointer_cast<const BitVector>(cached);
-    auto decoded = verify_and_decode(s);
+    verify_section(sums.get(), *integrity, dir, fname,
+                   index->segment_offset(s), index->segment_image(s));
+    auto decoded = std::make_shared<const BitVector>(index->decode_segment(s));
     budget->put(key, decoded, decoded->memory_bytes(),
                 ResidentClass::kIndexSegment);
     return std::shared_ptr<const BitVector>(decoded);
@@ -470,15 +372,10 @@ BitVector eval_interval(const TimestepTable& table, const std::string& variable,
       bool have_index = false;
       std::optional<ApproxAnswer> approx;
       try {
-        if (table.load_mode() == LoadMode::kLazy) {
-          if (const SegmentedBitmapIndex* idx = table.value_index(variable)) {
-            have_index = true;
-            approx =
-                idx->evaluate_approx(iv, table.segment_fetch(variable, *idx));
-          }
-        } else if (const BitmapIndex* idx = table.index(variable)) {
+        if (const SegmentedBitmapIndex* idx = table.value_index(variable)) {
           have_index = true;
-          approx = idx->evaluate_approx(iv);
+          approx =
+              idx->evaluate_approx(iv, table.segment_fetch(variable, *idx));
         }
       } catch (const IntegrityError&) {
         // A segment failed its checksum mid-evaluation: quarantine the

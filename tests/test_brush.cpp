@@ -3,6 +3,7 @@
 // sequences (refine / invert / combine) verified against an independent
 // scan of the tracked composed predicate, (2) delta-vs-full counter
 // accounting incl. history-outrun fallback and pinned-snapshot stability,
+// plus combine deltas whose operand the engine cache does not hold,
 // (3) memory-budget accounting of materialized brush slots, (4) a
 // property fuzz over random edit/query interleavings (QDV_FUZZ_ITERS for
 // deep runs), (5) four concurrent editor/reader threads (TSan-covered by
@@ -150,6 +151,36 @@ void test_delta_vs_full_accounting() {
   expected = Query::land(expected, parse_query("b >= -8"));
   check_matches_scan(brush, brush.snapshot(), engine, expected);
   CHECK(counters->delta_evals.load() > delta_before);
+}
+
+void test_combine_with_uncached_operand() {
+  // With the engine's bitvector cache capped at zero entries, the
+  // shared_ptr an operand evaluation returns is the operand's only owner —
+  // the state a concurrent eviction leaves behind. The delta path must keep
+  // that owner alive while it combines.
+  const core::Engine engine = core::Engine::open(dataset_dir());
+  auto counters = std::make_shared<core::Brush::Counters>();
+  core::Brush brush(engine.select("a > 0"), counters);
+  const core::Brush other(engine.select("c <= 300"), counters);
+  QueryPtr expected = parse_query("a > 0");
+  const QueryPtr operand = parse_query("c <= 300");
+  for (std::size_t t = 0; t < engine.num_timesteps(); ++t)
+    (void)brush.count(brush.snapshot(), t);
+  engine.dataset().memory_budget()->set_class_entry_cap(
+      io::ResidentClass::kBitVector, 0);
+
+  const std::uint64_t delta_before = counters->delta_evals.load();
+  brush.combine(other, core::Brush::CombineOp::kAnd);
+  expected = Query::land(expected, operand);
+  check_matches_scan(brush, brush.snapshot(), engine, expected);
+  brush.combine(other, core::Brush::CombineOp::kOr);
+  expected = Query::lor(expected, operand);
+  check_matches_scan(brush, brush.snapshot(), engine, expected);
+  brush.combine(other, core::Brush::CombineOp::kAndNot);
+  expected = Query::land(expected, Query::lnot(operand));
+  check_matches_scan(brush, brush.snapshot(), engine, expected);
+  CHECK_EQ(counters->delta_evals.load() - delta_before,
+           3 * engine.num_timesteps());
 }
 
 void test_budget_accounting() {
@@ -373,6 +404,7 @@ void test_service_stale_cache_probe() {
 int main() {
   test_fixed_differential();
   test_delta_vs_full_accounting();
+  test_combine_with_uncached_operand();
   test_budget_accounting();
   test_fuzz_edit_sequences();
   test_concurrent_editors_and_readers();

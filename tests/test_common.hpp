@@ -2,6 +2,9 @@
 // dependency; each test is a plain executable wired into ctest).
 #pragma once
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -58,6 +61,13 @@ inline std::filesystem::path scratch_dir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Peak resident set size of this process so far, in KiB.
+inline std::uint64_t peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_maxrss);
 }
 
 inline int finish(const char* name) {

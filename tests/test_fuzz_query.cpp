@@ -4,14 +4,16 @@
 // parse(to_string(q)) — raw and canonicalized — and (2) produce
 // bit-identical selections through the planner/index path and a naive
 // sequential scan. A second phase replays a random query stream against an
-// eager in-memory dataset and a lazy SegmentedBitmapIndex dataset under a
-// randomly shrunk MemoryBudget: answers must stay bit-identical while
+// engine under a randomly shrunk MemoryBudget and checks every answer
+// against a sequential scan: answers must stay bit-identical while
 // evictions are actually happening. A third phase fuzzes the zoom tier
 // (DESIGN.md §14): random viewport/zoom sequences — and four concurrent
 // zoom sessions, for the TSan job — where kAuto (pyramid) and kExact must
 // agree bit for bit whatever route kAuto picks.
 //
 // ctest runs a reduced iteration count; set QDV_FUZZ_ITERS for a deep run.
+// It also runs the whole suite with QDV_NO_MMAP=1, so every phase covers
+// the heap fallback that an mmap failure takes.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -62,12 +64,11 @@ void test_out_of_core_differential() {
   const std::filesystem::path dir = fuzz::write_random_dataset(
       "fuzz_outofcore", /*timesteps=*/3, /*rows=*/400,
       /*seed=*/0xacedu, /*index_bins=*/24);
-  io::OpenOptions eager_options;
-  eager_options.mode = io::LoadMode::kEager;
-  const core::Engine eager{io::Dataset::open(dir, eager_options)};
+  // The oracle: a sequential scan through a second dataset handle.
+  const io::Dataset reference = io::Dataset::open(dir);
 
   std::uint64_t state = 0xb1e55ull;
-  io::OpenOptions lazy_options;  // kLazy: mmap + SegmentedBitmapIndex
+  io::OpenOptions lazy_options;
   lazy_options.budget_bytes = 2048 + fuzz::next(state) % 8192;
   core::Engine lazy{io::Dataset::open(dir, lazy_options)};
 
@@ -75,7 +76,8 @@ void test_out_of_core_differential() {
   for (std::size_t i = 0; i < iters; ++i) {
     const QueryPtr q = fuzz::random_query(state, 1 + fuzz::next(state) % 3);
     for (std::size_t t = 0; t < 3; ++t) {
-      const auto expect = eager.select(q).bits(t)->to_positions();
+      const auto expect =
+          reference.table(t).query(*q, EvalMode::kScan).to_positions();
       const auto got = lazy.select(q).bits(t)->to_positions();
       CHECK(got == expect);
     }
@@ -194,7 +196,7 @@ void flip_bytes(const std::filesystem::path& file, std::uint64_t& state) {
 
 // Corruption leg (DESIGN.md §15): each iteration copies a pristine dataset,
 // flips a few bytes of one random .bmi / .pyr / .f64 artifact, and replays
-// random queries and zooms against a fresh engine (alternating eager/lazy).
+// random queries and zooms against a fresh engine.
 // The property: every answer is bit-identical to the pristine scan/exact
 // reference (degradation chose a clean path) or fails with the typed
 // io::IntegrityError (the damage was ground truth) — never a crash, never
@@ -229,9 +231,7 @@ void test_corruption_differential() {
     flip_bytes(work / victims[fuzz::next(state) % victims.size()], state);
 
     try {
-      io::OpenOptions options;
-      if (i % 2 == 0) options.mode = io::LoadMode::kEager;
-      core::Engine engine{io::Dataset::open(work, options)};
+      const core::Engine engine = core::Engine::open(work);
       for (int qn = 0; qn < 3; ++qn) {
         const QueryPtr q = fuzz::random_query(state, 1 + fuzz::next(state) % 2);
         try {
@@ -266,7 +266,7 @@ void test_corruption_differential() {
       }
       demotions += engine.stats().integrity_demotions;
     } catch (const io::IntegrityError&) {
-      ++typed_errors;  // eager open of a damaged ground-truth artifact
+      ++typed_errors;  // damage surfacing outside a guarded query or zoom
     }
   }
   // The leg must have seen all three outcomes: clean degraded answers,

@@ -1,13 +1,18 @@
 // Index encodings against a brute-force reference: equality, range, and
 // interval encodings must produce identical exact answers for every query
 // shape, including values outside the binned range; the id index must match
-// a sequential scan.
+// a sequential scan. The on-disk decoders must reject forged entry counts
+// before allocating for them.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bitmap/bitmap_index.hpp"
+#include "bitmap/index_segments.hpp"
 #include "bitmap/interval_index.hpp"
 #include "bitmap/range_index.hpp"
 #include "test_common.hpp"
@@ -93,18 +98,6 @@ void test_precision_binning_index_only() {
   check_index(index, values, Interval::greater_than(70.0), "precision-strict");
 }
 
-void test_serialization() {
-  const std::vector<double> values = make_values(3000, 21);
-  const BitmapIndex index =
-      BitmapIndex::build(values, make_uniform_bins(0.0, 100.0, 32));
-  std::stringstream stream;
-  index.save(stream);
-  const BitmapIndex loaded = BitmapIndex::load(stream);
-  const Interval iv = Interval::greater_than(42.0);
-  CHECK(index.evaluate(iv, values) == loaded.evaluate(iv, values));
-  CHECK_EQ(index.num_rows(), loaded.num_rows());
-}
-
 void test_id_index() {
   std::vector<std::uint64_t> ids;
   std::uint64_t state = 5;
@@ -128,8 +121,71 @@ void test_id_index() {
 
   std::stringstream stream;
   index.save(stream);
-  const IdIndex loaded = IdIndex::load(stream);
+  const std::string image = stream.str();
+  const IdIndex loaded =
+      IdIndex::load(std::as_bytes(std::span(image.data(), image.size())));
   CHECK(loaded.lookup_rows(search) == expect);
+}
+
+/// Serialized image of @p save with the u64 at @p offset replaced by
+/// @p count — a forged on-disk entry count.
+template <typename Save>
+std::string forged_image(Save save, std::size_t offset, std::uint64_t count) {
+  std::stringstream stream;
+  save(stream);
+  std::string image = stream.str();
+  std::memcpy(image.data() + offset, &count, sizeof(count));
+  return image;
+}
+
+/// True when decoding @p image throws std::runtime_error (a typed decode
+/// failure, not std::bad_alloc).
+template <typename Decode>
+bool rejects(const std::string& image, Decode decode) {
+  try {
+    decode(std::as_bytes(std::span(image.data(), image.size())));
+  } catch (const std::runtime_error&) {
+    return true;
+  } catch (...) {
+  }
+  return false;
+}
+
+void test_forged_counts_are_bounded() {
+  const std::vector<double> values = make_values(3000, 21);
+  const BitmapIndex index =
+      BitmapIndex::build(values, make_uniform_bins(0.0, 100.0, 32));
+  std::vector<std::uint64_t> ids(1000);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 7 * i + 3;
+  const IdIndex id_index = IdIndex::build(ids);
+
+  const auto open_bmi = [](std::span<const std::byte> bytes) {
+    (void)SegmentedBitmapIndex::open(bytes, nullptr);
+  };
+  const auto load_idi = [](std::span<const std::byte> bytes) {
+    (void)IdIndex::load(bytes);
+  };
+  const auto save_bmi = [&](std::ostream& out) { index.save(out); };
+  const auto save_idi = [&](std::ostream& out) { id_index.save(out); };
+
+  // A count no allocator can satisfy: typed error, not std::bad_alloc.
+  // .bmi layout: nrows | nedges | edges | nbitmaps ...; .idi: n | ...
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  CHECK(rejects(forged_image(save_bmi, 8, kHuge), open_bmi));
+  CHECK(rejects(forged_image(save_idi, 0, kHuge), load_idi));
+  const std::size_t nbitmaps_at = 16 + index.bins().edges().size() * 8;
+  CHECK(rejects(forged_image(save_bmi, nbitmaps_at, kHuge), open_bmi));
+  // A record word count whose byte size wraps around (4 * 2^62 == 2^64).
+  CHECK(rejects(forged_image(save_bmi, nbitmaps_at + 16, kHuge << 22),
+                open_bmi));
+
+  // A count that would fit in memory but not in the image: rejected before
+  // anything is committed (1-1.5 GiB if the decoder allocated first).
+  constexpr std::uint64_t kLarge = std::uint64_t{1} << 27;
+  const std::uint64_t rss_before = test::peak_rss_kib();
+  CHECK(rejects(forged_image(save_bmi, 8, kLarge), open_bmi));
+  CHECK(rejects(forged_image(save_idi, 0, kLarge), load_idi));
+  CHECK(test::peak_rss_kib() - rss_before <= 64u << 10);
 }
 
 }  // namespace
@@ -137,7 +193,7 @@ void test_id_index() {
 int main() {
   test_value_indices();
   test_precision_binning_index_only();
-  test_serialization();
+  test_forged_counts_are_bounded();
   test_id_index();
   return qdv::test::finish("test_indices");
 }

@@ -202,6 +202,28 @@ void test_bitmap_demotion_matches_scan() {
   CHECK_THROWS(engine.dataset().table(0).query(*q, EvalMode::kIndex));
 }
 
+// The id index is verified whole from the mapped bytes it is parsed from:
+// a damaged .idi demotes id lookups to the id-column scan, same rows.
+void test_id_index_demotion_matches_scan() {
+  const std::filesystem::path pristine = fuzz::write_random_dataset(
+      "integrity_idi_src", /*timesteps=*/1, /*rows=*/300, /*seed=*/0x1d1,
+      /*index_bins=*/16);
+  const std::filesystem::path dir =
+      qdv::test::scratch_dir("integrity_idi") / "ds";
+  std::filesystem::copy(pristine, dir,
+                        std::filesystem::copy_options::recursive);
+  flip_byte_at(dir / io::step_dir_name(0) / "id.idi", 20);
+
+  const core::Engine engine = core::Engine::open(dir);
+  const io::TimestepTable& table = engine.dataset().table(0);
+  const QueryPtr q = Query::id_in("id", {1003, 1100, 1299, 5});
+  const auto got = table.query(*q).to_positions();
+  CHECK(table.id_index("id") == nullptr);
+  CHECK(got == table.query(*q, EvalMode::kScan).to_positions());
+  CHECK_EQ(got.size(), 3u);
+  CHECK(engine.stats().integrity_demotions >= 1);
+}
+
 void test_pyramid_demotion_matches_exact() {
   const std::filesystem::path pristine = fuzz::write_random_dataset(
       "integrity_pyr_src", /*timesteps=*/1, /*rows=*/500, /*seed=*/0xace,
@@ -252,13 +274,7 @@ void test_corrupt_column_is_typed_error() {
                         std::filesystem::copy_options::recursive);
   flip_byte_at(dir / io::step_dir_name(0) / "a.f64", 40);
 
-  // Eager mode verifies the whole file on first column touch: typed
-  // failure before any value is served.
-  io::OpenOptions eager;
-  eager.mode = io::LoadMode::kEager;
-  CHECK_THROWS((void)io::Dataset::open(dir, eager).table(0).column("a"));
-
-  // Lazy open succeeds; the scan of the damaged column — ground truth, no
+  // Open succeeds; the scan of the damaged column — ground truth, no
   // fallback — fails typed on first touch.
   const core::Engine engine = core::Engine::open(dir);
   bool typed = false;
@@ -396,6 +412,7 @@ int main() {
   test_fsck();
   test_fault_injector();
   test_bitmap_demotion_matches_scan();
+  test_id_index_demotion_matches_scan();
   test_pyramid_demotion_matches_exact();
   test_corrupt_column_is_typed_error();
   test_service_deadline_and_shedding();

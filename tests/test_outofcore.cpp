@@ -71,9 +71,12 @@ void test_mapped_file_and_column_handle() {
     if (loaded[i] != values[i]) equal = false;
   CHECK(equal);
 
-  // A short file is detected at load time.
+  // A short file is detected at load time, also when the row count (from
+  // meta.txt) is so large that its byte size wraps around to zero.
   io::ColumnHandle<double> truncated(file, values.size() + 1);
   CHECK_THROWS(truncated.load());
+  io::ColumnHandle<double> wrapped(file, std::uint64_t{1} << 61);
+  CHECK_THROWS(wrapped.load());
 
   // Empty files map to empty spans.
   const std::filesystem::path empty = dir / "empty.f64";
@@ -182,7 +185,7 @@ void test_memory_budget_accounting() {
   CHECK(budget.get("v1", io::ResidentClass::kBitVector) == nullptr);
 }
 
-/// Scan-mode reference counts, computed on a private unbudgeted table.
+/// Scan-mode reference counts, computed on a fresh open_table() table.
 std::vector<std::uint64_t> reference_counts(const std::vector<const char*>& texts,
                                             std::size_t t) {
   const io::Dataset ds = io::Dataset::open(dataset_dir());

@@ -7,6 +7,7 @@
 // kAuto-vs-kExact twin contract including planner visibility.
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <vector>
 
@@ -178,6 +179,24 @@ void test_poisoned_build_and_roundtrip() {
   CHECK(budget->stats().of(io::ResidentClass::kPyramid).bytes > 0);
 
   CHECK_THROWS(agg::Pyramid::open(dir / "missing.pyr"));
+
+  // A forged header (leaf_log2 = 27 with a matching edge count) sizes 1 GiB
+  // of edges the file does not hold: open() must fail on the file size
+  // before allocating them.
+  {
+    std::fstream f(dir / "v.pyr",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t leaf_log2 = 27;
+    const std::uint64_t nedges = (std::uint64_t{1} << leaf_log2) + 1;
+    f.seekp(12);  // magic (8) | ndims (4) | leaf_log2 (4) | rows (8) | nedges
+    f.write(reinterpret_cast<const char*>(&leaf_log2), sizeof(leaf_log2));
+    f.seekp(24);
+    f.write(reinterpret_cast<const char*>(&nedges), sizeof(nedges));
+    CHECK(f.good());
+  }
+  const std::uint64_t rss_before = test::peak_rss_kib();
+  CHECK_THROWS(agg::Pyramid::open(dir / "v.pyr"));
+  CHECK(test::peak_rss_kib() - rss_before <= 64u << 10);
 }
 
 void test_pyramid_2d() {
