@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     };
     const auto run_kernel = [&](std::uint64_t* out) {
       kern::sharded_tally(
-          rows, 1024, out,
+          rows, rows, 1024, out,
           [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* shard) {
             for (std::uint64_t i = begin; i < end; ++i) {
               const std::ptrdiff_t b = locate(xs[i]);

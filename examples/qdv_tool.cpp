@@ -126,6 +126,21 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
+/// Default open options with `--budget <MiB>` applied. 2^44 MiB and up
+/// would wrap the byte count (2^44 MiB shifts to a 0-byte budget), so they
+/// are a bad value, rejected before any dataset opens.
+io::OpenOptions open_options(const Args& args) {
+  io::OpenOptions options = io::default_open_options();
+  if (const auto v = args.option("--budget")) {
+    const std::uint64_t mib = args.size_option("--budget", 0);
+    if (mib >= std::uint64_t{1} << 44)
+      throw std::runtime_error("bad value for --budget: '" + *v +
+                               "' (need fewer than 2^44 MiB)");
+    options.budget_bytes = mib << 20;
+  }
+  return options;
+}
+
 int cmd_generate(const std::string& dir, const Args& args) {
   const std::string preset = args.option_or("--preset", "2d");
   const std::size_t particles = args.size_option("--particles", 100000);
@@ -249,12 +264,8 @@ int cmd_query(const std::string& dir, const Args& args) {
     return 2;
   }
   const std::size_t t = args.size_option("-t", 0);
-  io::OpenOptions options = io::default_open_options();
-  if (args.option("--budget"))
-    options.budget_bytes =
-        static_cast<std::uint64_t>(args.size_option("--budget", 0)) << 20;
   const core::Engine engine(
-      io::Dataset::open(dir, options),
+      io::Dataset::open(dir, open_options(args)),
       args.flag("--scan") ? EvalMode::kScan : EvalMode::kAuto);
   const core::Selection selection = engine.select(*text);
   const io::TimestepTable& table = engine.dataset().table(t);
@@ -421,11 +432,7 @@ svc::ServiceConfig service_config_from(const Args& args) {
 }
 
 core::Engine open_service_engine(const std::string& dir, const Args& args) {
-  io::OpenOptions options = io::default_open_options();
-  if (args.option("--budget"))
-    options.budget_bytes =
-        static_cast<std::uint64_t>(args.size_option("--budget", 0)) << 20;
-  return core::Engine(io::Dataset::open(dir, options));
+  return core::Engine(io::Dataset::open(dir, open_options(args)));
 }
 
 /// Blocking entry point of `qdv_tool worker`: one engine, one framed-wire

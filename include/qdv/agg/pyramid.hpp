@@ -64,9 +64,9 @@ struct SlicePlan {
 class Pyramid {
  public:
   /// Build an in-memory 1D pyramid: tally @p values into @p leaf (whose bin
-  /// count must be a power of two), then reduce pairwise up to the root.
-  /// NaN and values outside the leaf domain are dropped (Bins::locate
-  /// semantics), exactly as the histogram kernels drop them.
+  /// count must be a power of two) with qdv::tally1d, then reduce pairwise
+  /// up to the root. NaN and values outside the leaf domain are dropped,
+  /// exactly as in every other histogram.
   static Pyramid build1d(std::span<const double> values, Bins leaf);
 
   /// 2D analog over a column pair; both leaf grids must share one power-of-

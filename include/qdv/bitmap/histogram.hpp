@@ -53,11 +53,26 @@ struct Histogram2D {
 /// adaptive binning, Section III-B).
 Bins make_equal_weight_bins(const Histogram1D& fine, std::size_t nbins);
 
-/// Adaptive bins over [lo, hi]: oversample @p values with a fine uniform
-/// histogram, then merge to @p nbins equal-weight bins. Shared by the
-/// table-domain engine and the session's global-domain axes.
-Bins make_adaptive_bins(double lo, double hi, std::span<const double> values,
-                        std::size_t nbins);
+/// The one bins rule of every histogram over a variable's domain: uniform
+/// bins over [lo, hi], widened to [lo, lo + 1] when hi <= lo (a constant
+/// column), or adaptive ones — oversample @p values with a fine uniform
+/// histogram over the same range, then merge to @p nbins equal-weight bins.
+/// @p values is read only by BinningMode::kAdaptive.
+Bins make_bins(double lo, double hi, std::span<const double> values,
+               std::size_t nbins, BinningMode binning);
+
+/// The one tally of every histogram: counts of @p values in @p bins, over
+/// all rows or, when @p rows is given, only its set rows (the gather half
+/// of the two-step conditional evaluation). Runs the SIMD dispatch table's
+/// dense or gather kernel under kern::sharded_tally and counts the
+/// dispatch; values outside the bins (and NaN) are dropped.
+Histogram1D tally1d(std::span<const double> values, Bins bins,
+                    const BitVector* rows = nullptr);
+
+/// 2D twin of tally1d over the column pair (@p xs, @p ys); counts are
+/// row-major counts[ix * ny + iy].
+Histogram2D tally2d(std::span<const double> xs, std::span<const double> ys,
+                    Bins xbins, Bins ybins, const BitVector* rows = nullptr);
 
 /// Index-backed histogram computation over one timestep table. Lightweight
 /// handle: obtained from TimestepTable::engine().
@@ -100,9 +115,6 @@ class HistogramEngine {
   EvalMode mode() const { return mode_; }
 
  private:
-  Bins bins_for(const std::string& variable, std::size_t nbins,
-                BinningMode binning) const;
-
   const io::TimestepTable* table_;
   EvalMode mode_;
 };

@@ -259,9 +259,11 @@ BitVector or_many_kway(std::span<const BitVector* const> operands,
 /// Shard [0, nrows) across the global thread pool, give each shard a private
 /// zeroed count array of @p ncounts cells, and sum the partials into
 /// @p counts at the end. fill(shard_begin, shard_end, partial) must only
-/// write its partial array. Falls back to a single direct fill(0, nrows,
-/// counts) when the work or the pool is too small to shard.
-void sharded_tally(std::uint64_t nrows, std::size_t ncounts,
+/// write its partial array. @p work is the number of rows the fill tallies
+/// (nrows for a dense pass, the set-bit count for a gather). Falls back to
+/// a single direct fill(0, nrows, counts) when the work or the pool is too
+/// small to shard.
+void sharded_tally(std::uint64_t nrows, std::uint64_t work, std::size_t ncounts,
                    std::uint64_t* counts,
                    const std::function<void(std::uint64_t, std::uint64_t,
                                             std::uint64_t*)>& fill);

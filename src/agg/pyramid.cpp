@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bitmap/histogram.hpp"
 #include "io/io_util.hpp"
 
 namespace qdv::agg {
@@ -66,18 +67,11 @@ Pyramid Pyramid::build1d(std::span<const double> values, Bins leaf) {
   Pyramid p;
   p.leaf_log2_ = checked_leaf_log2(leaf);
   p.rows_ = values.size();
-
-  std::vector<std::uint64_t> counts(leaf.num_bins(), 0);
-  const Bins::Locator locate{leaf};
-  for (const double v : values) {
-    const std::ptrdiff_t bin = locate(v);
-    if (bin >= 0) ++counts[static_cast<std::size_t>(bin)];
-  }
   p.edges_.push_back(leaf.edges());
 
   p.built_.resize(p.num_levels());
-  p.built_[p.leaf_log2_] =
-      std::make_shared<std::vector<std::uint64_t>>(std::move(counts));
+  p.built_[p.leaf_log2_] = std::make_shared<std::vector<std::uint64_t>>(
+      tally1d(values, std::move(leaf)).counts);
   for (std::size_t l = p.leaf_log2_; l-- > 0;) {
     const auto& child = *p.built_[l + 1];
     std::vector<std::uint64_t> parent(std::size_t{1} << l, 0);
@@ -99,23 +93,13 @@ Pyramid Pyramid::build2d(std::span<const double> v0,
     throw std::invalid_argument(
         "qdv::agg: pair pyramid axes must share one leaf bin count");
   p.rows_ = v0.size();
-
-  const std::size_t n = leaf0.num_bins();
-  std::vector<std::uint64_t> counts(n * n, 0);
-  const Bins::Locator loc0{leaf0};
-  const Bins::Locator loc1{leaf1};
-  for (std::size_t i = 0; i < v0.size(); ++i) {
-    const std::ptrdiff_t b0 = loc0(v0[i]);
-    const std::ptrdiff_t b1 = loc1(v1[i]);
-    if (b0 >= 0 && b1 >= 0)
-      ++counts[static_cast<std::size_t>(b0) * n + static_cast<std::size_t>(b1)];
-  }
   p.edges_.push_back(leaf0.edges());
   p.edges_.push_back(leaf1.edges());
 
+  // tally2d's row-major [i0 * n + i1] layout is the leaf level's.
   p.built_.resize(p.num_levels());
-  p.built_[p.leaf_log2_] =
-      std::make_shared<std::vector<std::uint64_t>>(std::move(counts));
+  p.built_[p.leaf_log2_] = std::make_shared<std::vector<std::uint64_t>>(
+      tally2d(v0, v1, std::move(leaf0), std::move(leaf1)).counts);
   for (std::size_t l = p.leaf_log2_; l-- > 0;) {
     const auto& child = *p.built_[l + 1];
     const std::size_t np = std::size_t{1} << l;

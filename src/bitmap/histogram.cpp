@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "bitmap/kernels.hpp"
 #include "bitmap/simd.hpp"
@@ -81,34 +82,70 @@ Bins make_equal_weight_bins(const Histogram1D& fine, std::size_t nbins) {
   return Bins(std::move(edges));
 }
 
-Bins make_adaptive_bins(double lo, double hi, std::span<const double> values,
-                        std::size_t nbins) {
+Bins make_bins(double lo, double hi, std::span<const double> values,
+               std::size_t nbins, BinningMode binning) {
   const double safe_hi = hi > lo ? hi : lo + 1.0;
+  if (binning == BinningMode::kUniform)
+    return make_uniform_bins(lo, safe_hi, nbins);
   const std::size_t oversample = std::clamp<std::size_t>(nbins * 8, 1024, 16384);
-  Histogram1D fine;
-  fine.bins = make_uniform_bins(lo, safe_hi, oversample);
-  fine.counts.assign(oversample, 0);
-  // The oversampling bins are uniform: the vectorized locate turns the
-  // per-value search into one multiply + clamp across lanes.
-  const Bins::Locator locate = fine.bins.locator();
-  const simd::LocatorView view = locate.view();
-  const simd::Ops& ops = simd::ops();
-  simd::count_hist1d_call(simd::has_vector_hist1d(ops));
-  kern::sharded_tally(
-      values.size(), fine.counts.size(), fine.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        ops.hist1d_dense(values.data() + begin,
-                         static_cast<std::size_t>(end - begin), view, counts);
-      });
-  return make_equal_weight_bins(fine, nbins);
+  return make_equal_weight_bins(
+      tally1d(values, make_uniform_bins(lo, safe_hi, oversample)), nbins);
 }
 
-Bins HistogramEngine::bins_for(const std::string& variable, std::size_t nbins,
-                               BinningMode binning) const {
-  const auto [lo, hi] = table_->domain(variable);
-  if (binning == BinningMode::kUniform)
-    return make_uniform_bins(lo, hi > lo ? hi : lo + 1.0, nbins);
-  return make_adaptive_bins(lo, hi, table_->column(variable), nbins);
+Histogram1D tally1d(std::span<const double> values, Bins bins,
+                    const BitVector* rows) {
+  Histogram1D h;
+  h.bins = std::move(bins);
+  h.counts.assign(h.bins.num_bins(), 0);
+  if (h.counts.empty()) return h;
+  const Bins::Locator loc = h.bins.locator();
+  const simd::LocatorView view = loc.view();
+  const simd::Ops& ops = simd::ops();
+  // The gather kernel counts its own dispatch, once per shard; each shard
+  // decodes only its row window of the bitvector.
+  if (rows == nullptr) simd::count_hist1d_call(simd::has_vector_hist1d(ops));
+  kern::sharded_tally(
+      values.size(), rows != nullptr ? rows->count() : values.size(),
+      h.counts.size(), h.counts.data(),
+      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
+        if (rows != nullptr) {
+          kern::gather_hist1d(*rows, begin, end, values.data(), loc, counts);
+        } else {
+          ops.hist1d_dense(values.data() + begin,
+                           static_cast<std::size_t>(end - begin), view, counts);
+        }
+      });
+  return h;
+}
+
+Histogram2D tally2d(std::span<const double> xs, std::span<const double> ys,
+                    Bins xbins, Bins ybins, const BitVector* rows) {
+  Histogram2D h;
+  h.xbins = std::move(xbins);
+  h.ybins = std::move(ybins);
+  h.counts.assign(h.nx() * h.ny(), 0);
+  if (h.counts.empty()) return h;
+  const Bins::Locator xloc = h.xbins.locator();
+  const Bins::Locator yloc = h.ybins.locator();
+  const simd::LocatorView xview = xloc.view();
+  const simd::LocatorView yview = yloc.view();
+  const std::size_t ny = h.ny();
+  const simd::Ops& ops = simd::ops();
+  if (rows == nullptr) simd::count_hist2d_call(simd::has_vector_hist2d(ops));
+  kern::sharded_tally(
+      xs.size(), rows != nullptr ? rows->count() : xs.size(), h.counts.size(),
+      h.counts.data(),
+      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
+        if (rows != nullptr) {
+          kern::gather_hist2d(*rows, begin, end, xs.data(), ys.data(), xloc,
+                              yloc, ny, counts);
+        } else {
+          ops.hist2d_dense(xs.data() + begin, ys.data() + begin,
+                           static_cast<std::size_t>(end - begin), xview, yview,
+                           ny, counts);
+        }
+      });
+  return h;
 }
 
 Histogram1D HistogramEngine::histogram1d(const std::string& variable,
@@ -119,56 +156,23 @@ Histogram1D HistogramEngine::histogram1d(const std::string& variable,
     // the matching records.
     return histogram1d(variable, nbins, table_->query(*condition, mode_), binning);
   }
-  Histogram1D h;
-  h.bins = bins_for(variable, nbins, binning);
-  h.counts.assign(h.bins.num_bins(), 0);
+  const auto [lo, hi] = table_->domain(variable);
   const std::span<const double> values = table_->column(variable);
-  const Bins::Locator locate = h.bins.locator();
-  const simd::LocatorView view = locate.view();
-  const simd::Ops& ops = simd::ops();
-  simd::count_hist1d_call(simd::has_vector_hist1d(ops));
-  kern::sharded_tally(
-      values.size(), h.counts.size(), h.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        ops.hist1d_dense(values.data() + begin,
-                         static_cast<std::size_t>(end - begin), view, counts);
-      });
-  return h;
+  return tally1d(values, make_bins(lo, hi, values, nbins, binning));
 }
 
 Histogram1D HistogramEngine::histogram1d(const std::string& variable,
                                          std::size_t nbins, const BitVector& rows,
                                          BinningMode binning) const {
-  Histogram1D h;
-  h.bins = bins_for(variable, nbins, binning);
-  h.counts.assign(h.bins.num_bins(), 0);
+  const auto [lo, hi] = table_->domain(variable);
   const std::span<const double> values = table_->column(variable);
-  const Bins::Locator locate = h.bins.locator();
-  // Block gather; each shard decodes only its row window of the condition
-  // bitvector.
-  kern::sharded_tally(
-      values.size(), h.counts.size(), h.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        kern::gather_hist1d(rows, begin, end, values.data(), locate, counts);
-      });
-  return h;
+  return tally1d(values, make_bins(lo, hi, values, nbins, binning), &rows);
 }
 
 Histogram1D HistogramEngine::histogram1d(const std::string& variable,
                                          const Bins& bins,
                                          const BitVector& rows) const {
-  Histogram1D h;
-  h.bins = bins;
-  h.counts.assign(h.bins.num_bins(), 0);
-  if (h.counts.empty()) return h;
-  const std::span<const double> values = table_->column(variable);
-  const Bins::Locator locate = h.bins.locator();
-  kern::sharded_tally(
-      values.size(), h.counts.size(), h.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        kern::gather_hist1d(rows, begin, end, values.data(), locate, counts);
-      });
-  return h;
+  return tally1d(table_->column(variable), bins, &rows);
 }
 
 Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string& y,
@@ -178,71 +182,32 @@ Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string
   if (condition != nullptr)
     return histogram2d(x, y, nxbins, nybins, table_->query(*condition, mode_),
                        binning);
-  Histogram2D h;
-  h.xbins = bins_for(x, nxbins, binning);
-  h.ybins = bins_for(y, nybins, binning);
-  h.counts.assign(h.xbins.num_bins() * h.ybins.num_bins(), 0);
+  const auto [xlo, xhi] = table_->domain(x);
+  const auto [ylo, yhi] = table_->domain(y);
   const std::span<const double> xs = table_->column(x);
   const std::span<const double> ys = table_->column(y);
-  const std::size_t ny = h.ybins.num_bins();
-  const Bins::Locator xloc = h.xbins.locator();
-  const Bins::Locator yloc = h.ybins.locator();
-  const simd::LocatorView xview = xloc.view();
-  const simd::LocatorView yview = yloc.view();
-  const simd::Ops& ops = simd::ops();
-  simd::count_hist2d_call(simd::has_vector_hist2d(ops));
-  kern::sharded_tally(
-      xs.size(), h.counts.size(), h.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        ops.hist2d_dense(xs.data() + begin, ys.data() + begin,
-                         static_cast<std::size_t>(end - begin), xview, yview,
-                         ny, counts);
-      });
-  return h;
+  return tally2d(xs, ys, make_bins(xlo, xhi, xs, nxbins, binning),
+                 make_bins(ylo, yhi, ys, nybins, binning));
 }
 
 Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string& y,
                                          std::size_t nxbins, std::size_t nybins,
                                          const BitVector& rows,
                                          BinningMode binning) const {
-  Histogram2D h;
-  h.xbins = bins_for(x, nxbins, binning);
-  h.ybins = bins_for(y, nybins, binning);
-  h.counts.assign(h.xbins.num_bins() * h.ybins.num_bins(), 0);
+  const auto [xlo, xhi] = table_->domain(x);
+  const auto [ylo, yhi] = table_->domain(y);
   const std::span<const double> xs = table_->column(x);
   const std::span<const double> ys = table_->column(y);
-  const std::size_t ny = h.ybins.num_bins();
-  const Bins::Locator xloc = h.xbins.locator();
-  const Bins::Locator yloc = h.ybins.locator();
-  kern::sharded_tally(
-      xs.size(), h.counts.size(), h.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        kern::gather_hist2d(rows, begin, end, xs.data(), ys.data(), xloc, yloc,
-                            ny, counts);
-      });
-  return h;
+  return tally2d(xs, ys, make_bins(xlo, xhi, xs, nxbins, binning),
+                 make_bins(ylo, yhi, ys, nybins, binning), &rows);
 }
 
 Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string& y,
                                          const Bins& xbins, const Bins& ybins,
                                          const BitVector& rows) const {
-  Histogram2D h;
-  h.xbins = xbins;
-  h.ybins = ybins;
-  h.counts.assign(h.xbins.num_bins() * h.ybins.num_bins(), 0);
-  if (h.counts.empty()) return h;
   const std::span<const double> xs = table_->column(x);
   const std::span<const double> ys = table_->column(y);
-  const std::size_t ny = h.ybins.num_bins();
-  const Bins::Locator xloc = h.xbins.locator();
-  const Bins::Locator yloc = h.ybins.locator();
-  kern::sharded_tally(
-      xs.size(), h.counts.size(), h.counts.data(),
-      [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
-        kern::gather_hist2d(rows, begin, end, xs.data(), ys.data(), xloc, yloc,
-                            ny, counts);
-      });
-  return h;
+  return tally2d(xs, ys, xbins, ybins, &rows);
 }
 
 }  // namespace qdv

@@ -41,11 +41,8 @@ BitVector EngineState::compute(const Query& q, std::size_t t) {
 std::shared_ptr<const BitVector> EngineState::evaluate(const Query& q,
                                                        std::size_t t) {
   const std::string key = entry_key(t, q.to_string());
-  if (auto cached = budget->get(key, io::ResidentClass::kBitVector)) {
-    hits.fetch_add(1, std::memory_order_relaxed);
+  if (auto cached = budget->get(key, io::ResidentClass::kBitVector))
     return std::static_pointer_cast<const BitVector>(cached);
-  }
-  misses.fetch_add(1, std::memory_order_relaxed);
   auto bits = std::make_shared<const BitVector>(compute(q, t));
   budget->put(key, bits, bits->memory_bytes(), io::ResidentClass::kBitVector);
   return bits;
@@ -53,11 +50,8 @@ std::shared_ptr<const BitVector> EngineState::evaluate(const Query& q,
 
 std::shared_ptr<const BitVector> EngineState::all_rows(std::size_t t) {
   const std::string key = entry_key(t, "<all records>");
-  if (auto cached = budget->get(key, io::ResidentClass::kBitVector)) {
-    hits.fetch_add(1, std::memory_order_relaxed);
+  if (auto cached = budget->get(key, io::ResidentClass::kBitVector))
     return std::static_pointer_cast<const BitVector>(cached);
-  }
-  misses.fetch_add(1, std::memory_order_relaxed);
   auto bits =
       std::make_shared<const BitVector>(BitVector::ones(dataset.table(t).num_rows()));
   budget->put(key, bits, bits->memory_bytes(), io::ResidentClass::kBitVector);
@@ -129,9 +123,9 @@ std::shared_ptr<const Selection> Engine::select_shared(
 
 EngineStats Engine::stats() const {
   EngineStats s;
-  s.hits = state_->hits.load(std::memory_order_relaxed);
-  s.misses = state_->misses.load(std::memory_order_relaxed);
   const io::MemoryBudgetStats b = state_->budget->stats();
+  s.hits = b.of(io::ResidentClass::kBitVector).hits;
+  s.misses = b.of(io::ResidentClass::kBitVector).misses;
   s.entries = b.of(io::ResidentClass::kBitVector).entries;
   s.bytes = b.of(io::ResidentClass::kBitVector).bytes;
   s.evictions = b.of(io::ResidentClass::kBitVector).evictions;

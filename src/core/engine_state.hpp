@@ -37,10 +37,9 @@ struct EngineState {
   // entries (ResidentClass::kBitVector) live next to the io residents, so
   // one byte ceiling governs everything the engine can re-create from disk.
   // Evaluation happens outside the budget's lock: two threads missing the
-  // same key may both compute it (idempotent; the first insert wins).
+  // same key may both compute it (idempotent; the first insert wins). The
+  // budget's kBitVector hits and misses are the cache's hit/miss counters.
   std::shared_ptr<io::MemoryBudget> budget;
-  std::atomic<std::uint64_t> hits{0};    // bitvector evaluations from cache
-  std::atomic<std::uint64_t> misses{0};  // bitvector evaluations computed
   // Zoom tier routing (Selection::zoom_histogram* under ZoomMode::kAuto).
   std::atomic<std::uint64_t> pyramid_served{0};
   std::atomic<std::uint64_t> pyramid_fallback{0};

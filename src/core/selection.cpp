@@ -423,8 +423,8 @@ std::string Selection::explain() const {
   // alone cannot know).
   const io::MemoryBudgetStats b = state_->budget->stats();
   std::ostringstream os;
-  os << "cache:     " << state_->hits.load() << " hits, "
-     << state_->misses.load() << " misses, "
+  os << "cache:     " << b.of(io::ResidentClass::kBitVector).hits << " hits, "
+     << b.of(io::ResidentClass::kBitVector).misses << " misses, "
      << b.of(io::ResidentClass::kBitVector).entries << " bitvectors ("
      << b.of(io::ResidentClass::kBitVector).bytes << " B)\n";
   os << "memory:    resident " << b.resident_bytes << " B";

@@ -59,20 +59,6 @@ std::pair<double, double> ExplorationSession::global_domain(
   return dataset().global_domain(name);
 }
 
-namespace {
-
-/// Bins of one axis over its global (cross-timestep) domain, so histograms
-/// of different timesteps and pairs align.
-Bins axis_bins(const io::Dataset& dataset, std::size_t t, const std::string& name,
-               std::size_t nbins, BinningMode binning) {
-  const auto [lo, hi] = dataset.global_domain(name);
-  if (binning == BinningMode::kUniform)
-    return make_uniform_bins(lo, hi > lo ? hi : lo + 1.0, nbins);
-  return make_adaptive_bins(lo, hi, dataset.table(t).column(name), nbins);
-}
-
-}  // namespace
-
 std::vector<Histogram2D> ExplorationSession::pair_histograms(
     std::size_t t, const std::vector<std::string>& axes, std::size_t bins_per_axis,
     const Selection& selection, BinningMode binning) const {
@@ -84,37 +70,20 @@ std::vector<Histogram2D> ExplorationSession::pair_histograms(
   bins.reserve(axes.size());
   columns.reserve(axes.size());
   for (const std::string& name : axes) {
-    bins.push_back(axis_bins(dataset(), t, name, bins_per_axis, binning));
+    // Bins over the global (cross-timestep) domain, so histograms of
+    // different timesteps and pairs align.
+    const auto [lo, hi] = global_domain(name);
     columns.push_back(table.column(name));
+    bins.push_back(make_bins(lo, hi, columns.back(), bins_per_axis, binning));
   }
   // One cached evaluation serves every pair histogram of the walk.
-  const bool all_rows = !selection.valid() || selection.selects_all();
   std::shared_ptr<const BitVector> rows;
-  if (!all_rows) rows = selection.bits(t);
+  if (selection.valid() && !selection.selects_all()) rows = selection.bits(t);
   std::vector<Histogram2D> hists;
   hists.reserve(axes.size() - 1);
-  for (std::size_t pair = 0; pair + 1 < axes.size(); ++pair) {
-    Histogram2D h;
-    h.xbins = bins[pair];
-    h.ybins = bins[pair + 1];
-    h.counts.assign(h.nx() * h.ny(), 0);
-    const std::span<const double> xs = columns[pair];
-    const std::span<const double> ys = columns[pair + 1];
-    const Bins::Locator xloc = h.xbins.locator();
-    const Bins::Locator yloc = h.ybins.locator();
-    const auto tally = [&](std::uint64_t row) {
-      const std::ptrdiff_t bx = xloc(xs[row]);
-      const std::ptrdiff_t by = yloc(ys[row]);
-      if (bx >= 0 && by >= 0)
-        ++h.at(static_cast<std::size_t>(bx), static_cast<std::size_t>(by));
-    };
-    if (all_rows) {
-      for (std::uint64_t row = 0; row < xs.size(); ++row) tally(row);
-    } else {
-      kern::for_each_set_blocked(*rows, tally);
-    }
-    hists.push_back(std::move(h));
-  }
+  for (std::size_t pair = 0; pair + 1 < axes.size(); ++pair)
+    hists.push_back(tally2d(columns[pair], columns[pair + 1], bins[pair],
+                            bins[pair + 1], rows.get()));
   return hists;
 }
 

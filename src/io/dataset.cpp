@@ -93,6 +93,13 @@ Dataset Dataset::open(const std::filesystem::path& dir,
   }
   if (impl->timesteps == 0)
     throw std::runtime_error("manifest declares no timesteps: " + dir.string());
+  // The count sizes the table cache below; an unverified manifest could
+  // claim 2^40 steps, so its last step must exist before we allocate.
+  const std::filesystem::path last = dir / step_dir_name(impl->timesteps - 1);
+  if (!std::filesystem::is_directory(last))
+    throw std::runtime_error("manifest declares " +
+                             std::to_string(impl->timesteps) +
+                             " timesteps but " + last.string() + " is missing");
   impl->cache.resize(impl->timesteps);
   Dataset ds;
   ds.impl_ = std::move(impl);

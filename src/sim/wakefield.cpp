@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "agg/pyramid.hpp"
+#include "bitmap/histogram.hpp"
 #include "io/checksum.hpp"
 
 namespace qdv::sim {
@@ -235,20 +236,19 @@ std::uint64_t generate_dataset(const WakefieldConfig& config,
       global[v].second = std::max(global[v].second, hi);
       write_binary(step_dir / (variables[v] + ".f64"), *column_data[v]);
       if (index_config.build_value_indices && index_config.nbins > 0) {
-        const double safe_hi = hi > lo ? hi : lo + 1.0;
         const BitmapIndex index = BitmapIndex::build(
-            *column_data[v], make_uniform_bins(lo, safe_hi, index_config.nbins));
+            *column_data[v],
+            make_bins(lo, hi, {}, index_config.nbins, BinningMode::kUniform));
         std::ofstream out(step_dir / (variables[v] + ".bmi"), std::ios::binary);
         index.save(out);
       }
       if (index_config.build_pyramids && index_config.nbins > 0) {
-        // Same lo/safe_hi convention as the .bmi above, so pyramid leaves
-        // and index bins describe the same domain; the leaf count rounds up
-        // to the power of two the level tree needs.
-        const double safe_hi = hi > lo ? hi : lo + 1.0;
+        // Same domain rule as the .bmi above, so pyramid leaves and index
+        // bins describe the same domain; the leaf count rounds up to the
+        // power of two the level tree needs.
         const std::size_t leaf = std::bit_ceil(index_config.nbins);
-        agg::Pyramid::build1d(*column_data[v],
-                              make_uniform_bins(lo, safe_hi, leaf))
+        agg::Pyramid::build1d(
+            *column_data[v], make_bins(lo, hi, {}, leaf, BinningMode::kUniform))
             .save(step_dir / agg::pyramid_filename(variables[v]));
       }
     }
@@ -266,7 +266,7 @@ std::uint64_t generate_dataset(const WakefieldConfig& config,
         if (da == nullptr || db == nullptr) continue;
         const auto edges = [&](const std::vector<double>& col) {
           const auto [lo, hi] = minmax_of(col);
-          return make_uniform_bins(lo, hi > lo ? hi : lo + 1.0, leaf);
+          return make_bins(lo, hi, {}, leaf, BinningMode::kUniform);
         };
         agg::Pyramid::build2d(*da, *db, edges(*da), edges(*db))
             .save(step_dir / agg::pyramid_filename(a, b));

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace qdv::svc {
@@ -70,7 +71,9 @@ bool parse_request_line(const std::string& line, WireRequest& out,
     std::string token;
     while (in >> token) {
       std::size_t n = 0;
-      if (token.rfind("v=", 0) == 0 && parse_size(token.substr(2), n)) {
+      // A version past UINT_MAX must not wrap into a valid (or zero) one.
+      if (token.rfind("v=", 0) == 0 && parse_size(token.substr(2), n) &&
+          n <= std::numeric_limits<unsigned>::max()) {
         out.hello_version = static_cast<unsigned>(n);
       } else {
         error = "bad hello option '" + token + "'";

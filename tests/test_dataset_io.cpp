@@ -5,11 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/custom_scan.hpp"
 #include "core/session.hpp"
 #include "core/statistics.hpp"
+#include "io/checksum.hpp"
 #include "io/export.hpp"
 #include "sim/wakefield.hpp"
 #include "test_common.hpp"
@@ -136,6 +140,39 @@ void test_stats_and_export() {
   CHECK(std::filesystem::file_size(csv) > 20);
 }
 
+/// An unverified manifest (no root sidecar, which is how a pre-checksum
+/// dataset opens) must not size the table cache from its timestep count: a
+/// claimed 2^27 or 2^40 steps is a typed open failure, not gigabytes
+/// committed or std::bad_alloc.
+void test_manifest_timestep_count_checked() {
+  const std::filesystem::path dir = qdv::test::scratch_dir("huge_manifest");
+  std::filesystem::copy(dataset_dir(), dir,
+                        std::filesystem::copy_options::recursive);
+  std::filesystem::remove(dir / io::kChecksumSidecarName);
+  for (const std::uint64_t steps : {std::uint64_t{1} << 27, std::uint64_t{1} << 40}) {
+    std::ifstream in(dir / io::kManifestName);
+    std::string text;
+    for (std::string line; std::getline(in, line);)
+      text += (line.rfind("timesteps ", 0) == 0
+                   ? "timesteps " + std::to_string(steps)
+                   : line) +
+              "\n";
+    in.close();
+    std::ofstream(dir / io::kManifestName) << text;
+
+    const std::uint64_t rss_before = test::peak_rss_kib();
+    bool typed = false;
+    try {
+      (void)io::Dataset::open(dir);
+    } catch (const std::runtime_error&) {
+      typed = true;
+    } catch (const std::exception&) {
+    }
+    CHECK(typed);
+    CHECK(test::peak_rss_kib() - rss_before < 64u << 10);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -145,5 +182,6 @@ int main() {
   test_tracking();
   test_id_queries_match_scan();
   test_stats_and_export();
+  test_manifest_timestep_count_checked();
   return qdv::test::finish("test_dataset_io");
 }

@@ -1,10 +1,15 @@
 // Histogram engine: the index-backed two-step conditional evaluation must
 // agree bin-for-bin with the sequential-scan baseline; adaptive binning
-// preserves totals and flattens occupancy.
+// preserves totals and flattens occupancy; the session's render pair
+// histograms agree with a per-row Bins::locate tally.
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/custom_scan.hpp"
+#include "core/session.hpp"
 #include "io/dataset.hpp"
 #include "sim/wakefield.hpp"
 #include "test_common.hpp"
@@ -90,6 +95,68 @@ void test_density() {
   CHECK_EQ(h.nonempty_bins(), 1u);
 }
 
+/// Scalar reference twin of a render pair histogram: Bins::locate per row,
+/// over every row or only the set rows of @p rows.
+std::vector<std::uint64_t> locate_tally(std::span<const double> xs,
+                                        std::span<const double> ys,
+                                        const Bins& xbins, const Bins& ybins,
+                                        const BitVector* rows) {
+  std::vector<std::uint64_t> counts(xbins.num_bins() * ybins.num_bins(), 0);
+  const auto add = [&](std::uint64_t row) {
+    const std::ptrdiff_t bx = xbins.locate(xs[row]);
+    const std::ptrdiff_t by = ybins.locate(ys[row]);
+    if (bx >= 0 && by >= 0)
+      ++counts[static_cast<std::size_t>(bx) * ybins.num_bins() +
+               static_cast<std::size_t>(by)];
+  };
+  if (rows != nullptr) {
+    rows->for_each_set(add);
+  } else {
+    for (std::uint64_t row = 0; row < xs.size(); ++row) add(row);
+  }
+  return counts;
+}
+
+void test_pair_histograms_match_locate() {
+  // The render histograms of focus+context parallel coordinates: every
+  // count must match a per-row locate over the same global-domain bins, for
+  // a focus and for all rows, with uniform and with adaptive bins.
+  core::ExplorationSession session =
+      core::ExplorationSession::open(dataset_dir());
+  const std::size_t t = 1;
+  const std::size_t nbins = 24;
+  const std::vector<std::string> axes = {"x", "y", "px", "xrel"};
+  const io::TimestepTable& table = session.dataset().table(t);
+  session.set_focus("px > 1e10 && y > 0");
+  CHECK(session.focus_count(t) > 0);
+  CHECK(session.focus_count(t) < table.num_rows());
+  for (const BinningMode binning : {BinningMode::kUniform, BinningMode::kAdaptive}) {
+    for (const bool focus : {true, false}) {
+      const std::vector<Histogram2D> hists =
+          focus ? session.pair_histograms(t, axes, nbins, session.focus(), binning)
+                : session.pair_histograms(t, axes, nbins, binning);
+      CHECK_EQ(hists.size(), axes.size() - 1);
+      const std::shared_ptr<const BitVector> rows =
+          focus ? session.focus().bits(t) : nullptr;
+      std::vector<Bins> bins;
+      for (const std::string& name : axes) {
+        const auto [lo, hi] = session.global_domain(name);
+        bins.push_back(binning == BinningMode::kUniform
+                           ? make_uniform_bins(lo, hi > lo ? hi : lo + 1.0, nbins)
+                           : make_bins(lo, hi, table.column(name), nbins, binning));
+      }
+      for (std::size_t p = 0; p < hists.size(); ++p) {
+        CHECK(hists[p].xbins == bins[p]);
+        CHECK(hists[p].ybins == bins[p + 1]);
+        CHECK(hists[p].counts == locate_tally(table.column(axes[p]),
+                                              table.column(axes[p + 1]),
+                                              bins[p], bins[p + 1], rows.get()));
+      }
+      CHECK_EQ(hists[0].total(), focus ? session.focus_count(t) : table.num_rows());
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -98,5 +165,6 @@ int main() {
   test_scan_mode_engine();
   test_adaptive_binning();
   test_density();
+  test_pair_histograms_match_locate();
   return qdv::test::finish("test_histogram");
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bitmap/bins.hpp"
+#include "bitmap/histogram.hpp"
 #include "bitmap/kernels.hpp"
 #include "bitmap/simd.hpp"
 #include "test_common.hpp"
@@ -393,13 +394,34 @@ void test_sharded_tally_matches_direct() {
   // The auto-sharding overload must agree too.
   std::vector<std::uint64_t> autos(kCounts, 0);
   qdv::kern::sharded_tally(
-      kRows, kCounts, autos.data(),
+      kRows, rows.count(), kCounts, autos.data(),
       [&](std::uint64_t begin, std::uint64_t end, std::uint64_t* counts) {
         qdv::kern::for_each_set_blocked(rows, begin, end, [&](std::uint64_t r) {
           ++counts[r % kCounts];
         });
       });
   CHECK(autos == direct);
+}
+
+void test_gather_tally_shards_by_set_rows() {
+  // The shard gate weighs a gather by its set rows, not the table's: on a
+  // table big enough to shard, a selection under eight rows per bin stays
+  // on one shard, while a dense one fans out. The gather kernel counts its
+  // dispatch once per shard.
+  constexpr std::uint64_t kRows = std::uint64_t{1} << 17;
+  const std::vector<double> xs(kRows, 0.5);
+  const Bins bins = qdv::make_uniform_bins(0.0, 1.0, 64);
+  const BitVector sparse = make_sparse(kRows, 0.001, 5);
+  const BitVector dense = make_sparse(kRows, 0.5, 6);
+  CHECK(sparse.count() > 0 && sparse.count() < 8 * 64);
+  for (const BitVector* rows : {&sparse, &dense}) {
+    qdv::simd::reset_dispatch_counts();
+    const qdv::Histogram1D h = qdv::tally1d(xs, bins, rows);
+    const qdv::simd::DispatchCounts counts = qdv::simd::dispatch_counts();
+    const std::uint64_t shards = counts.hist1d.scalar + counts.hist1d.vector;
+    CHECK_EQ(h.total(), rows->count());
+    CHECK(rows == &sparse ? shards == 1 : shards > 1);
+  }
 }
 
 // ------------------------------------------------------------------------
@@ -677,6 +699,7 @@ int main() {
   test_locator_matches_locate();
   test_gather_hist_nan_rows();
   test_sharded_tally_matches_direct();
+  test_gather_tally_shards_by_set_rows();
   test_simd_position_kernels_differential();
   test_simd_hist_kernels_differential();
   test_simd_forced_levels_end_to_end();

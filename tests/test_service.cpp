@@ -309,6 +309,11 @@ void test_protocol_round_trip() {
   CHECK(!svc::parse_request_line("hello", wire, error));
   CHECK(!svc::parse_request_line("hello v=x", wire, error));
   CHECK(!svc::parse_request_line("hello bogus=1", wire, error));
+  // Versions past UINT_MAX are bad options, not wrapped into v=5 or v=0.
+  CHECK(!svc::parse_request_line("hello v=4294967301", wire, error));
+  CHECK(error.find("bad hello option") != std::string::npos);
+  CHECK(!svc::parse_request_line("hello v=4294967296", wire, error));
+  CHECK(error.find("bad hello option") != std::string::npos);
 }
 
 /// The strict numeric field parsers: the whole token must parse. Every
