@@ -59,6 +59,13 @@ class Query {
 /// double (std::to_chars round-trip guarantee); used by every to_string().
 std::string format_double(double v);
 
+/// Strict numeric token parsers (std::from_chars), shared by the wire
+/// protocol, qdv_tool's arguments and the dataset's text metadata: the
+/// whole token must parse — trailing garbage, signs on sizes, overflow,
+/// locale decimal forms, and non-finite doubles all reject.
+bool parse_size(const std::string& text, std::size_t& out);
+bool parse_double(const std::string& text, double& out);
+
 class CompareQuery final : public Query {
  public:
   CompareQuery(std::string variable, CompareOp op, double value)

@@ -11,7 +11,7 @@
 // synchronized — callers serialize access (the coordinator guards each
 // worker channel with its own mutex). All blocking receives honor an
 // optional SO_RCVTIMEO so a stalled peer surfaces as an error instead of
-// wedging the caller. POSIX-only, like the svc socket layer.
+// wedging the caller. POSIX-only, like the io socket layer under it.
 #pragma once
 
 #include <chrono>
@@ -129,10 +129,10 @@ struct ShardQuery {
 class Channel {
  public:
   Channel() = default;
-  /// Adopt a connected descriptor (worker side, from accept()).
-  explicit Channel(int fd, std::chrono::milliseconds recv_timeout =
-                               std::chrono::milliseconds{0});
-  /// Connect to a listening worker socket, retrying for up to
+  /// Adopt a connected descriptor (worker side: a dup() of the one
+  /// io::UnixServer hands its handler); the channel closes it.
+  explicit Channel(int fd) : fd_(fd) {}
+  /// io::connect_unix to a listening worker socket, retrying for up to
   /// @p connect_timeout while the worker is still coming up; applies
   /// @p recv_timeout (0 = block forever) to every subsequent recv().
   static Channel connect(const std::filesystem::path& socket,

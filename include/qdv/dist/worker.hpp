@@ -21,7 +21,7 @@
 
 namespace qdv::dist {
 
-/// Framed-protocol server over one engine. Thread model mirrors
+/// Framed-protocol server over one engine, on the same io::UnixServer as
 /// svc::SocketServer: an accept thread plus one thread per connection;
 /// stop() closes everything and joins.
 class WorkerServer {

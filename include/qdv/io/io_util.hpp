@@ -8,10 +8,19 @@
 // File helpers throw std::runtime_error on hard errors; socket helpers
 // return status (peers legitimately vanish). All are thread-safe (no shared
 // state beyond the fault schedule).
+//
+// The AF_UNIX socket layer lives here too: UnixServer (the listener, accept
+// thread and per-connection threads under svc::SocketServer and
+// dist::WorkerServer) and connect_unix (the client side of both). The lint
+// also fails any raw socket/bind/listen/accept/connect outside this file.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <memory>
 
 #include "fault/fault.hpp"
 
@@ -48,5 +57,50 @@ XferResult recv_full(int fd, void* dst, std::size_t n, fault::Site site);
 /// chunk size (> 0); kClosed covers orderly shutdown and hard errors.
 XferResult recv_some(int fd, void* dst, std::size_t cap, fault::Site site,
                      std::size_t& got);
+
+/// AF_UNIX stream listener: one accept thread plus one thread per
+/// connection, each running the handler on its descriptor.
+///
+/// The handler must not close the descriptor. When it returns (or throws:
+/// a throwing handler closes only its own connection), the server clears
+/// the connection's fd under its mutex, closes it, and marks the thread
+/// joinable; finished threads are reaped on the next accept. Clearing
+/// before closing means stop() can never shut down a descriptor the kernel
+/// has since reused. POSIX-only, like the mmap-backed file layer.
+class UnixServer {
+ public:
+  using Handler = std::function<void(int fd)>;
+
+  /// Removes a stale socket file at @p path, then binds and listens;
+  /// throws std::runtime_error on any socket failure.
+  UnixServer(std::filesystem::path path, Handler handler);
+  ~UnixServer();  // stop()s if still running
+  UnixServer(const UnixServer&) = delete;
+  UnixServer& operator=(const UnixServer&) = delete;
+
+  /// Start the accept loop (idempotent; a no-op once stopped).
+  void start();
+  /// Close the listener, shut down every live connection (which pops the
+  /// handlers' blocking reads), join all threads, and unlink the socket
+  /// file (idempotent).
+  void stop();
+
+  const std::filesystem::path& path() const;
+  /// Connections accepted so far.
+  std::uint64_t accepted() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Connect to the AF_UNIX stream socket at @p path, retrying until
+/// @p connect_timeout passes (the listener may still be coming up), then
+/// set SO_RCVTIMEO to @p recv_timeout (0 = block forever) so a stalled peer
+/// surfaces as XferResult::kTimeout. Returns the connected descriptor (the
+/// caller closes it); throws std::runtime_error naming @p path otherwise.
+int connect_unix(const std::filesystem::path& path,
+                 std::chrono::milliseconds connect_timeout,
+                 std::chrono::milliseconds recv_timeout);
 
 }  // namespace qdv::io

@@ -86,13 +86,17 @@ class ColumnHandle {
       : path_(std::move(file)), rows_(rows) {}
 
   /// Map the column file (no-op when already loaded) and return the values.
-  /// Throws std::runtime_error when the file is missing or shorter than
-  /// the row count times sizeof(T).
+  /// Throws std::runtime_error when the file is missing or does not hold
+  /// exactly the row count's values. (Sizes are compared in values, never
+  /// as rows * sizeof(T), which a forged row count could wrap.)
   std::span<const T> load() {
     if (!map_) {
       auto mapped = MappedFile::map(path_);
-      if (mapped->size() / sizeof(T) < rows_)
-        throw std::runtime_error("truncated column file " + path_.string());
+      if (mapped->size() % sizeof(T) != 0 || mapped->size() / sizeof(T) != rows_)
+        throw std::runtime_error("column file " + path_.string() + " holds " +
+                                 std::to_string(mapped->size()) +
+                                 " bytes, not " + std::to_string(rows_) +
+                                 " values");
       map_ = std::move(mapped);
     }
     return values();

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <istream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -49,6 +50,24 @@ class Pyramid;
 }
 
 namespace qdv::io {
+
+/// One whitespace-split `key value...` line of a dataset text file (the
+/// manifest, a timestep's meta.txt). Numeric fields are whole tokens under
+/// the wire's rule (parse_size / parse_double); a malformed one throws
+/// std::runtime_error naming the file and the line.
+struct MetaLine {
+  std::string where;               // "<file>:<line>"
+  std::vector<std::string> words;  // words[0] is the key
+
+  /// The line's one value as a count (`rows N`, `timesteps N`).
+  std::uint64_t count() const;
+  /// The bounds of `domain VAR LO HI`: finite, with lo <= hi.
+  std::pair<double, double> domain() const;
+};
+
+/// The non-blank lines of @p in, read from @p file.
+std::vector<MetaLine> read_meta_lines(std::istream& in,
+                                      const std::filesystem::path& file);
 
 class TimestepTable {
  public:

@@ -72,11 +72,15 @@ struct WireRequest {
   core::Brush::CombineOp brush_combine_op = core::Brush::CombineOp::kAnd;
 };
 
-/// Strict numeric field parsers used by the wire layer (and by qdv_tool's
-/// argument handling): the whole token must parse — trailing garbage,
-/// overflow, locale decimal forms, and non-finite doubles all reject.
-bool parse_size(const std::string& text, std::size_t& out);
-bool parse_double(const std::string& text, double& out);
+/// Strict numeric field parsers of the wire layer (and of qdv_tool's
+/// argument handling): the whole token must parse (core/query.hpp).
+using qdv::parse_double;
+using qdv::parse_size;
+
+/// Wire op of a request kind ("count", "ids", "hist1", "hist2", "sum",
+/// "zoom1", "zoom2"): the parser, the formatter and the service's
+/// result-cache key all spell kinds through this one table.
+const char* request_op(RequestKind kind);
 
 /// Parse @p line into @p out. False (with @p error set) on a malformed
 /// line; the server answers those with `err`.

@@ -26,10 +26,7 @@
 #include "core/engine.hpp"
 #include "core/selection.hpp"
 #include "core/statistics.hpp"
-
-namespace qdv::dist {
-class Coordinator;
-}
+#include "dist/coordinator.hpp"
 
 namespace qdv::svc {
 
@@ -260,28 +257,12 @@ struct ServiceStats {
   double p99_seconds = 0.0;
   double max_seconds = 0.0;
 
-  // Distributed scatter/gather (all zero unless a dist::Coordinator is
-  // attached — see QueryService::set_distributor()). Mirrors
-  // dist::DistStats, plus the service-side fallback counter.
-  std::uint64_t dist_workers = 0;          // workers ever attached
-  std::uint64_t dist_alive = 0;            // workers currently live
-  std::uint64_t dist_queries = 0;          // scatter/gather executions
-  std::uint64_t dist_scatters = 0;         // shard sub-requests sent
-  std::uint64_t dist_gathers = 0;          // partial results merged
-  std::uint64_t dist_retries = 0;          // bounded per-worker retries
-  std::uint64_t dist_reshards = 0;         // windows reassigned after deaths
-  std::uint64_t dist_deaths = 0;           // workers declared dead
-  std::uint64_t dist_remote_errors = 0;    // query-level worker errors
-  std::uint64_t dist_local_fallbacks = 0;  // flights that fell back local
-  /// Per-worker scatter/failure/retry counters (name = socket filename).
-  struct DistWorker {
-    std::string name;
-    bool alive = true;
-    std::uint64_t requests = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t retries = 0;
-  };
-  std::vector<DistWorker> dist_per_worker;
+  // Distributed scatter/gather: the attached dist::Coordinator's own
+  // counters (all zero unless one is attached — see
+  // QueryService::set_distributor()), plus the service-side count of
+  // flights that fell back to the local engine.
+  dist::DistStats dist;
+  std::uint64_t dist_local_fallbacks = 0;
 
   /// Fraction of accepted requests served without their own evaluation
   /// (in-flight attach or result-cache hit).

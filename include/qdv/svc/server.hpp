@@ -4,9 +4,9 @@
 // service session per connection.
 //
 // Ownership: the server borrows the QueryService — the caller keeps it
-// alive until stop() returns. Thread model: one accept thread plus one
-// thread per connection; stop() closes every socket and joins them all.
-// POSIX-only (AF_UNIX), like the mmap-backed io layer.
+// alive until stop() returns. Thread model: io::UnixServer's accept thread
+// plus one thread per connection; stop() closes every socket and joins
+// them all. POSIX-only (AF_UNIX), like the mmap-backed io layer.
 #pragma once
 
 #include <chrono>

@@ -2,7 +2,8 @@
 # Fail when a raw POSIX I/O call creeps in outside the one sanctioned choke
 # point. Every pread/read/write/send/recv in the library must go through
 # io::io_util (DESIGN.md §15) so EINTR retries, short-transfer loops, and
-# fault injection stay in exactly one place.
+# fault injection stay in exactly one place; so must every socket, bind,
+# listen, accept and connect (DESIGN.md §11).
 #
 # Usage: check_raw_io.sh <repo-root>
 set -euo pipefail
@@ -27,4 +28,19 @@ if [ -n "$offenders" ]; then
   exit 1
 fi
 
-echo "raw io check passed: all pread/read/write/send/recv go through io_util"
+# The socket layer has one home too: io::UnixServer owns bind/listen/accept
+# and the per-connection threads, io::connect_unix the client side.
+socket_offenders=$(grep -rnE '(^|[^[:alnum:]_])::(socket|bind|listen|accept|connect)[[:space:]]*\(' \
+    "$root/src" "$root/include" \
+    --include='*.cpp' --include='*.hpp' \
+    | grep -v 'src/io/io_util.cpp' \
+    || true)
+
+if [ -n "$socket_offenders" ]; then
+  echo "error: raw socket calls outside io::io_util — use io::UnixServer" >&2
+  echo "or io::connect_unix so there is one socket layer:" >&2
+  printf '%s\n' "$socket_offenders" >&2
+  exit 1
+fi
+
+echo "raw io check passed: all pread/read/write/send/recv and socket calls go through io_util"

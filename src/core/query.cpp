@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,6 +27,24 @@ std::string format_double(double v) {
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   if (ec != std::errc{}) return "0";
   return std::string(buf, ptr);
+}
+
+bool parse_size(const std::string& text, std::size_t& out) {
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, out);
+  // from_chars rejects signs, spaces, locale forms, and overflow on its
+  // own; ptr == end additionally rejects trailing garbage ("5junk", "1e3").
+  return ec == std::errc{} && ptr == end;
+}
+
+bool parse_double(const std::string& text, double& out) {
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, out);
+  // from_chars accepts the "inf"/"nan" spellings, but no numeric field is
+  // meaningfully non-finite (viewports, deadlines, domains) — reject them.
+  return ec == std::errc{} && ptr == end && std::isfinite(out);
 }
 
 Interval interval_for(CompareOp op, double value) {

@@ -1,32 +1,14 @@
 #include "dist/wire.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "io/io_util.hpp"
 
 namespace qdv::dist {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-sockaddr_un make_address(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string text = path.string();
-  if (text.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path too long: " + text);
-  std::memcpy(addr.sun_path, text.c_str(), text.size() + 1);
-  return addr;
-}
 
 void put_le(std::string& buf, std::uint64_t v, std::size_t nbytes) {
   for (std::size_t i = 0; i < nbytes; ++i)
@@ -153,33 +135,10 @@ ShardQuery ShardQuery::decode(std::string_view payload) {
   return q;
 }
 
-Channel::Channel(int fd, std::chrono::milliseconds recv_timeout) : fd_(fd) {
-  if (fd_ >= 0 && recv_timeout.count() > 0) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(recv_timeout.count() / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((recv_timeout.count() % 1000) * 1000);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
-}
-
 Channel Channel::connect(const std::filesystem::path& socket,
                          std::chrono::milliseconds connect_timeout,
                          std::chrono::milliseconds recv_timeout) {
-  const sockaddr_un addr = make_address(socket);
-  const auto deadline =
-      std::chrono::steady_clock::now() + connect_timeout;
-  for (;;) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) throw_errno("socket");
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-        0)
-      return Channel(fd, recv_timeout);
-    ::close(fd);
-    if (std::chrono::steady_clock::now() >= deadline)
-      throw std::runtime_error("cannot connect to worker at " +
-                               socket.string() + ": " + std::strerror(errno));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  return Channel(io::connect_unix(socket, connect_timeout, recv_timeout));
 }
 
 Channel::~Channel() { close(); }

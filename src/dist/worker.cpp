@@ -1,12 +1,8 @@
 #include "dist/worker.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -15,7 +11,6 @@
 #include <stdexcept>
 #include <memory>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 
 #include "bitmap/bitvector.hpp"
@@ -23,6 +18,7 @@
 #include "core/engine.hpp"
 #include "core/selection.hpp"
 #include "dist/wire.hpp"
+#include "io/io_util.hpp"
 
 extern char** environ;
 
@@ -40,20 +36,6 @@ double cpu_seconds() {
   timespec ts{};
   ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-sockaddr_un make_address(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string text = path.string();
-  if (text.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path too long: " + text);
-  std::memcpy(addr.sun_path, text.c_str(), text.size() + 1);
-  return addr;
 }
 
 Frame error_frame(std::uint32_t seq, const std::string& message) {
@@ -83,27 +65,10 @@ BitVector window_mask(std::uint64_t begin, std::uint64_t end,
 struct WorkerServer::Impl {
   core::Engine engine;
   std::filesystem::path dataset_dir;
-  std::filesystem::path path;
-  int listen_fd = -1;
-  std::thread accept_thread;
-  bool started = false;
-  bool stopped = false;
 
   std::mutex shutdown_mutex;
   std::condition_variable shutdown_cv;
   bool shutdown_requested = false;
-
-  /// One live (or recently finished, not yet reaped) connection. `fd` is
-  /// reset to -1 under the mutex before the handler closes it, so stop()
-  /// can never shut down a kernel-reused descriptor; `done` flips as the
-  /// handler's last step, making the thread joinable without blocking.
-  struct Conn {
-    int fd = -1;
-    std::shared_ptr<std::atomic<bool>> done;
-    std::thread thread;
-  };
-  std::mutex mutex;  // guards conns
-  std::vector<Conn> conns;
 
   // Windowed-selection cache. The coordinator's shard windows are static
   // between re-shards, so the same (plan, timestep, window) triple arrives
@@ -141,8 +106,14 @@ struct WorkerServer::Impl {
     return rows;
   }
 
+  // Declared last: bound only once the engine has opened, and destroyed
+  // (stopped, every handler joined) before anything the handlers touch.
+  io::UnixServer server;
+
   Impl(const std::filesystem::path& dir, std::filesystem::path p)
-      : engine(core::Engine::open(dir)), dataset_dir(dir), path(std::move(p)) {}
+      : engine(core::Engine::open(dir)),
+        dataset_dir(dir),
+        server(std::move(p), [this](int fd) { serve_connection(fd); }) {}
 
   Frame handle(const Frame& request) {
     switch (request.type) {
@@ -280,10 +251,10 @@ struct WorkerServer::Impl {
     }
   }
 
-  void serve_connection(int fd, const std::shared_ptr<std::atomic<bool>>& done) {
+  void serve_connection(int fd) {
     // The channel closes its descriptor on any wire error, so it gets a
     // duplicate: `fd` itself stays open (stop() shuts it down to wake the
-    // channel) until it is unregistered below. No recv timeout: idle
+    // channel) until the UnixServer retires it. No recv timeout: idle
     // between requests is normal.
     Channel channel(::dup(fd));
     bool request_shutdown = false;
@@ -312,93 +283,23 @@ struct WorkerServer::Impl {
       if (request_shutdown) break;
     }
     channel.close();
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      for (Conn& c : conns)
-        if (c.done == done) c.fd = -1;
-    }
-    ::close(fd);
-    done->store(true, std::memory_order_release);
     if (request_shutdown) {
       std::lock_guard<std::mutex> lock(shutdown_mutex);
       shutdown_requested = true;
       shutdown_cv.notify_all();
     }
   }
-
-  void reap_locked() {
-    for (std::size_t i = 0; i < conns.size();) {
-      if (conns[i].done->load(std::memory_order_acquire)) {
-        conns[i].thread.join();
-        conns[i] = std::move(conns.back());
-        conns.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-
-  void accept_loop() {
-    for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener closed by stop()
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      reap_locked();
-      Conn conn;
-      conn.fd = fd;
-      conn.done = std::make_shared<std::atomic<bool>>(false);
-      conn.thread = std::thread(
-          [this, fd, done = conn.done] { serve_connection(fd, done); });
-      conns.push_back(std::move(conn));
-    }
-  }
 };
 
 WorkerServer::WorkerServer(const std::filesystem::path& dataset_dir,
                            std::filesystem::path socket_path)
-    : impl_(std::make_unique<Impl>(dataset_dir, std::move(socket_path))) {
-  std::filesystem::remove(impl_->path);
-  impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (impl_->listen_fd < 0) throw_errno("socket");
-  const sockaddr_un addr = make_address(impl_->path);
-  if (::bind(impl_->listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    ::close(impl_->listen_fd);
-    throw_errno("bind " + impl_->path.string());
-  }
-  if (::listen(impl_->listen_fd, 64) != 0) {
-    ::close(impl_->listen_fd);
-    throw_errno("listen " + impl_->path.string());
-  }
-}
+    : impl_(std::make_unique<Impl>(dataset_dir, std::move(socket_path))) {}
 
-WorkerServer::~WorkerServer() { stop(); }
+WorkerServer::~WorkerServer() = default;  // the UnixServer stops itself
 
-void WorkerServer::start() {
-  if (impl_->started) return;
-  impl_->started = true;
-  impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
-}
+void WorkerServer::start() { impl_->server.start(); }
 
-void WorkerServer::stop() {
-  if (impl_->stopped) return;
-  impl_->stopped = true;
-  ::shutdown(impl_->listen_fd, SHUT_RDWR);
-  ::close(impl_->listen_fd);
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  std::vector<Impl::Conn> conns;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (const Impl::Conn& c : impl_->conns)
-      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
-    conns.swap(impl_->conns);
-  }
-  for (Impl::Conn& c : conns) c.thread.join();
-  std::filesystem::remove(impl_->path);
-}
+void WorkerServer::stop() { impl_->server.stop(); }
 
 void WorkerServer::wait_shutdown() {
   std::unique_lock<std::mutex> lock(impl_->shutdown_mutex);
@@ -406,7 +307,7 @@ void WorkerServer::wait_shutdown() {
 }
 
 const std::filesystem::path& WorkerServer::socket_path() const {
-  return impl_->path;
+  return impl_->server.path();
 }
 
 int run_worker(const std::filesystem::path& dataset_dir,
@@ -451,7 +352,8 @@ pid_t spawn_worker_process(
   envp.push_back(nullptr);
 
   const pid_t pid = ::fork();
-  if (pid < 0) throw_errno("fork");
+  if (pid < 0)
+    throw std::runtime_error(std::string("fork: ") + std::strerror(errno));
   if (pid == 0) {
     ::execve(exe.c_str(), argv.data(), envp.data());
     _exit(127);

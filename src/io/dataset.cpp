@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -30,10 +29,14 @@ struct Dataset::Impl {
 
 OpenOptions default_open_options() {
   OpenOptions options;
-  if (const char* env = std::getenv("QDV_MEMORY_BUDGET")) {
-    const long long bytes = std::atoll(env);
-    if (bytes > 0) options.budget_bytes = static_cast<std::uint64_t>(bytes);
-  }
+  const char* env = std::getenv("QDV_MEMORY_BUDGET");
+  if (env == nullptr || *env == '\0') return options;
+  std::size_t bytes = 0;
+  if (!parse_size(env, bytes))
+    throw std::invalid_argument(
+        "QDV_MEMORY_BUDGET must be a whole number of bytes, got '" +
+        std::string(env) + "'");
+  if (bytes > 0) options.budget_bytes = bytes;
   return options;
 }
 
@@ -74,21 +77,16 @@ Dataset Dataset::open(const std::filesystem::path& dir,
   if (!manifest)
     throw std::runtime_error("not a qdv dataset (no " + std::string(kManifestName) +
                              "): " + dir.string());
-  std::string line;
-  while (std::getline(manifest, line)) {
-    std::istringstream ss(line);
-    std::string key;
-    ss >> key;
-    if (key == "timesteps") {
-      ss >> impl->timesteps;
-    } else if (key == "variables") {
-      std::string var;
-      while (ss >> var) impl->variables.push_back(var);
-    } else if (key == "domain") {
-      std::string var;
-      double lo = 0.0, hi = 0.0;
-      ss >> var >> lo >> hi;
-      impl->domains[var] = {lo, hi};
+  for (const MetaLine& line : read_meta_lines(manifest, dir / kManifestName)) {
+    const std::vector<std::string>& words = line.words;
+    if (words[0] == "timesteps") {
+      impl->timesteps = line.count();
+    } else if (words[0] == "variables") {
+      impl->variables.insert(impl->variables.end(), words.begin() + 1,
+                             words.end());
+    } else if (words[0] == "domain") {
+      const std::pair<double, double> bounds = line.domain();  // checks words
+      impl->domains[words[1]] = bounds;
     }
   }
   if (impl->timesteps == 0)

@@ -37,6 +37,37 @@ void verify_section(const ChecksumSet* sums, IntegrityStats& stats,
 
 }  // namespace
 
+std::vector<MetaLine> read_meta_lines(std::istream& in,
+                                      const std::filesystem::path& file) {
+  std::vector<MetaLine> lines;
+  std::string text;
+  for (std::size_t number = 1; std::getline(in, text); ++number) {
+    MetaLine line{file.string() + ":" + std::to_string(number), {}};
+    std::istringstream words(text);
+    for (std::string word; words >> word;) line.words.push_back(std::move(word));
+    if (!line.words.empty()) lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+std::uint64_t MetaLine::count() const {
+  std::size_t n = 0;
+  if (words.size() != 2 || !parse_size(words[1], n))
+    throw std::runtime_error(where + ": bad " + words[0] + " line (want '" +
+                             words[0] + " <count>')");
+  return n;
+}
+
+std::pair<double, double> MetaLine::domain() const {
+  double lo = 0.0, hi = 0.0;
+  if (words.size() != 4 || !parse_double(words[2], lo) ||
+      !parse_double(words[3], hi) || !(lo <= hi))
+    throw std::runtime_error(where +
+                             ": bad domain line (want 'domain <var> <lo> "
+                             "<hi>', finite, lo <= hi)");
+  return {lo, hi};
+}
+
 TimestepTable::TimestepTable(std::filesystem::path dir,
                              std::shared_ptr<MemoryBudget> budget,
                              std::shared_ptr<IntegrityStats> integrity)
@@ -66,21 +97,23 @@ TimestepTable::TimestepTable(std::filesystem::path dir,
   std::ifstream meta(dir_ / "meta.txt");
   if (!meta)
     throw std::runtime_error("timestep has no meta.txt: " + dir_.string());
-  std::string line;
-  while (std::getline(meta, line)) {
-    std::istringstream ss(line);
-    std::string key;
-    ss >> key;
-    if (key == "rows") {
-      ss >> rows_;
-    } else if (key == "domain") {
-      std::string var;
-      double lo = 0.0, hi = 0.0;
-      ss >> var >> lo >> hi;
-      domains_[var] = {lo, hi};
-      variables_.push_back(var);
+  std::size_t rows_lines = 0;
+  for (const MetaLine& line : read_meta_lines(meta, dir_ / "meta.txt")) {
+    if (line.words[0] == "rows") {
+      rows_ = line.count();
+      ++rows_lines;
+    } else if (line.words[0] == "domain") {
+      const std::pair<double, double> bounds = line.domain();  // checks words
+      domains_[line.words[1]] = bounds;
+      variables_.push_back(line.words[1]);
     }
   }
+  // The row count sizes every column and index check below, so a missing
+  // or doubled one must not silently become 0 or the last line read.
+  if (rows_lines != 1)
+    throw std::runtime_error((dir_ / "meta.txt").string() +
+                             ": needs exactly one rows line, found " +
+                             std::to_string(rows_lines));
 }
 
 void TimestepTable::verify_file_locked(const std::string& filename,
@@ -165,6 +198,12 @@ const SegmentedBitmapIndex* TimestepTable::value_index(
       try {
         auto mapped = MappedFile::map(file);
         opened = SegmentedBitmapIndex::open(mapped->bytes(), mapped);
+        // An index of another row count answers for another table.
+        if (opened->num_rows() != rows_)
+          throw std::runtime_error(fname + " indexes " +
+                                   std::to_string(opened->num_rows()) +
+                                   " rows, meta.txt declares " +
+                                   std::to_string(rows_));
         // open() decodes the header and the outside bitmap, so both must
         // verify before anything trusts them; per-bin segments verify
         // lazily inside segment_fetch().
@@ -208,6 +247,8 @@ const IdIndex* TimestepTable::id_index(const std::string& name) const {
         const auto mapped = MappedFile::map(file);
         verify_file_locked(fname, *mapped);
         loaded = IdIndex::load(mapped->bytes());
+        if (loaded->num_rows() != rows_)
+          throw std::runtime_error(fname + " row count differs from meta.txt");
       } catch (const std::exception&) {
         if (quarantined_.insert(fname).second)
           integrity_->demotions.fetch_add(1, std::memory_order_relaxed);

@@ -1,46 +1,19 @@
 #include "svc/protocol.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
 namespace qdv::svc {
 
-bool parse_size(const std::string& text, std::size_t& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  // from_chars rejects signs, spaces, locale forms, and overflow on its
-  // own; ptr == end additionally rejects trailing garbage ("5junk", "1e3").
-  return ec == std::errc{} && ptr == end;
-}
-
-bool parse_double(const std::string& text, double& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  // from_chars accepts the "inf"/"nan" spellings, but no wire field is
-  // meaningfully non-finite (viewports, deadlines) — reject them too.
-  return ec == std::errc{} && ptr == end && std::isfinite(out);
-}
-
 namespace {
 
-/// Shortest round-trip-exact text of @p v: zoom viewports must survive the
-/// wire bit for bit, or the client's verify phase would compare against a
-/// subtly different window than the server actually answered.
-std::string format_double(double v) {
-  char buf[32];
-  for (int prec = 15; prec <= 16; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    double back = 0.0;
-    if (parse_double(buf, back) && back == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+/// Wire op of each RequestKind, in enum order.
+constexpr const char* kRequestOps[] = {"count", "ids",   "hist1", "hist2",
+                                       "sum",   "zoom1", "zoom2"};
+static_assert(std::size(kRequestOps) ==
+              static_cast<std::size_t>(RequestKind::kZoom2D) + 1);
 
 const char* status_text(Status status) {
   switch (status) {
@@ -56,6 +29,10 @@ const char* status_text(Status status) {
 }
 
 }  // namespace
+
+const char* request_op(RequestKind kind) {
+  return kRequestOps[static_cast<std::size_t>(kind)];
+}
 
 bool parse_request_line(const std::string& line, WireRequest& out,
                         std::string& error) {
@@ -188,24 +165,13 @@ bool parse_request_line(const std::string& line, WireRequest& out,
   }
   out.op = WireRequest::Op::kQuery;
   Request& r = out.request;
-  if (op == "count") {
-    r.kind = RequestKind::kCount;
-  } else if (op == "ids") {
-    r.kind = RequestKind::kIds;
-  } else if (op == "hist1") {
-    r.kind = RequestKind::kHistogram1D;
-  } else if (op == "hist2") {
-    r.kind = RequestKind::kHistogram2D;
-  } else if (op == "sum") {
-    r.kind = RequestKind::kSummary;
-  } else if (op == "zoom1") {
-    r.kind = RequestKind::kZoom1D;
-  } else if (op == "zoom2") {
-    r.kind = RequestKind::kZoom2D;
-  } else {
+  const auto* kind =
+      std::find(std::begin(kRequestOps), std::end(kRequestOps), op);
+  if (kind == std::end(kRequestOps)) {
     error = "unknown op '" + op + "'";
     return false;
   }
+  r.kind = static_cast<RequestKind>(kind - std::begin(kRequestOps));
   std::string token;
   bool ybins_given = false;
   while (in >> token) {
@@ -299,15 +265,7 @@ std::string format_request_line(const WireRequest& wire) {
   }
   const Request& r = wire.request;
   std::ostringstream out;
-  switch (r.kind) {
-    case RequestKind::kCount: out << "count"; break;
-    case RequestKind::kIds: out << "ids"; break;
-    case RequestKind::kHistogram1D: out << "hist1"; break;
-    case RequestKind::kHistogram2D: out << "hist2"; break;
-    case RequestKind::kSummary: out << "sum"; break;
-    case RequestKind::kZoom1D: out << "zoom1"; break;
-    case RequestKind::kZoom2D: out << "zoom2"; break;
-  }
+  out << request_op(r.kind);
   const bool zoom =
       r.kind == RequestKind::kZoom1D || r.kind == RequestKind::kZoom2D;
   out << " t=" << r.timestep;
@@ -411,14 +369,14 @@ std::string format_stats_line(const ServiceStats& s) {
         << " brush_full=" << s.brush_full_evals
         << " brush_bytes=" << s.brush_bytes
         << " brush_stale=" << s.brush_stale_hits;
-  if (s.dist_workers > 0)
-    out << " dist_workers=" << s.dist_workers << " dist_alive=" << s.dist_alive
-        << " dist_queries=" << s.dist_queries
-        << " dist_scatters=" << s.dist_scatters
-        << " dist_gathers=" << s.dist_gathers
-        << " dist_retries=" << s.dist_retries
-        << " dist_reshards=" << s.dist_reshards
-        << " dist_deaths=" << s.dist_deaths
+  if (s.dist.workers > 0)
+    out << " dist_workers=" << s.dist.workers << " dist_alive=" << s.dist.alive
+        << " dist_queries=" << s.dist.queries
+        << " dist_scatters=" << s.dist.scatters
+        << " dist_gathers=" << s.dist.gathers
+        << " dist_retries=" << s.dist.retries
+        << " dist_reshards=" << s.dist.reshards
+        << " dist_deaths=" << s.dist.deaths
         << " dist_fallbacks=" << s.dist_local_fallbacks;
   return out.str();
 }

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "dist/coordinator.hpp"
 #include "io/memory_budget.hpp"
 #include "parallel/thread_pool.hpp"
+#include "svc/protocol.hpp"
 
 namespace qdv::svc {
 
@@ -59,38 +59,107 @@ double seconds_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-const char* kind_tag(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kCount: return "count";
-    case RequestKind::kIds: return "ids";
-    case RequestKind::kHistogram1D: return "hist1";
-    case RequestKind::kHistogram2D: return "hist2";
-    case RequestKind::kSummary: return "sum";
-    case RequestKind::kZoom1D: return "zoom1";
-    case RequestKind::kZoom2D: return "zoom2";
-  }
-  return "?";
-}
-
 bool is_zoom(RequestKind kind) {
   return kind == RequestKind::kZoom1D || kind == RequestKind::kZoom2D;
 }
 
-/// Shortest round-trip-exact rendering of @p v, for the raw-viewport leg of
-/// zoom cache keys (servable requests use the snapped level/window instead,
-/// which is already integral).
-std::string key_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+/// Response-payload bytes of a completed @p r (accounting): one 8-byte word
+/// per count, id, histogram count and bin edge; five for a summary.
+std::uint64_t payload_bytes(const Result& r) {
+  switch (r.kind) {
+    case RequestKind::kCount:
+      return 8;
+    case RequestKind::kIds:
+      return r.ids.size() * 8;
+    case RequestKind::kHistogram1D:
+    case RequestKind::kZoom1D:
+      return (r.hist1d.counts.size() + r.hist1d.bins.edges().size()) * 8;
+    case RequestKind::kHistogram2D:
+    case RequestKind::kZoom2D:
+      return (r.hist2d.counts.size() + r.hist2d.xbins.edges().size() +
+              r.hist2d.ybins.edges().size()) * 8;
+    case RequestKind::kSummary:
+      return 5 * 8;
+  }
+  return 0;
 }
 
-std::uint64_t histogram1d_bytes(const Histogram1D& h) {
-  return (h.counts.size() + h.bins.edges().size()) * 8;
+/// A brush pinned at one snapshot, answering through the same calls as a
+/// core::Selection so one switch serves both kinds of flight.
+struct BrushAt {
+  core::Brush& brush;
+  const core::Brush::Snapshot& snap;
+
+  std::uint64_t count(std::size_t t) const { return brush.count(snap, t); }
+  std::vector<std::uint64_t> ids(std::size_t t) const {
+    return brush.ids(snap, t);
+  }
+  Histogram1D histogram1d(std::size_t t, const std::string& v, std::size_t n,
+                          BinningMode m) const {
+    return brush.histogram1d(snap, t, v, n, m);
+  }
+  Histogram2D histogram2d(std::size_t t, const std::string& x,
+                          const std::string& y, std::size_t nx, std::size_t ny,
+                          BinningMode m) const {
+    return brush.histogram2d(snap, t, x, y, nx, ny, m);
+  }
+  core::SummaryStats summary(std::size_t t, const std::string& v) const {
+    return brush.summary(snap, t, v);
+  }
+};
+
+/// The derived quantity @p req asks of @p source (a core::Selection or a
+/// BrushAt) — every non-zoom kind, for plain and brush flights alike.
+template <class Source>
+void answer(const Source& source, const Request& req, Result& r) {
+  const std::size_t t = req.timestep;
+  switch (req.kind) {
+    case RequestKind::kCount:
+      r.count = source.count(t);
+      break;
+    case RequestKind::kIds:
+      r.ids = source.ids(t);
+      r.count = r.ids.size();
+      break;
+    case RequestKind::kHistogram1D:
+      r.hist1d = source.histogram1d(t, req.var_x, req.nxbins, req.binning);
+      r.count = r.hist1d.total();
+      break;
+    case RequestKind::kHistogram2D:
+      r.hist2d = source.histogram2d(t, req.var_x, req.var_y, req.nxbins,
+                                    req.nybins, req.binning);
+      r.count = r.hist2d.total();
+      break;
+    case RequestKind::kSummary:
+      r.summary = source.summary(t, req.var_x);
+      r.count = r.summary.count;
+      break;
+    case RequestKind::kZoom1D:
+    case RequestKind::kZoom2D:
+      throw std::logic_error("zoom requests are answered by zoom()");
+  }
 }
 
-std::uint64_t histogram2d_bytes(const Histogram2D& h) {
-  return (h.counts.size() + h.xbins.edges().size() + h.ybins.edges().size()) * 8;
+/// A viewport histogram through the pyramid tier (or its exact fallback).
+/// Zooms only ever run over plain selections: submit rejects brush zooms.
+void zoom(const core::Selection& sel, const Request& req, Result& r) {
+  if (req.kind == RequestKind::kZoom1D) {
+    core::Zoom1DResult z =
+        sel.zoom_histogram1d(req.timestep, req.var_x, req.view_lo_x,
+                             req.view_hi_x, req.nxbins, req.zoom_mode);
+    r.hist1d = std::move(z.hist);
+    r.count = r.hist1d.total();
+    r.pyramid = z.pyramid;
+    r.pyramid_level = z.level;
+  } else {
+    core::Zoom2DResult z = sel.zoom_histogram2d(
+        req.timestep, req.var_x, req.var_y, req.view_lo_x, req.view_hi_x,
+        req.view_lo_y, req.view_hi_y, req.nxbins, req.nybins, req.zoom_mode);
+    r.hist2d = std::move(z.hist);
+    r.count = r.hist2d.total();
+    r.pyramid = z.pyramid;
+    r.pyramid_level = z.level;
+  }
 }
 
 /// True when @p r decomposes into shard partials that merge bit-identically
@@ -382,7 +451,7 @@ struct QueryService::Impl {
     return nullptr;
   }
 
-  /// Distributed twin of the local evaluation switch. True when the
+  /// Distributed evaluation of a distributable() flight. True when the
   /// coordinator produced @p r (a merged result or a remote query error);
   /// false to fall back to the local engine — the caller is still owed an
   /// answer when every worker is gone.
@@ -413,31 +482,12 @@ struct QueryService::Impl {
         ++counters.deadline_expired;
         return true;
       }
-      switch (req.kind) {
-        case RequestKind::kCount:
-          r.count = g.count;
-          r.payload_bytes = 8;
-          break;
-        case RequestKind::kIds:
-          r.ids = std::move(g.ids);
-          r.count = r.ids.size();
-          r.payload_bytes = r.ids.size() * 8;
-          break;
-        case RequestKind::kHistogram1D:
-          r.hist1d = std::move(g.hist1d);
-          r.count = g.count;
-          r.payload_bytes = histogram1d_bytes(r.hist1d);
-          break;
-        case RequestKind::kHistogram2D:
-          r.hist2d = std::move(g.hist2d);
-          r.count = g.count;
-          r.payload_bytes = histogram2d_bytes(r.hist2d);
-          break;
-        case RequestKind::kSummary:
-        case RequestKind::kZoom1D:
-        case RequestKind::kZoom2D:
-          return false;  // never distributed (see distributable())
-      }
+      // The merge fills exactly the fields of the shard kind it ran (and
+      // the matching count), so copying all four is the answer.
+      r.count = g.count;
+      r.ids = std::move(g.ids);
+      r.hist1d = std::move(g.hist1d);
+      r.hist2d = std::move(g.hist2d);
       return true;
     } catch (const std::exception&) {
       // NoLiveWorkers, or any coordinator-side infrastructure failure:
@@ -449,128 +499,36 @@ struct QueryService::Impl {
   }
 
   std::shared_ptr<Result> run_flight(const Flight& flight) {
+    const Request& req = flight.request;
     auto r = std::make_shared<Result>();
-    r->kind = flight.request.kind;
+    r->kind = req.kind;
     const Clock::time_point start = Clock::now();
 
-    if (flight.brush) {
-      // Brush flights never distribute: the whole point is the local delta
-      // path against the cached parent bitvector (a remote worker re-parsing
-      // the composed text would execute from scratch every time).
+    // Brush flights never distribute (nor look for a coordinator): the
+    // whole point is the local delta path against the cached parent
+    // bitvector — a remote worker re-parsing the composed text would
+    // execute from scratch every time.
+    std::shared_ptr<dist::Coordinator> coordinator;
+    if (!flight.brush && distributable(req)) {
+      std::lock_guard<std::mutex> lock(mutex);
+      coordinator = distributor_handle;
+    }
+    if (!coordinator || !run_distributed(flight, *coordinator, *r)) {
       try {
-        const Request& req = flight.request;
-        core::Brush& b = *flight.brush;
-        const core::Brush::Snapshot& snap = flight.brush_snap;
-        switch (req.kind) {
-          case RequestKind::kCount:
-            r->count = b.count(snap, req.timestep);
-            r->payload_bytes = 8;
-            break;
-          case RequestKind::kIds:
-            r->ids = b.ids(snap, req.timestep);
-            r->count = r->ids.size();
-            r->payload_bytes = r->ids.size() * 8;
-            break;
-          case RequestKind::kHistogram1D:
-            r->hist1d = b.histogram1d(snap, req.timestep, req.var_x,
-                                      req.nxbins, req.binning);
-            r->count = r->hist1d.total();
-            r->payload_bytes = histogram1d_bytes(r->hist1d);
-            break;
-          case RequestKind::kHistogram2D:
-            r->hist2d = b.histogram2d(snap, req.timestep, req.var_x,
-                                      req.var_y, req.nxbins, req.nybins,
-                                      req.binning);
-            r->count = r->hist2d.total();
-            r->payload_bytes = histogram2d_bytes(r->hist2d);
-            break;
-          case RequestKind::kSummary:
-            r->summary = b.summary(snap, req.timestep, req.var_x);
-            r->count = r->summary.count;
-            r->payload_bytes = 5 * 8;
-            break;
-          case RequestKind::kZoom1D:
-          case RequestKind::kZoom2D:
-            throw std::logic_error("zoom on a brush (rejected at submit)");
+        if (flight.brush) {
+          answer(BrushAt{*flight.brush, flight.brush_snap}, req, *r);
+          r->brush_epoch = flight.brush_snap.epoch;
+        } else if (is_zoom(req.kind)) {
+          zoom(*flight.selection, req, *r);
+        } else {
+          answer(*flight.selection, req, *r);
         }
-        r->brush_epoch = snap.epoch;
       } catch (const std::exception& e) {
         r->status = Status::kError;
         r->error = e.what();
       }
-      r->exec_seconds = seconds_since(start, Clock::now());
-      return r;
     }
-
-    std::shared_ptr<dist::Coordinator> coordinator;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      coordinator = distributor_handle;
-    }
-    if (coordinator && distributable(flight.request) &&
-        run_distributed(flight, *coordinator, *r)) {
-      r->exec_seconds = seconds_since(start, Clock::now());
-      return r;
-    }
-
-    try {
-      const core::Selection& sel = *flight.selection;
-      const Request& req = flight.request;
-      switch (req.kind) {
-        case RequestKind::kCount:
-          r->count = sel.count(req.timestep);
-          r->payload_bytes = 8;
-          break;
-        case RequestKind::kIds:
-          r->ids = sel.ids(req.timestep);
-          r->count = r->ids.size();
-          r->payload_bytes = r->ids.size() * 8;
-          break;
-        case RequestKind::kHistogram1D:
-          r->hist1d = sel.histogram1d(req.timestep, req.var_x, req.nxbins,
-                                      req.binning);
-          r->count = r->hist1d.total();
-          r->payload_bytes = histogram1d_bytes(r->hist1d);
-          break;
-        case RequestKind::kHistogram2D:
-          r->hist2d = sel.histogram2d(req.timestep, req.var_x, req.var_y,
-                                      req.nxbins, req.nybins, req.binning);
-          r->count = r->hist2d.total();
-          r->payload_bytes = histogram2d_bytes(r->hist2d);
-          break;
-        case RequestKind::kSummary:
-          r->summary = sel.summary(req.timestep, req.var_x);
-          r->count = r->summary.count;
-          r->payload_bytes = 5 * 8;
-          break;
-        case RequestKind::kZoom1D: {
-          core::Zoom1DResult z = sel.zoom_histogram1d(
-              req.timestep, req.var_x, req.view_lo_x, req.view_hi_x,
-              req.nxbins, req.zoom_mode);
-          r->hist1d = std::move(z.hist);
-          r->pyramid = z.pyramid;
-          r->pyramid_level = z.level;
-          r->count = r->hist1d.total();
-          r->payload_bytes = histogram1d_bytes(r->hist1d);
-          break;
-        }
-        case RequestKind::kZoom2D: {
-          core::Zoom2DResult z = sel.zoom_histogram2d(
-              req.timestep, req.var_x, req.var_y, req.view_lo_x,
-              req.view_hi_x, req.view_lo_y, req.view_hi_y, req.nxbins,
-              req.nybins, req.zoom_mode);
-          r->hist2d = std::move(z.hist);
-          r->pyramid = z.pyramid;
-          r->pyramid_level = z.level;
-          r->count = r->hist2d.total();
-          r->payload_bytes = histogram2d_bytes(r->hist2d);
-          break;
-        }
-      }
-    } catch (const std::exception& e) {
-      r->status = Status::kError;
-      r->error = e.what();
-    }
+    if (r->status == Status::kOk) r->payload_bytes = payload_bytes(*r);
     r->exec_seconds = seconds_since(start, Clock::now());
     return r;
   }
@@ -759,7 +717,7 @@ ResultFuture QueryService::submit(SessionId session, Request request) {
       selection = impl->engine.select_shared(request.query);
     }
     key = "svc|";
-    key += kind_tag(request.kind);
+    key += request_op(request.kind);
     key += "|t#" + std::to_string(request.timestep);
     if (request.kind != RequestKind::kCount && request.kind != RequestKind::kIds) {
       // '|' between every variable-length field: variable names may
@@ -803,11 +761,11 @@ ResultFuture QueryService::submit(SessionId session, Request request) {
                  std::to_string(plan->yhi);
         if (plan->pair) key += 'p';
       } else {
-        key += '#' + key_double(request.view_lo_x) + ':' +
-               key_double(request.view_hi_x);
+        key += '#' + format_double(request.view_lo_x) + ':' +
+               format_double(request.view_hi_x);
         if (request.kind == RequestKind::kZoom2D)
-          key += '#' + key_double(request.view_lo_y) + ':' +
-                 key_double(request.view_hi_y);
+          key += '#' + format_double(request.view_lo_y) + ':' +
+                 format_double(request.view_hi_y);
         key += '#' + std::to_string(request.nxbins);
         if (request.kind == RequestKind::kZoom2D)
           key += '#' + std::to_string(request.nybins);
@@ -1078,22 +1036,7 @@ ServiceStats QueryService::stats() const {
       impl_->distributor_handle;
   std::vector<double> sorted = impl_->latencies;
   lock.unlock();
-  if (coordinator) {
-    const dist::DistStats d = coordinator->stats();
-    s.dist_workers = d.workers;
-    s.dist_alive = d.alive;
-    s.dist_queries = d.queries;
-    s.dist_scatters = d.scatters;
-    s.dist_gathers = d.gathers;
-    s.dist_retries = d.retries;
-    s.dist_reshards = d.reshards;
-    s.dist_deaths = d.deaths;
-    s.dist_remote_errors = d.remote_errors;
-    s.dist_per_worker.reserve(d.per_worker.size());
-    for (const dist::WorkerCounters& w : d.per_worker)
-      s.dist_per_worker.push_back(
-          {w.name, w.alive, w.requests, w.failures, w.retries});
-  }
+  if (coordinator) s.dist = coordinator->stats();
   std::sort(sorted.begin(), sorted.end());
   s.p50_seconds = sorted_percentile(sorted, 0.50);
   s.p95_seconds = sorted_percentile(sorted, 0.95);

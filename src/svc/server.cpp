@@ -1,17 +1,9 @@
 #include "svc/server.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "io/io_util.hpp"
 #include "svc/protocol.hpp"
@@ -19,20 +11,6 @@
 namespace qdv::svc {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-sockaddr_un make_address(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string text = path.string();
-  if (text.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path too long: " + text);
-  std::memcpy(addr.sun_path, text.c_str(), text.size() + 1);
-  return addr;
-}
 
 /// Write all of @p line plus a newline; false once the peer is gone.
 bool write_line(int fd, const std::string& line) {
@@ -87,30 +65,13 @@ bool read_line(int fd, std::string& buffer, std::string& line,
 
 struct SocketServer::Impl {
   QueryService& service;
-  std::filesystem::path path;
-  int listen_fd = -1;
-  std::thread accept_thread;
-  bool started = false;
-  bool stopped = false;
+  io::UnixServer server;
 
-  /// One live (or recently finished, not yet reaped) connection. `fd` is
-  /// reset to -1 under the mutex before the handler closes it, so stop()
-  /// can never shut down a kernel-reused descriptor; `done` flips as the
-  /// handler's last step, making the thread joinable without blocking.
-  struct Conn {
-    int fd = -1;
-    std::shared_ptr<std::atomic<bool>> done;
-    std::thread thread;
-  };
+  Impl(QueryService& s, std::filesystem::path p)
+      : service(s),
+        server(std::move(p), [this](int fd) { serve_connection(fd); }) {}
 
-  std::mutex mutex;  // guards conns / counters
-  std::vector<Conn> conns;
-  std::uint64_t accepted = 0;
-
-  explicit Impl(QueryService& s, std::filesystem::path p)
-      : service(s), path(std::move(p)) {}
-
-  void serve_connection(int fd, const std::shared_ptr<std::atomic<bool>>& done) {
+  void serve_connection(int fd) {
     const QueryService::SessionId session = service.open_session("socket");
     try {
       handle_lines(fd, session);
@@ -121,13 +82,6 @@ struct SocketServer::Impl {
       // once, on this path or the normal one).
     }
     service.close_session(session);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      for (Conn& c : conns)
-        if (c.done == done) c.fd = -1;
-    }
-    ::close(fd);
-    done->store(true, std::memory_order_release);
   }
 
   void handle_lines(int fd, QueryService::SessionId session) {
@@ -211,117 +165,30 @@ struct SocketServer::Impl {
       write_line(fd, "err line too long (max " +
                          std::to_string(kMaxRequestLineBytes) + " bytes)");
   }
-
-  /// Join and drop finished connections (called on each accept, so a
-  /// long-running server does not accrete one zombie thread per client).
-  void reap_locked() {
-    for (std::size_t i = 0; i < conns.size();) {
-      if (conns[i].done->load(std::memory_order_acquire)) {
-        conns[i].thread.join();
-        conns[i] = std::move(conns.back());
-        conns.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-
-  void accept_loop() {
-    for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener closed by stop()
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      ++accepted;
-      reap_locked();
-      Conn conn;
-      conn.fd = fd;
-      conn.done = std::make_shared<std::atomic<bool>>(false);
-      conn.thread = std::thread(
-          [this, fd, done = conn.done] { serve_connection(fd, done); });
-      conns.push_back(std::move(conn));
-    }
-  }
 };
 
 SocketServer::SocketServer(QueryService& service, std::filesystem::path socket_path)
-    : impl_(std::make_unique<Impl>(service, std::move(socket_path))) {
-  std::filesystem::remove(impl_->path);
-  impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (impl_->listen_fd < 0) throw_errno("socket");
-  const sockaddr_un addr = make_address(impl_->path);
-  if (::bind(impl_->listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    ::close(impl_->listen_fd);
-    throw_errno("bind " + impl_->path.string());
-  }
-  if (::listen(impl_->listen_fd, 64) != 0) {
-    ::close(impl_->listen_fd);
-    throw_errno("listen " + impl_->path.string());
-  }
-}
+    : impl_(std::make_unique<Impl>(service, std::move(socket_path))) {}
 
-SocketServer::~SocketServer() { stop(); }
+SocketServer::~SocketServer() = default;  // the UnixServer stops itself
 
-void SocketServer::start() {
-  if (impl_->started) return;
-  impl_->started = true;
-  impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
-}
+void SocketServer::start() { impl_->server.start(); }
 
-void SocketServer::stop() {
-  if (impl_->stopped) return;
-  impl_->stopped = true;
-  // Closing the listener pops accept() with an error; shutting the
-  // connection sockets pops their reads. Threads then exit on their own.
-  ::shutdown(impl_->listen_fd, SHUT_RDWR);
-  ::close(impl_->listen_fd);
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  std::vector<Impl::Conn> conns;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (const Impl::Conn& c : impl_->conns)
-      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
-    conns.swap(impl_->conns);
-  }
-  for (Impl::Conn& c : conns) c.thread.join();
-  std::filesystem::remove(impl_->path);
-}
+void SocketServer::stop() { impl_->server.stop(); }
 
 const std::filesystem::path& SocketServer::socket_path() const {
-  return impl_->path;
+  return impl_->server.path();
 }
 
 std::uint64_t SocketServer::connections() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->accepted;
+  return impl_->server.accepted();
 }
 
 SocketClient::SocketClient(const std::filesystem::path& socket_path,
-                           std::chrono::milliseconds receive_timeout) {
-  const sockaddr_un addr = make_address(socket_path);
-  // The server may still be between bind() and listen(); retry briefly.
-  for (int attempt = 0; fd_ < 0 && attempt < 50; ++attempt) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw_errno("socket");
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  if (fd_ < 0) throw std::runtime_error("cannot connect to " + socket_path.string());
-  if (receive_timeout.count() > 0) {
-    // SO_RCVTIMEO: a stalled or wedged server surfaces as a clear timeout
-    // error on this client instead of blocking it forever.
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(receive_timeout.count() / 1000);
-    tv.tv_usec =
-        static_cast<suseconds_t>((receive_timeout.count() % 1000) * 1000);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
+                           std::chrono::milliseconds receive_timeout)
+    // The server may still be coming up: retry for about a second.
+    : fd_(io::connect_unix(socket_path, std::chrono::seconds(1),
+                           receive_timeout)) {
   // Version handshake: fail construction with the server's own message on
   // a mismatch. The destructor never runs for a partially constructed
   // object, so a throwing handshake must close the descriptor here.

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/custom_scan.hpp"
+#include "core/engine.hpp"
+#include "core/selection.hpp"
 #include "core/session.hpp"
 #include "core/statistics.hpp"
 #include "io/checksum.hpp"
@@ -140,25 +143,40 @@ void test_stats_and_export() {
   CHECK(std::filesystem::file_size(csv) > 20);
 }
 
-/// An unverified manifest (no root sidecar, which is how a pre-checksum
-/// dataset opens) must not size the table cache from its timestep count: a
-/// claimed 2^27 or 2^40 steps is a typed open failure, not gigabytes
-/// committed or std::bad_alloc.
-void test_manifest_timestep_count_checked() {
-  const std::filesystem::path dir = qdv::test::scratch_dir("huge_manifest");
+/// A copy of the dataset without the checksum sidecars of its manifest and
+/// first timestep — how a pre-checksum dataset opens, and also one whose
+/// generate died before it wrote its sidecars.
+std::filesystem::path unverified_copy(const std::string& name) {
+  const std::filesystem::path dir = qdv::test::scratch_dir(name);
   std::filesystem::copy(dataset_dir(), dir,
                         std::filesystem::copy_options::recursive);
   std::filesystem::remove(dir / io::kChecksumSidecarName);
+  std::filesystem::remove(dir / io::step_dir_name(0) / io::kChecksumSidecarName);
+  return dir;
+}
+
+/// Replace every line of @p file that starts with @p prefix by
+/// @p replacement (drop it when @p replacement is empty).
+void edit_lines(const std::filesystem::path& file, const std::string& prefix,
+                const std::string& replacement) {
+  std::ifstream in(file);
+  std::string text;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) line = replacement;
+    if (!line.empty()) text += line + "\n";
+  }
+  in.close();
+  std::ofstream(file) << text;
+}
+
+/// An unverified manifest must not size the table cache from its timestep
+/// count: a claimed 2^27 or 2^40 steps is a typed open failure, not
+/// gigabytes committed or std::bad_alloc.
+void test_manifest_timestep_count_checked() {
+  const std::filesystem::path dir = unverified_copy("huge_manifest");
   for (const std::uint64_t steps : {std::uint64_t{1} << 27, std::uint64_t{1} << 40}) {
-    std::ifstream in(dir / io::kManifestName);
-    std::string text;
-    for (std::string line; std::getline(in, line);)
-      text += (line.rfind("timesteps ", 0) == 0
-                   ? "timesteps " + std::to_string(steps)
-                   : line) +
-              "\n";
-    in.close();
-    std::ofstream(dir / io::kManifestName) << text;
+    edit_lines(dir / io::kManifestName, "timesteps ",
+               "timesteps " + std::to_string(steps));
 
     const std::uint64_t rss_before = test::peak_rss_kib();
     bool typed = false;
@@ -173,6 +191,82 @@ void test_manifest_timestep_count_checked() {
   }
 }
 
+/// Torn or hand-edited text metadata fails typed instead of answering for
+/// another table. Every field is a whole token (`rows 300x` and a
+/// `timesteps 38x` manifest line reject), meta.txt holds exactly one rows
+/// line, a domain needs both finite bounds in order, and a row count the
+/// column and index files disagree with fails at the first query: the
+/// `.bmi` is quarantined, and the scan it demotes to finds the column
+/// holding more values than meta.txt declares.
+void test_metadata_fields_checked() {
+  const std::string px_domain = [] {
+    std::ifstream in(dataset_dir() / io::step_dir_name(0) / "meta.txt");
+    for (std::string line; std::getline(in, line);)
+      if (line.rfind("domain px ", 0) == 0) return line;
+    return std::string();
+  }();
+  CHECK(!px_domain.empty());
+  const std::string lo_only = px_domain.substr(0, px_domain.rfind(' '));
+  const std::size_t rows = io::Dataset::open(dataset_dir()).table(0).num_rows();
+
+  struct Case {
+    const char* file;  // relative to the dataset directory
+    std::string prefix, replacement;
+  };
+  const std::string meta = io::step_dir_name(0) + "/meta.txt";
+  const Case table_cases[] = {
+      {meta.c_str(), "rows ", ""},
+      {meta.c_str(), "rows ", "rows " + std::to_string(rows) + "x"},
+      {meta.c_str(), "domain px ", lo_only},
+      {meta.c_str(), "domain px ", "domain px 5 4"},
+      {meta.c_str(), "domain px ", "domain px nan 4"},
+  };
+  for (const Case& c : table_cases) {
+    const std::filesystem::path dir = unverified_copy("bad_meta");
+    edit_lines(dir / c.file, c.prefix, c.replacement);
+    const io::Dataset ds = io::Dataset::open(dir);
+    CHECK_THROWS(ds.table(0));
+  }
+
+  const std::filesystem::path dir = unverified_copy("bad_meta");
+  edit_lines(dir / io::kManifestName, "timesteps ",
+             "timesteps " + std::to_string(io::Dataset::open(dataset_dir())
+                                               .num_timesteps()) + "x");
+  CHECK_THROWS(io::Dataset::open(dir));
+
+  // rows 10: an indexed count must not answer "N of 10" from the
+  // full-size index.
+  const std::filesystem::path small = unverified_copy("bad_meta_rows");
+  edit_lines(small / meta, "rows ", "rows 10");
+  const core::Engine engine = core::Engine::open(small);
+  const io::TimestepTable& table = engine.dataset().table(0);
+  CHECK_EQ(table.num_rows(), 10u);
+  CHECK_THROWS(engine.select("px >= 0").count(0));
+  CHECK(table.index_quarantined("px"));
+  CHECK_THROWS(table.column("px"));
+}
+
+/// QDV_MEMORY_BUDGET is one whole count of bytes: `64M` (which atoll read
+/// as 64 bytes) is a typed error naming the variable, not a silent budget.
+void test_memory_budget_env_checked() {
+  const char* saved = std::getenv("QDV_MEMORY_BUDGET");
+  const std::string restore = saved ? saved : "";
+  ::setenv("QDV_MEMORY_BUDGET", "64M", 1);
+  bool named = false;
+  try {
+    (void)io::Dataset::open(dataset_dir());
+  } catch (const std::invalid_argument& e) {
+    named = std::string(e.what()).find("QDV_MEMORY_BUDGET") != std::string::npos;
+  }
+  CHECK(named);
+  ::setenv("QDV_MEMORY_BUDGET", "32768", 1);
+  CHECK_EQ(io::Dataset::open(dataset_dir()).memory_budget()->budget(), 32768u);
+  if (saved)
+    ::setenv("QDV_MEMORY_BUDGET", restore.c_str(), 1);
+  else
+    ::unsetenv("QDV_MEMORY_BUDGET");
+}
+
 }  // namespace
 
 int main() {
@@ -183,5 +277,7 @@ int main() {
   test_id_queries_match_scan();
   test_stats_and_export();
   test_manifest_timestep_count_checked();
+  test_metadata_fields_checked();
+  test_memory_budget_env_checked();
   return qdv::test::finish("test_dataset_io");
 }

@@ -10,7 +10,6 @@
 // worker) and the shard manifest (partition, reassign, text round-trip).
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -30,6 +29,7 @@
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
 #include "fuzz_common.hpp"
+#include "io/io_util.hpp"
 #include "svc/query_service.hpp"
 #include "test_common.hpp"
 
@@ -97,21 +97,8 @@ void test_wire_version_mismatch() {
   dist::WorkerServer worker(dir, sock);
   worker.start();
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, sock.c_str(), sock.string().size() + 1);
-  int fd = -1;
-  for (int attempt = 0; fd < 0 && attempt < 100; ++attempt) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    CHECK(fd >= 0);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(fd);
-      fd = -1;
-      ::usleep(10000);
-    }
-  }
-  CHECK(fd >= 0);
+  const int fd = io::connect_unix(sock, std::chrono::seconds(1),
+                                  std::chrono::seconds(5));
 
   // Header: magic u32 | version u16 | type u16 | seq u32 | payload u32,
   // little-endian, with version = kWireVersion + 1.
@@ -129,7 +116,7 @@ void test_wire_version_mismatch() {
         static_cast<ssize_t>(bad.size()));
 
   // The reply comes back in the current version; read it with a Channel.
-  dist::Channel reply(fd, std::chrono::milliseconds(5000));
+  dist::Channel reply(fd);
   const dist::Frame frame = reply.recv();
   CHECK(frame.type == dist::MsgType::kError);
   dist::WireReader r(frame.payload);
@@ -494,14 +481,14 @@ void test_service_distributed_path(const std::filesystem::path& dir,
   CHECK(!bad_result->error.empty());
 
   const svc::ServiceStats stats = service.stats();
-  CHECK_EQ(stats.dist_workers, 2u);
-  CHECK_EQ(stats.dist_alive, 2u);
-  CHECK(stats.dist_queries >= 4);  // count + ids + hist1 + bad
-  CHECK(stats.dist_scatters >= 2 * stats.dist_queries);
+  CHECK_EQ(stats.dist.workers, 2u);
+  CHECK_EQ(stats.dist.alive, 2u);
+  CHECK(stats.dist.queries >= 4);  // count + ids + hist1 + bad
+  CHECK(stats.dist.scatters >= 2 * stats.dist.queries);
   CHECK_EQ(stats.dist_local_fallbacks, 0u);
-  CHECK_EQ(stats.dist_per_worker.size(), 2u);
-  CHECK(stats.dist_per_worker[0].requests > 0);
-  CHECK(stats.dist_per_worker[1].requests > 0);
+  CHECK_EQ(stats.dist.per_worker.size(), 2u);
+  CHECK(stats.dist.per_worker[0].requests > 0);
+  CHECK(stats.dist.per_worker[1].requests > 0);
 
   service.close_session(session);
   service.set_distributor(nullptr);

@@ -4,19 +4,19 @@
 // Result::sequence while the pool is gated), session byte budgets, the
 // line protocol round-trip, and the unix-socket server end-to-end.
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/selection.hpp"
 #include "fuzz_common.hpp"
+#include "io/io_util.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/wakefield.hpp"
 #include "svc/protocol.hpp"
@@ -116,6 +116,37 @@ void test_request_kinds_match_selection() {
   const svc::ResultPtr sm = service.execute(session, r);
   CHECK_EQ(sm->summary.count, sel.summary(t, "px").count);
   CHECK_EQ(sm->summary.mean, sel.summary(t, "px").mean);
+
+  // A brush holding the same predicate answers every kind through the
+  // same switch: the same answer and payload, exact for its first epoch.
+  CHECK_EQ(service.brush_create(session, "same", query).status,
+           svc::Status::kOk);
+  for (const svc::RequestKind kind :
+       {svc::RequestKind::kCount, svc::RequestKind::kIds,
+        svc::RequestKind::kHistogram1D, svc::RequestKind::kHistogram2D,
+        svc::RequestKind::kSummary}) {
+    r.kind = kind;
+    r.query = query;
+    r.brush.clear();
+    const svc::ResultPtr plain = service.execute(session, r);
+    r.query.clear();
+    r.brush = "same";
+    const svc::ResultPtr brushed = service.execute(session, r);
+    CHECK_EQ(brushed->status, svc::Status::kOk);
+    CHECK_EQ(brushed->brush_epoch, 1u);
+    CHECK_EQ(brushed->payload_bytes, plain->payload_bytes);
+    CHECK(brushed->payload_bytes > 0);
+    CHECK_EQ(brushed->count, plain->count);
+    CHECK(brushed->ids == plain->ids);
+    CHECK(brushed->hist1d.counts == plain->hist1d.counts);
+    CHECK(brushed->hist2d.counts == plain->hist2d.counts);
+    CHECK_EQ(brushed->summary.mean, plain->summary.mean);
+    // On the wire, the brush line is the plain one plus its epoch.
+    const std::string plain_line = svc::format_response_line(*plain, 16);
+    const std::size_t tail = plain_line.find(" src=");
+    CHECK_EQ(svc::format_response_line(*brushed, 16).substr(0, tail + 9),
+             plain_line.substr(0, tail) + " epoch=1 ");
+  }
 
   // Errors surface as kError results, not exceptions.
   CHECK_EQ(service.execute(session, count_request("px >", 0))->status,
@@ -295,8 +326,15 @@ void test_protocol_round_trip() {
     CHECK(svc::parse_request_line(formatted, reparsed, error));
     CHECK_EQ(svc::format_request_line(reparsed), formatted);
   }
+  // A 17-digit viewport survives format -> parse bit for bit.
   svc::WireRequest wire;
   std::string error;
+  CHECK(svc::parse_request_line("zoom1 t=0 x=px vlo=0.30000000000000004 vhi=1",
+                                wire, error));
+  CHECK(wire.request.view_lo_x == 0.1 + 0.2);
+  svc::WireRequest back;
+  CHECK(svc::parse_request_line(svc::format_request_line(wire), back, error));
+  CHECK(back.request.view_lo_x == 0.1 + 0.2);
   CHECK(!svc::parse_request_line("count t=x", wire, error));
   CHECK(!svc::parse_request_line("frobnicate t=1", wire, error));
   CHECK(!svc::parse_request_line("", wire, error));
@@ -374,23 +412,8 @@ void test_strict_numeric_field_parsing() {
 /// Plain AF_UNIX connection to @p path (retrying while the server binds),
 /// for legs that must speak raw bytes instead of SocketClient lines.
 int connect_raw(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string text = path.string();
-  std::memcpy(addr.sun_path, text.c_str(), text.size() + 1);
-  int fd = -1;
-  for (int attempt = 0; fd < 0 && attempt < 100; ++attempt) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    CHECK(fd >= 0);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(fd);
-      fd = -1;
-      ::usleep(10000);
-    }
-  }
-  CHECK(fd >= 0);
-  return fd;
+  return io::connect_unix(path, std::chrono::seconds(1),
+                          std::chrono::milliseconds{0});
 }
 
 /// A hand-driven socket session (no SocketClient, so no automatic
@@ -628,22 +651,7 @@ void test_abrupt_disconnect_releases_session_state() {
   const std::uint64_t base_sessions = service.stats().open_sessions;
 
   const auto doomed_client = [&](int which) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    const std::string path = server.socket_path().string();
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    int fd = -1;
-    for (int attempt = 0; fd < 0 && attempt < 100; ++attempt) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      CHECK(fd >= 0);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof addr) != 0) {
-        ::close(fd);
-        fd = -1;
-        ::usleep(10000);
-      }
-    }
-    CHECK(fd >= 0);
+    const int fd = connect_raw(server.socket_path());
     const auto send_line = [&](const std::string& text) {
       const std::string out = text + "\n";
       CHECK(::send(fd, out.data(), out.size(), 0) ==
