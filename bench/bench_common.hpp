@@ -30,6 +30,7 @@
 #include "bitmap/index_segments.hpp"
 #include "bitmap/kernels.hpp"
 #include "io/dataset.hpp"
+#include "kernel_refs.hpp"
 #include "sim/wakefield.hpp"
 
 namespace qdv::bench {

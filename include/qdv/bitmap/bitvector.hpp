@@ -129,6 +129,10 @@ class BitVector {
   static std::size_t serialized_size(std::span<const std::byte> image,
                                      std::size_t offset);
 
+  /// Bytes of a serialized record before its compressed words:
+  ///   nbits (u64) | nwords (u64) | active (u32) | active_bits (u32)
+  static constexpr std::size_t kRecordHeaderBytes = 24;
+
  private:
   static constexpr std::uint32_t kFillFlag = 0x80000000u;
   static constexpr std::uint32_t kFillValueBit = 0x40000000u;

@@ -5,8 +5,12 @@
 // final "outside" bitmap. SegmentedBitmapIndex parses only the header and a
 // byte-offset directory of the segments, so opening an index touches O(bins)
 // record headers instead of deserializing every bitmap; a range query then
-// decodes only the segments its bin coverage actually needs — the
-// out-of-core counterpart of BitmapIndex (DESIGN.md Section 9).
+// decodes only the segments its probe reads — the out-of-core counterpart
+// of BitmapIndex (DESIGN.md Section 9). A probe answers a union of
+// intervals on the variable in one pass (DESIGN.md Section 3): it ORs
+// whichever side of the bins costs fewer compressed words, the bins fully
+// inside the union or every other segment (then inverted), and checks only
+// the boundary rows against the column.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +59,13 @@ class SegmentedBitmapIndex {
     return offsets_[s + 1] - offsets_[s];
   }
 
+  /// Compressed words of segment @p s, read off the directory (no decode):
+  /// the cost a probe weighs when it picks which side of the bins to OR.
+  std::uint64_t segment_words(std::size_t s) const {
+    return (segment_bytes(s) - BitVector::kRecordHeaderBytes) /
+           sizeof(std::uint32_t);
+  }
+
   /// Byte offset of segment @p s in the image — segment_offset(0) is also
   /// the header length. With segment_bytes() this names the exact byte
   /// range a decode touches, which is the granularity the integrity layer
@@ -79,13 +90,35 @@ class SegmentedBitmapIndex {
   using SegmentFetch =
       std::function<std::shared_ptr<const BitVector>(std::size_t segment)>;
 
-  /// Index-only two-step evaluation of @p iv, decoding only the segments
-  /// the bin coverage touches. Without @p fetch, segments are decoded
-  /// directly from the image each call.
-  ApproxAnswer evaluate_approx(const Interval& iv,
-                               const SegmentFetch& fetch = {}) const;
+  /// The segments one probe reads, pinned: pin() does all the segment I/O
+  /// (and so meets every checksum failure), run() none of it.
+  struct Probe {
+    std::vector<std::shared_ptr<const BitVector>> or_side;
+    /// The bins partly inside the union, and the outside bitmap — only
+    /// those with set bits, so an empty list means an index-only answer.
+    std::vector<std::shared_ptr<const BitVector>> candidates;
+    /// True when or_side is every segment but the bins fully inside.
+    bool complement = false;
+    std::uint64_t nrows = 0;
 
-  /// Full two-step evaluation against the raw column (candidate check).
+    /// True when run() reads the column (a candidate has set bits).
+    bool needs_column() const { return !candidates.empty(); }
+
+    /// The rows whose value lies in at least one of @p ivs (the intervals
+    /// pin() was given). @p values is the column, read only at candidate
+    /// bits; it may be empty when !needs_column().
+    BitVector run(std::span<const Interval> ivs,
+                  std::span<const double> values) const;
+  };
+
+  /// Plan and pin the probe of the union of @p ivs (empty intervals are
+  /// ignored): classify every bin as fully, partly or not inside, then pin
+  /// the cheaper OR side by compressed words (the inside on a tie) and the
+  /// candidate segments, each segment fetched at most once. Without
+  /// @p fetch, segments are decoded directly from the image.
+  Probe pin(std::span<const Interval> ivs, const SegmentFetch& fetch = {}) const;
+
+  /// One-interval probe against the raw column.
   BitVector evaluate(const Interval& iv, std::span<const double> values,
                      const SegmentFetch& fetch = {}) const;
 

@@ -27,25 +27,28 @@ struct Interval {
     return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
   }
 
-  /// True when no value can satisfy the interval.
+  /// True when no value can satisfy the interval — also when a bound is
+  /// NaN, since no value compares true against NaN.
   bool empty() const {
-    if (lo > hi) return true;
+    if (!(lo <= hi)) return true;
     return lo == hi && (lo_open || hi_open);
   }
 
+  /// A NaN bound counts as a bound: it must survive into the text form.
   bool bounded_below() const {
-    return lo > -std::numeric_limits<double>::infinity();
+    return lo != -std::numeric_limits<double>::infinity();
   }
   bool bounded_above() const {
-    return hi < std::numeric_limits<double>::infinity();
+    return hi != std::numeric_limits<double>::infinity();
   }
 
   bool operator==(const Interval& other) const = default;
 };
 
 /// Intersection of two intervals: the tightest bound wins on each side (an
-/// open endpoint beats a closed one at the same value). The result may be
-/// empty() — callers decide how to represent contradictions.
+/// open endpoint beats a closed one at the same value, and a NaN bound,
+/// which no value satisfies, beats every other). The result may be empty()
+/// — callers decide how to represent contradictions.
 Interval intersect(const Interval& a, const Interval& b);
 
 }  // namespace qdv

@@ -1,12 +1,12 @@
 // Block-oriented execution kernels over WAH bitvectors (DESIGN.md
 // Section 10): the content walk that decodes compressed words in one pass
 // (zero fills skipped, one-fills reported as row ranges, literal runs read
-// in place), the k-way single-pass OR used by every multi-bin range probe,
-// and the sharded tally driver for intra-timestep parallel histograms.
+// in place), the one-pass interval probe that answers every served range
+// predicate, the k-way single-pass OR of the in-memory indices, and the
+// sharded tally driver for intra-timestep parallel histograms.
 //
-// Every kernel here has a scalar reference twin in qdv::kern::ref used by
-// the differential tests (tests/test_kernels.cpp); the references are the
-// original element-at-a-time implementations and must never be "optimized".
+// The differential tests check these against element-at-a-time twins that
+// live with the tests (tests/kernel_refs.hpp), never in the library.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 
 #include "bitmap/bins.hpp"
 #include "bitmap/bitvector.hpp"
+#include "bitmap/interval.hpp"
 
 namespace qdv::kern {
 
@@ -50,6 +51,9 @@ struct BitVectorOps {
     v.active_bits_ = active_bits;
   }
   static void set_nbits(BitVector& v, std::uint64_t nbits) { v.nbits_ = nbits; }
+  static void set_words(BitVector& v, std::vector<std::uint32_t> words) {
+    v.words_ = std::move(words);
+  }
 };
 
 /// Single-pass content walk of a WAH vector clipped to rows [begin, end):
@@ -256,6 +260,24 @@ std::uint64_t count_words(const BitVector& v);
 BitVector or_many_kway(std::span<const BitVector* const> operands,
                        std::uint64_t nbits);
 
+/// One-pass range probe of an equality-encoded index (DESIGN.md Sections 3
+/// and 10): the rows of [0, @p nrows) whose value lies in at least one of
+/// @p ivs. ORs the segments of @p or_side into one accumulator of 31-bit
+/// groups and, when @p complement, inverts it (the OR side then holds every
+/// segment but the bins fully inside the union, so the inverse is exactly
+/// those bins). Then the set bits of @p candidates that the accumulator
+/// still lacks are checked against @p values in one ascending pass, and
+/// survivors are ORed in. The result is recompressed once. Groups are
+/// processed in fixed windows with a resumable cursor per segment, so
+/// scratch stays bounded for any row count, and a window touches only the
+/// groups some segment has content in. @p values must hold @p nrows values
+/// unless @p candidates is empty (then it is never read).
+BitVector probe_intervals(std::span<const BitVector* const> or_side,
+                          bool complement,
+                          std::span<const BitVector* const> candidates,
+                          std::span<const Interval> ivs,
+                          std::span<const double> values, std::uint64_t nrows);
+
 /// Shard [0, nrows) across the global thread pool, give each shard a private
 /// zeroed count array of @p ncounts cells, and sum the partials into
 /// @p counts at the end. fill(shard_begin, shard_end, partial) must only
@@ -275,14 +297,5 @@ void sharded_tally(std::uint64_t nrows, std::size_t ncounts,
                    const std::function<void(std::uint64_t, std::uint64_t,
                                             std::uint64_t*)>& fill,
                    std::size_t nshards);
-
-namespace ref {
-
-/// Scalar reference twin of or_many_kway: the original pairwise tree
-/// reduction over operator|.
-BitVector or_many_pairwise(std::span<const BitVector* const> operands,
-                           std::uint64_t nbits);
-
-}  // namespace ref
 
 }  // namespace qdv::kern

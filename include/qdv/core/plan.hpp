@@ -33,8 +33,9 @@ namespace qdv::core {
 ///
 /// The rewrite assumes column values are totally ordered: flipping a
 /// comparison under NOT (`!(x < v)` -> `x >= v`) is an identity only for
-/// non-NaN data. The on-disk format never stores NaN (the generator and
-/// index builders reject it from binning), so this holds for qdv datasets.
+/// non-NaN data and a non-NaN constant. A NaN constant keeps its explicit
+/// NOT. The generator writes no NaN data (and index builders bin NaN rows
+/// outside every bin), so the data side holds for generated datasets.
 QueryPtr canonicalize(const QueryPtr& query);
 
 /// The cache key of a canonical query: its to_string(), which is stable,

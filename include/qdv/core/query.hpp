@@ -149,6 +149,14 @@ class NotQuery final : public Query {
   QueryPtr a_;
 };
 
+/// The intervals of @p q when it is a Compare or Interval leaf, or an Or
+/// tree whose every leaf is one of those on a single variable: the shape
+/// one index probe answers as a union of intervals (DESIGN.md Section 3).
+/// Returns false for any other shape, leaving the outputs unspecified.
+/// @p intervals must start empty.
+bool interval_union(const Query& q, std::string& variable,
+                    std::vector<Interval>& intervals);
+
 /// Parse a range-query expression, e.g. "px > 8.872e10 && (y > 0 || !(x < 1))".
 /// Grammar: comparisons `var (<|<=|>|>=|==) number` combined with `&&`, `||`,
 /// `!` and parentheses. Throws std::invalid_argument on malformed input.

@@ -143,7 +143,7 @@ class TimestepTable {
   bool has_indices() const;
 
   /// Budget-cached decoded-segment supplier for @p idx (variable @p name);
-  /// the lazy query path hands this to SegmentedBitmapIndex::evaluate_*.
+  /// the query path hands this to SegmentedBitmapIndex::pin.
   SegmentedBitmapIndex::SegmentFetch segment_fetch(
       const std::string& name, const SegmentedBitmapIndex& idx) const;
 
@@ -155,7 +155,9 @@ class TimestepTable {
     return HistogramEngine(*this, mode);
   }
 
-  /// Evaluate a query against this timestep.
+  /// Evaluate a query against this timestep. A Compare or Interval leaf,
+  /// or an Or of such leaves on one variable, is one index probe of the
+  /// union of their intervals (DESIGN.md Section 3).
   BitVector query(const Query& q, EvalMode mode = EvalMode::kAuto) const;
   BitVector query(const std::string& text, EvalMode mode = EvalMode::kAuto) const;
 

@@ -1,6 +1,7 @@
 #include "bitmap/bitmap_index.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <ostream>
@@ -23,11 +24,11 @@ Interval Interval::everything() { return {-kInf, kInf, true, true}; }
 
 Interval intersect(const Interval& a, const Interval& b) {
   Interval out = a;
-  if (b.lo > out.lo || (b.lo == out.lo && b.lo_open)) {
+  if (b.lo > out.lo || (b.lo == out.lo && b.lo_open) || std::isnan(b.lo)) {
     out.lo = b.lo;
     out.lo_open = b.lo_open;
   }
-  if (b.hi < out.hi || (b.hi == out.hi && b.hi_open)) {
+  if (b.hi < out.hi || (b.hi == out.hi && b.hi_open) || std::isnan(b.hi)) {
     out.hi = b.hi;
     out.hi_open = b.hi_open;
   }

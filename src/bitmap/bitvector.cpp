@@ -358,14 +358,6 @@ BitVector BitVector::load(std::istream& in) {
   return v;
 }
 
-namespace {
-
-// Serialized record layout (matching save()):
-//   nbits (u64) | nwords (u64) | active (u32) | active_bits (u32) | words
-constexpr std::size_t kRecordHeaderBytes = 24;
-
-}  // namespace
-
 std::size_t BitVector::serialized_size(std::span<const std::byte> image,
                                        std::size_t offset) {
   const auto nwords = detail::read_unaligned<std::uint64_t>(image, offset + 8);
@@ -391,8 +383,9 @@ BitVector BitVector::load(std::span<const std::byte> image, std::size_t& offset)
   if (offset + kRecordHeaderBytes + payload > image.size())
     throw std::runtime_error("BitVector: truncated serialized image");
   v.words_.resize(static_cast<std::size_t>(nwords));
-  std::memcpy(v.words_.data(), image.data() + offset + kRecordHeaderBytes,
-              payload);
+  if (payload > 0)  // an empty vector's data() may be null: memcpy's UB
+    std::memcpy(v.words_.data(), image.data() + offset + kRecordHeaderBytes,
+                payload);
   offset += kRecordHeaderBytes + payload;
   // Same group-coverage consistency check as the stream loader: a mapped
   // .bmi with bit-rotted fill counts must throw, not silently decode to a

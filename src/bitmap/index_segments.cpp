@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bitmap/kernels.hpp"
+
 namespace qdv {
 
 using detail::read_unaligned;
@@ -51,46 +53,72 @@ BitVector SegmentedBitmapIndex::decode_segment(std::size_t s) const {
   return BitVector::load(image_, cursor);
 }
 
-ApproxAnswer SegmentedBitmapIndex::evaluate_approx(
-    const Interval& iv, const SegmentFetch& fetch) const {
-  const detail::BinCoverage cov = detail::classify_bins(bins_, iv);
-  std::vector<std::size_t> full_segments, candidate_segments;
-  for (std::ptrdiff_t b = cov.full_lo; b <= cov.full_hi; ++b)
-    full_segments.push_back(static_cast<std::size_t>(b));
-  candidate_segments = cov.partial;
-  if (!outside_empty_) candidate_segments.push_back(outside_segment());
+SegmentedBitmapIndex::Probe SegmentedBitmapIndex::pin(
+    std::span<const Interval> ivs, const SegmentFetch& fetch) const {
+  // Per-bin status over the union: full if some interval covers the whole
+  // bin, partial if some interval touches it, none otherwise.
+  enum Status : std::uint8_t { kNone, kPartial, kFull };
+  const std::size_t nbins = bins_.num_bins();
+  std::vector<std::uint8_t> status(nbins, kNone);
+  for (const Interval& iv : ivs) {
+    if (iv.empty()) continue;
+    const detail::BinCoverage cov = detail::classify_bins(bins_, iv);
+    for (std::ptrdiff_t b = cov.full_lo; b <= cov.full_hi; ++b)
+      status[static_cast<std::size_t>(b)] = kFull;
+    for (const std::size_t b : cov.partial)
+      if (status[b] == kNone) status[b] = kPartial;
+  }
+  // The bins and the outside bitmap partition the rows, so the complement
+  // of every non-full segment is exactly the full bins.
+  std::uint64_t inside_words = 0, complement_words = 0;
+  for (std::size_t b = 0; b < nbins; ++b)
+    (status[b] == kFull ? inside_words : complement_words) += segment_words(b);
+  if (!outside_empty_) complement_words += segment_words(outside_segment());
 
-  // Pins (fetch path) or local decodes (direct path) backing the pointers
-  // handed to or_many.
-  std::vector<std::shared_ptr<const BitVector>> pins;
-  std::vector<BitVector> decoded;
-  decoded.reserve(full_segments.size() + candidate_segments.size());
-  const auto resolve = [&](std::size_t s) -> const BitVector* {
-    if (fetch) {
-      pins.push_back(fetch(s));
-      return pins.back().get();
-    }
-    decoded.push_back(decode_segment(s));
-    return &decoded.back();
+  Probe probe;
+  probe.nrows = nrows_;
+  probe.complement = complement_words < inside_words;
+  const auto get = [&](std::size_t s) {
+    return fetch ? fetch(s)
+                 : std::make_shared<const BitVector>(decode_segment(s));
   };
+  const auto add_candidate = [&](const std::shared_ptr<const BitVector>& bits) {
+    if (bits->count() > 0) probe.candidates.push_back(bits);
+  };
+  // One fetch per segment: on the complement side the partial bins and the
+  // outside bitmap are ORed and checked both.
+  for (std::size_t b = 0; b < nbins; ++b) {
+    const bool ored = (status[b] == kFull) != probe.complement;
+    if (!ored && status[b] != kPartial) continue;
+    std::shared_ptr<const BitVector> bits = get(b);
+    if (status[b] == kPartial) add_candidate(bits);
+    if (ored) probe.or_side.push_back(std::move(bits));
+  }
+  if (!outside_empty_) {
+    std::shared_ptr<const BitVector> bits = get(outside_segment());
+    add_candidate(bits);
+    if (probe.complement) probe.or_side.push_back(std::move(bits));
+  }
+  return probe;
+}
 
-  ApproxAnswer out;
-  std::vector<const BitVector*> operands;
-  operands.reserve(full_segments.size());
-  for (const std::size_t s : full_segments) operands.push_back(resolve(s));
-  out.hits = or_many(std::move(operands), nrows_);
-  operands.clear();
-  operands.reserve(candidate_segments.size());
-  for (const std::size_t s : candidate_segments) operands.push_back(resolve(s));
-  out.candidates = or_many(std::move(operands), nrows_);
-  return out;
+BitVector SegmentedBitmapIndex::Probe::run(std::span<const Interval> ivs,
+                                           std::span<const double> values) const {
+  const auto raw = [](const std::vector<std::shared_ptr<const BitVector>>& v) {
+    std::vector<const BitVector*> out;
+    out.reserve(v.size());
+    for (const auto& p : v) out.push_back(p.get());
+    return out;
+  };
+  return kern::probe_intervals(raw(or_side), complement, raw(candidates), ivs,
+                               values, nrows);
 }
 
 BitVector SegmentedBitmapIndex::evaluate(const Interval& iv,
                                          std::span<const double> values,
                                          const SegmentFetch& fetch) const {
-  return detail::resolve_candidates(iv, evaluate_approx(iv, fetch), values,
-                                    nrows_);
+  const std::span<const Interval> ivs(&iv, 1);
+  return pin(ivs, fetch).run(ivs, values);
 }
 
 std::size_t SegmentedBitmapIndex::metadata_bytes() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "bitmap/simd.hpp"
 #include "parallel/thread_pool.hpp"
@@ -587,6 +588,261 @@ BitVector or_many_kway(std::span<const BitVector* const> operands,
 }
 
 // ------------------------------------------------------------------------
+// Interval probe
+// ------------------------------------------------------------------------
+
+namespace {
+
+/// Accumulator window of probe_intervals, in 31-bit groups: 32 KiB of
+/// scratch (about 254K rows) whatever the row count.
+constexpr std::uint64_t kProbeWindowGroups = 8192;
+
+/// Resumable group walk over one WAH vector: walk(n, ...) visits the
+/// content of the next @p n groups, numbered from 0 in the callbacks, with
+/// any fill that crosses the end kept for the next call. Zero fills are
+/// skipped arithmetically; past the last word every group reads as zero.
+class GroupCursor {
+ public:
+  explicit GroupCursor(const BitVector& v)
+      : words_(BitVectorOps::words(v)),
+        tail_(BitVectorOps::active(v)),
+        tail_pending_(BitVectorOps::active_bits(v) > 0) {}
+
+  /// on_ones(g0, g1) for each one-fill stretch, on_literal(g, w) for each
+  /// literal group (the zero-padded tail group included). Returns the
+  /// groups [first, last) that content was reported in (first >= last when
+  /// none was).
+  template <typename OnOnes, typename OnLiteral>
+  std::pair<std::uint64_t, std::uint64_t> walk(std::uint64_t end,
+                                               OnOnes&& on_ones,
+                                               OnLiteral&& on_literal) {
+    std::uint64_t first = end, last = 0;
+    // First the rest of a fill that crossed the previous window's end.
+    std::uint64_t g = std::min(fill_left_, end);
+    if (fill_ones_ && g > 0) {
+      on_ones(0, g);
+      first = 0;
+      last = g;
+    }
+    fill_left_ -= g;
+    // Locals in the hot loop: the callbacks' stores cannot then force the
+    // cursor state back to memory on every word.
+    const std::uint32_t* const words = words_.data();
+    const std::size_t nwords = words_.size();
+    std::size_t i = idx_;
+    bool ones = false;  // the value of the last fill read
+    while (g < end && i < nwords) {
+      const std::uint32_t w = words[i++];
+      if (w & BitVectorOps::kFillFlag) {
+        ones = (w & BitVectorOps::kFillValueBit) != 0;
+        const std::uint64_t stop = g + (w & BitVectorOps::kCountMask);
+        if (ones) {
+          first = std::min(first, g);
+          last = std::min(stop, end);
+          on_ones(g, last);
+        }
+        g = stop;  // may overshoot end: the rest is kept below
+      } else {
+        first = std::min(first, g);
+        on_literal(g++, w);
+        last = g;
+      }
+    }
+    idx_ = i;
+    if (g > end) {
+      fill_left_ = g - end;
+      fill_ones_ = ones;
+    } else if (g < end && i == nwords && tail_pending_) {
+      tail_pending_ = false;
+      if (tail_ != 0) {
+        first = std::min(first, g);
+        on_literal(g, tail_);
+        last = g + 1;
+      }
+    }
+    return {first, last};
+  }
+
+ private:
+  std::span<const std::uint32_t> words_;
+  std::size_t idx_ = 0;
+  std::uint32_t tail_;
+  bool tail_pending_;
+  std::uint64_t fill_left_ = 0;
+  bool fill_ones_ = false;
+};
+
+/// Append @p n groups of one value to compressed @p words, extending a
+/// trailing fill of the same value (BitVector's append_fill, inline: the
+/// recompress loop would otherwise pay a call per group).
+void put_fill(std::vector<std::uint32_t>& words, bool ones, std::uint64_t n) {
+  const std::uint32_t head =
+      BitVectorOps::kFillFlag | (ones ? BitVectorOps::kFillValueBit : 0u);
+  if (!words.empty() && (words.back() & ~BitVectorOps::kCountMask) == head) {
+    const std::uint64_t have = words.back() & BitVectorOps::kCountMask;
+    const std::uint64_t take =
+        std::min<std::uint64_t>(n, BitVectorOps::kCountMask - have);
+    words.back() = head | static_cast<std::uint32_t>(have + take);
+    n -= take;
+  }
+  while (n > 0) {
+    const std::uint64_t take = std::min<std::uint64_t>(n, BitVectorOps::kCountMask);
+    words.push_back(head | static_cast<std::uint32_t>(take));
+    n -= take;
+  }
+}
+
+}  // namespace
+
+BitVector probe_intervals(std::span<const BitVector* const> or_side,
+                          bool complement,
+                          std::span<const BitVector* const> candidates,
+                          std::span<const Interval> ivs,
+                          std::span<const double> values, std::uint64_t nrows) {
+  constexpr std::uint32_t G = BitVectorOps::kGroupBits;
+  constexpr std::uint32_t kAll = BitVectorOps::kLiteralMask;
+  const std::uint64_t full_groups = nrows / G;
+  const auto tail_bits = static_cast<std::uint32_t>(nrows - full_groups * G);
+  const std::uint64_t ngroups = full_groups + (tail_bits > 0 ? 1 : 0);
+  const std::uint32_t tail_mask = (1u << tail_bits) - 1u;
+  if (!candidates.empty() && values.size() < nrows)
+    throw std::invalid_argument("probe_intervals: column shorter than nrows");
+  if (or_side.empty() && candidates.empty())  // nothing to read
+    return complement ? BitVector::ones(nrows) : BitVector::zeros(nrows);
+
+  std::vector<GroupCursor> ors, cands;
+  ors.reserve(or_side.size());
+  cands.reserve(candidates.size());
+  for (const BitVector* v : or_side) ors.emplace_back(*v);
+  for (const BitVector* v : candidates) cands.emplace_back(*v);
+  // Branch-free membership: candidate outcomes are data-dependent coin
+  // flips, and the endpoint flags are the same for every row.
+  const auto matches = [&](double x) {
+    bool in = false;
+    for (const Interval& iv : ivs)
+      in |= (iv.lo_open ? x > iv.lo : x >= iv.lo) &
+            (iv.hi_open ? x < iv.hi : x <= iv.hi);
+    return in;
+  };
+
+  // The accumulator, and the candidates' bits when there are candidates;
+  // both indexed by group - w0 and all zero between windows, so a window
+  // touches only the groups its content reaches.
+  const auto window = static_cast<std::size_t>(std::min(ngroups, kProbeWindowGroups));
+  std::vector<std::uint32_t> acc(window), cand_bits(cands.empty() ? 0 : window);
+  std::uint32_t* const a = acc.data();
+  std::uint32_t* const c = cand_bits.data();
+  // The recompressed result, reserved once rather than regrown (each
+  // regrowth copies and faults in fresh pages). An output word is a literal
+  // where some input has one, or a fill between them, so twice the input
+  // words is the usual ceiling (candidate one-fills can exceed it: the
+  // vector then just grows), and no result has more words than groups.
+  std::uint64_t input_words = 0;
+  for (const BitVector* v : or_side) input_words += v->word_count();
+  for (const BitVector* v : candidates) input_words += v->word_count();
+  std::vector<std::uint32_t> words;
+  words.reserve(static_cast<std::size_t>(std::min(full_groups, 2 * input_words + 1)));
+  std::uint32_t tail_word = complement ? tail_mask : 0u;
+  for (std::uint64_t w0 = 0; w0 < ngroups; w0 += kProbeWindowGroups) {
+    const std::uint64_t n = std::min(kProbeWindowGroups, ngroups - w0);
+    // The window's last group is the ragged tail group, if there is one.
+    const std::uint64_t tail_at =
+        (w0 + n == ngroups && tail_bits > 0) ? n - 1 : n;
+    // [lo, hi): the groups any content reached. Outside it every group is
+    // zero before the inversion, so it recompresses as one fill.
+    std::uint64_t lo = n, hi = 0;
+    const auto touched = [&](std::pair<std::uint64_t, std::uint64_t> r) {
+      if (r.first < r.second) {
+        lo = std::min(lo, r.first);
+        hi = std::max(hi, r.second);
+      }
+    };
+    for (GroupCursor& cur : ors)
+      touched(cur.walk(
+          n,
+          [a](std::uint64_t g0, std::uint64_t g1) {
+            std::fill(a + g0, a + g1, BitVectorOps::kLiteralMask);
+          },
+          [a](std::uint64_t g, std::uint32_t w) { a[g] |= w; }));
+    std::uint64_t clo = n, chi = 0;
+    for (GroupCursor& cur : cands) {
+      const auto r = cur.walk(
+          n,
+          [c](std::uint64_t g0, std::uint64_t g1) {
+            std::fill(c + g0, c + g1, BitVectorOps::kLiteralMask);
+          },
+          [c](std::uint64_t g, std::uint32_t w) { c[g] |= w; });
+      if (r.first < r.second) {
+        clo = std::min(clo, r.first);
+        chi = std::max(chi, r.second);
+      }
+    }
+    touched({clo, chi});
+    if (complement)
+      for (std::uint64_t g = lo; g < hi; ++g) a[g] = ~a[g] & kAll;
+    if (lo <= tail_at && tail_at < hi) {
+      a[tail_at] &= tail_mask;
+      if (clo < chi) c[tail_at] &= tail_mask;
+    }
+
+    // Candidate rows: one ascending pass over the column, checking only
+    // the bits the accumulator lacks — each row is read once however many
+    // candidate segments hold it.
+    if (clo < chi) {
+      const double* const window_rows = values.data() + w0 * G;
+      for (std::uint64_t g = clo; g < chi; ++g) {
+        std::uint32_t bits = c[g] & ~a[g];
+        c[g] = 0;
+        const double* const row = window_rows + g * G;
+        std::uint32_t hits = 0;
+        while (bits) {
+          const auto bit = static_cast<std::uint32_t>(std::countr_zero(bits));
+          bits &= bits - 1;
+          hits |= static_cast<std::uint32_t>(matches(row[bit])) << bit;
+        }
+        a[g] |= hits;
+      }
+    }
+
+    // Recompress the window's full groups: a fill up to lo, the touched
+    // groups, a fill after hi. The accumulator is zeroed as it is read.
+    const std::uint64_t stop = std::min(n, tail_at);
+    const std::uint64_t dense_lo = std::min(lo, stop);
+    const std::uint64_t dense_hi = std::max(dense_lo, std::min(hi, stop));
+    put_fill(words, complement, dense_lo);
+    for (std::uint64_t g = dense_lo; g < dense_hi;) {
+      const std::uint32_t w = a[g];
+      if (w == 0 || w == kAll) {
+        std::uint64_t e = g + 1;
+        while (e < dense_hi && a[e] == w) ++e;
+        put_fill(words, w != 0, e - g);
+        std::fill(a + g, a + e, 0u);
+        g = e;
+      } else {
+        words.push_back(w);
+        a[g++] = 0;
+      }
+    }
+    put_fill(words, complement, stop - dense_hi);
+    if (lo <= tail_at && tail_at < hi) {
+      tail_word = a[tail_at];
+      a[tail_at] = 0;
+    }
+  }
+  // Trim an over-reserved result to the slack that growth by doubling
+  // would have left: cached results are charged by capacity.
+  if (words.capacity() > 2 * words.size()) words.shrink_to_fit();
+  BitVector out;
+  BitVectorOps::set_words(out, std::move(words));
+  BitVectorOps::set_nbits(out, full_groups * G);
+  if (tail_bits > 0) {
+    BitVectorOps::set_tail(out, tail_word, tail_bits);
+    BitVectorOps::set_nbits(out, nrows);
+  }
+  return out;
+}
+
+// ------------------------------------------------------------------------
 // Sharded tally
 // ------------------------------------------------------------------------
 
@@ -642,39 +898,5 @@ void sharded_tally(std::uint64_t nrows, std::uint64_t work, std::size_t ncounts,
   const std::size_t nshards = std::min(workers, max_shards_by_mem);
   sharded_tally(nrows, ncounts, counts, fill, (big && nshards > 1) ? nshards : 1);
 }
-
-// ------------------------------------------------------------------------
-// Scalar references (differential-test twins; do not optimize)
-// ------------------------------------------------------------------------
-
-namespace ref {
-
-BitVector or_many_pairwise(std::span<const BitVector* const> operands,
-                           std::uint64_t nbits) {
-  if (operands.empty()) return BitVector::zeros(nbits);
-  if (operands.size() == 1) {
-    BitVector out = *operands[0];
-    if (out.size() < nbits) out.append_run(false, nbits - out.size());
-    return out;
-  }
-  std::vector<BitVector> level;
-  level.reserve((operands.size() + 1) / 2);
-  for (std::size_t i = 0; i + 1 < operands.size(); i += 2)
-    level.push_back(*operands[i] | *operands[i + 1]);
-  if (operands.size() % 2 == 1) level.push_back(*operands.back());
-  while (level.size() > 1) {
-    std::vector<BitVector> next;
-    next.reserve((level.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2)
-      next.push_back(level[i] | level[i + 1]);
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  BitVector out = std::move(level.front());
-  if (out.size() < nbits) out.append_run(false, nbits - out.size());
-  return out;
-}
-
-}  // namespace ref
 
 }  // namespace qdv::kern

@@ -25,6 +25,11 @@ BitVector EngineState::compute(const Query& q, std::size_t t) {
       return *evaluate(aq.lhs(), t) & *evaluate(aq.rhs(), t);
     }
     case Query::Kind::kOr: {
+      // An Or of range leaves on one variable is one probe of the table,
+      // cached under this node's key; its leaves are never evaluated alone.
+      std::string variable;
+      std::vector<Interval> ivs;
+      if (interval_union(q, variable, ivs)) return dataset.table(t).query(q, mode);
       const auto& oq = static_cast<const OrQuery&>(q);
       return *evaluate(oq.lhs(), t) | *evaluate(oq.rhs(), t);
     }

@@ -1,6 +1,7 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,8 +13,13 @@ namespace {
 
 /// De Morgan push-down: returns @p q with every NOT moved onto a leaf, and
 /// double negations eliminated. Comparisons absorb the negation by flipping
-/// the operator; kEq, IdIn, and Interval leaves keep an explicit NOT (their
-/// complements are not single predicates).
+/// the operator; kEq, IdIn, and two-sided Interval leaves keep an explicit
+/// NOT (their complements are not single predicates), and so does a
+/// comparison with a
+/// NaN constant: `y > nan` matches no row, so its negation matches every
+/// row, while the flipped `y <= nan` would again match none.
+QueryPtr predicate_for(const std::string& variable, const Interval& iv);
+
 QueryPtr push_not(const Query& q, bool negate) {
   switch (q.kind()) {
     case Query::Kind::kNot:
@@ -35,6 +41,8 @@ QueryPtr push_not(const Query& q, bool negate) {
     case Query::Kind::kCompare: {
       const auto& cq = static_cast<const CompareQuery&>(q);
       if (!negate) return Query::compare(cq.variable(), cq.op(), cq.value());
+      if (std::isnan(cq.value()))
+        return Query::lnot(Query::compare(cq.variable(), cq.op(), cq.value()));
       switch (cq.op()) {
         case CompareOp::kLt:
           return Query::compare(cq.variable(), CompareOp::kGe, cq.value());
@@ -50,8 +58,11 @@ QueryPtr push_not(const Query& q, bool negate) {
       throw std::logic_error("push_not: bad compare op");
     }
     case Query::Kind::kInterval: {
+      // Tightest form first: a one-sided interval is a comparison and
+      // absorbs the negation like one, so canonicalize stays a fixed point.
       const auto& vq = static_cast<const IntervalQuery&>(q);
-      QueryPtr leaf = Query::interval(vq.variable(), vq.interval());
+      QueryPtr leaf = predicate_for(vq.variable(), vq.interval());
+      if (leaf->kind() == Query::Kind::kCompare) return push_not(*leaf, negate);
       return negate ? Query::lnot(std::move(leaf)) : leaf;
     }
     case Query::Kind::kIdIn: {

@@ -390,18 +390,24 @@ BitVector scan_predicate(std::uint64_t rows, Pred&& pred) {
   return out;
 }
 
-BitVector scan_interval(const TimestepTable& table, const std::string& variable,
-                        const Interval& iv) {
+BitVector scan_intervals(const TimestepTable& table, const std::string& variable,
+                         std::span<const Interval> ivs) {
   const std::span<const double> values = table.column(variable);
-  return scan_predicate(values.size(),
-                        [&](std::uint64_t row) { return iv.contains(values[row]); });
+  return scan_predicate(values.size(), [&](std::uint64_t row) {
+    for (const Interval& iv : ivs)
+      if (iv.contains(values[row])) return true;
+    return false;
+  });
 }
 
-/// Shared index-first path of kCompare and kInterval: two-step evaluation
-/// when an index exists, sequential scan otherwise. The lazy path decodes
-/// only the per-bin segments the interval's bin coverage touches.
-BitVector eval_interval(const TimestepTable& table, const std::string& variable,
-                        const Interval& iv, EvalMode mode, std::uint64_t rows) {
+/// The one served range path: rows whose value lies in at least one of
+/// @p ivs, by one index probe when an index exists (sequential scan
+/// otherwise). The probe pins only the segments it reads (DESIGN.md §3).
+BitVector eval_intervals(const TimestepTable& table, const std::string& variable,
+                         std::vector<Interval> ivs, EvalMode mode,
+                         std::uint64_t rows) {
+  std::erase_if(ivs, [](const Interval& iv) { return iv.empty(); });
+  if (ivs.empty()) return BitVector::zeros(rows);
   if (mode != EvalMode::kScan) {
     if (table.index_quarantined(variable)) {
       // Already demoted: go straight to the scan path, no re-verification
@@ -411,35 +417,33 @@ BitVector eval_interval(const TimestepTable& table, const std::string& variable,
                              " is quarantined");
     } else {
       bool have_index = false;
-      std::optional<ApproxAnswer> approx;
+      std::optional<SegmentedBitmapIndex::Probe> probe;
       try {
         if (const SegmentedBitmapIndex* idx = table.value_index(variable)) {
           have_index = true;
-          approx =
-              idx->evaluate_approx(iv, table.segment_fetch(variable, *idx));
+          probe = idx->pin(ivs, table.segment_fetch(variable, *idx));
         }
       } catch (const IntegrityError&) {
-        // A segment failed its checksum mid-evaluation: quarantine the
+        // A segment failed its checksum while being pinned: quarantine the
         // index and demote this predicate to the scan path — same bits,
         // no index (DESIGN.md §15).
         if (mode == EvalMode::kIndex) throw;
         table.quarantine_index(variable);
-        approx.reset();
+        probe.reset();
       }
-      if (approx) {
-        // Load the raw column only when boundary bins need checking —
+      if (probe) {
+        // Load the raw column only when a candidate segment has set bits —
         // index-only answers (precision binning) never touch the data.
         // Column access stays outside the catch: a corrupt column is
         // ground truth damage, not an index demotion.
-        if (approx->candidates.count() == 0) return std::move(approx->hits);
-        return detail::resolve_candidates(iv, std::move(*approx),
-                                          table.column(variable), rows);
+        return probe->run(ivs, probe->needs_column() ? table.column(variable)
+                                                     : std::span<const double>{});
       }
       if (mode == EvalMode::kIndex && !have_index)
         throw std::runtime_error("no bitmap index for variable " + variable);
     }
   }
-  return scan_interval(table, variable, iv);
+  return scan_intervals(table, variable, ivs);
 }
 
 BitVector scan_id_in(const TimestepTable& table, const IdInQuery& q) {
@@ -454,15 +458,16 @@ BitVector scan_id_in(const TimestepTable& table, const IdInQuery& q) {
 
 BitVector TimestepTable::query(const Query& q, EvalMode mode) const {
   switch (q.kind()) {
-    case Query::Kind::kCompare: {
-      const auto& cq = static_cast<const CompareQuery&>(q);
-      return eval_interval(*this, cq.variable(), interval_for(cq.op(), cq.value()),
-                           mode, rows_);
-    }
-    case Query::Kind::kInterval: {
-      const auto& vq = static_cast<const IntervalQuery&>(q);
-      if (vq.interval().empty()) return BitVector::zeros(rows_);
-      return eval_interval(*this, vq.variable(), vq.interval(), mode, rows_);
+    case Query::Kind::kCompare:
+    case Query::Kind::kInterval:
+    case Query::Kind::kOr: {
+      // A leaf, or an Or of leaves on one variable: one probe of the union.
+      std::string variable;
+      std::vector<Interval> ivs;
+      if (interval_union(q, variable, ivs))
+        return eval_intervals(*this, variable, std::move(ivs), mode, rows_);
+      const auto& oq = static_cast<const OrQuery&>(q);
+      return query(oq.lhs(), mode) | query(oq.rhs(), mode);
     }
     case Query::Kind::kIdIn: {
       const auto& iq = static_cast<const IdInQuery&>(q);
@@ -477,10 +482,6 @@ BitVector TimestepTable::query(const Query& q, EvalMode mode) const {
     case Query::Kind::kAnd: {
       const auto& aq = static_cast<const AndQuery&>(q);
       return query(aq.lhs(), mode) & query(aq.rhs(), mode);
-    }
-    case Query::Kind::kOr: {
-      const auto& oq = static_cast<const OrQuery&>(q);
-      return query(oq.lhs(), mode) | query(oq.rhs(), mode);
     }
     case Query::Kind::kNot: {
       const auto& nq = static_cast<const NotQuery&>(q);

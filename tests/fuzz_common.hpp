@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,6 +154,18 @@ inline std::filesystem::path write_random_dataset(const std::string& name,
   return dir;
 }
 
+inline constexpr CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                     CompareOp::kGt, CompareOp::kGe,
+                                     CompareOp::kEq};
+
+/// A constant for @p var: mostly inside its domain, sometimes outside, and
+/// on the grid of the clustered variable.
+inline double random_value(std::uint64_t& state, const std::string& var) {
+  if (var == "a") return uniform(state, -120.0, 120.0);
+  if (var == "b") return 0.5 * static_cast<double>(next(state) % 45) - 11.0;
+  return uniform(state, -10.0, 1100.0);
+}
+
 /// Random comparison leaf. Values mostly land inside the variable's domain
 /// (interesting selectivities), sometimes outside (empty / full answers),
 /// and for the clustered variable often exactly on a stored value so `==`
@@ -160,24 +173,46 @@ inline std::filesystem::path write_random_dataset(const std::string& name,
 inline QueryPtr random_leaf(std::uint64_t& state) {
   const auto& vars = variables();
   const std::string& var = vars[next(state) % vars.size()];
-  static constexpr CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
-                                       CompareOp::kGt, CompareOp::kGe,
-                                       CompareOp::kEq};
   const CompareOp op = kOps[next(state) % 5];
-  double value = 0.0;
-  if (var == "a") {
-    value = uniform(state, -120.0, 120.0);
-  } else if (var == "b") {
-    value = 0.5 * static_cast<double>(next(state) % 45) - 11.0;  // on-grid
-  } else {
-    value = uniform(state, -10.0, 1100.0);
+  return Query::compare(var, op, random_value(state, var));
+}
+
+/// Random Or chain of 1-3 Compare/Interval leaves on one variable: the
+/// interval union that one index probe answers. Interval leaves get random
+/// open/closed ends and sometimes an infinite bound; a leaf may start where
+/// the previous one ended (adjacent), overlap it, or be empty.
+inline QueryPtr random_union(std::uint64_t& state) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto& vars = variables();
+  const std::string& var = vars[next(state) % vars.size()];
+  const std::size_t leaves = 1 + next(state) % 3;
+  QueryPtr out;
+  double prev_hi = random_value(state, var);
+  for (std::size_t i = 0; i < leaves; ++i) {
+    QueryPtr leaf;
+    const std::uint64_t shape = next(state) % 6;
+    if (shape == 0) {
+      leaf = Query::compare(var, kOps[next(state) % 5], random_value(state, var));
+    } else {
+      double lo = shape == 1 ? prev_hi : random_value(state, var);  // adjacent
+      double hi = random_value(state, var);
+      if (shape != 2 && lo > hi) std::swap(lo, hi);  // shape 2 may be empty
+      if (shape == 3) lo = -kInf;
+      if (shape == 4) hi = kInf;
+      const bool lo_open = next(state) % 2 == 0;
+      const bool hi_open = next(state) % 2 == 0;
+      leaf = Query::interval(var, Interval{lo, hi, lo_open, hi_open});
+      prev_hi = hi;
+    }
+    out = out ? Query::lor(std::move(out), std::move(leaf)) : std::move(leaf);
   }
-  return Query::compare(var, op, value);
+  return out;
 }
 
 inline QueryPtr random_query(std::uint64_t& state, std::size_t depth) {
   const std::uint64_t r = next(state) % 100;
-  if (depth == 0 || r < 50) return random_leaf(state);
+  if (depth == 0 || r < 42) return random_leaf(state);
+  if (r < 50) return random_union(state);
   if (r < 72) return Query::land(random_query(state, depth - 1),
                                  random_query(state, depth - 1));
   if (r < 92) return Query::lor(random_query(state, depth - 1),

@@ -63,6 +63,27 @@ void test_selection_matches_scan() {
   }
 }
 
+void test_nan_constants() {
+  // `y > nan` matches no row, so `!(y > nan)` matches every row — through
+  // the index path and through a scan of the canonical form alike (the
+  // scan of the raw tree always agreed; canonicalization used to flip the
+  // comparison to `y <= nan`, which matches none).
+  const core::Engine engine = core::Engine::open(dataset_dir());
+  const io::TimestepTable& table = engine.dataset().table(37);
+  const std::uint64_t rows = table.num_rows();
+  CHECK_EQ(engine.select("!(y > nan)").count(37), rows);
+  CHECK_EQ(engine.select("y > nan").count(37), 0u);
+  const QueryPtr canonical = core::canonicalize(parse_query("!(y > nan)"));
+  CHECK_EQ(table.query(*canonical, EvalMode::kScan).count(), rows);
+  CHECK_EQ(table.query(*canonical, EvalMode::kIndex).count(), rows);
+  // A NaN bound fuses to an empty interval, not away.
+  CHECK_EQ(engine.select("y < 1 && y > nan").count(37), 0u);
+  // Finite constants are unchanged.
+  CHECK_EQ(engine.select("!(y > 0)").count(37),
+           table.query("!(y > 0)", EvalMode::kScan).count());
+  CHECK(engine.select("!(y > 0)").count(37) > 0);
+}
+
 void test_parse_round_trip_semantics() {
   // parse_query(q->to_string()) selects exactly the same records as q, for
   // both the raw and the canonicalized tree.
@@ -236,6 +257,7 @@ void test_parallel_paths_share_engine_cache() {
 int main() {
   test_selection_matches_scan();
   test_parse_round_trip_semantics();
+  test_nan_constants();
   test_cache_accounting();
   test_cache_eviction();
   test_session_views_share_cache();

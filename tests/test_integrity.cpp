@@ -287,6 +287,93 @@ void test_corrupt_column_is_typed_error() {
   CHECK(typed);
 }
 
+// A copy of @p pristine under @p name, with the bin segments of a.bmi and
+// the interval-union gesture over them: `a` at the middle of bin 8 and of
+// bin 12 of its 24 bins, so bins 8-12 are the complement side the probe
+// reads and bins 0-7 and 13-23 the inside side it skips.
+struct UnionCase {
+  std::filesystem::path dir;
+  const SegmentedBitmapIndex* pristine_index = nullptr;
+  std::vector<Interval> ivs;
+  std::string gesture;
+};
+
+UnionCase union_case(const std::filesystem::path& pristine,
+                     const core::Engine& reference, const std::string& name) {
+  UnionCase c;
+  c.dir = qdv::test::scratch_dir(name) / "ds";
+  std::filesystem::copy(pristine, c.dir,
+                        std::filesystem::copy_options::recursive);
+  c.pristine_index = reference.dataset().table(0).value_index("a");
+  const std::vector<double>& e = c.pristine_index->bins().edges();
+  const double a = 0.5 * (e[8] + e[9]);
+  const double b = 0.5 * (e[12] + e[13]);
+  c.ivs = {Interval::at_most(a), Interval::greater_than(b)};
+  c.gesture = "(a <= " + format_double(a) + " || a > " + format_double(b) + ")";
+  return c;
+}
+
+void test_union_probe_demotes_on_complement_segment() {
+  const std::filesystem::path pristine = fuzz::write_random_dataset(
+      "integrity_union_src", /*timesteps=*/1, /*rows=*/500, /*seed=*/0x0417,
+      /*index_bins=*/24);
+  const core::Engine reference = core::Engine::open(pristine);
+  const io::TimestepTable& ref_table = reference.dataset().table(0);
+  const UnionCase c = union_case(pristine, reference, "integrity_union");
+  CHECK(c.pristine_index->pin(c.ivs).complement);
+  // Damage bin 10: a gap bin only the complement side reads.
+  const std::size_t victim = 10;
+  CHECK(c.pristine_index->segment_words(victim) > 0);
+  flip_byte_at(c.dir / io::step_dir_name(0) / "a.bmi",
+               c.pristine_index->segment_offset(victim) +
+                   BitVector::kRecordHeaderBytes);
+
+  const core::Engine engine = core::Engine::open(c.dir);
+  // A probe whose plan skips bin 10 answers from the index, undisturbed.
+  const std::string inside =
+      "a > " + format_double(c.pristine_index->bins().edges()[14]);
+  CHECK(engine.select(inside).bits(0)->to_positions() ==
+        ref_table.query(inside, EvalMode::kScan).to_positions());
+  CHECK_EQ(engine.stats().integrity_demotions, 0u);
+  // The gesture reads bin 10, fails its checksum, quarantines the index
+  // once, and demotes to the scan: the same bits.
+  CHECK(engine.select(c.gesture).bits(0)->to_positions() ==
+        ref_table.query(c.gesture, EvalMode::kScan).to_positions());
+  CHECK_EQ(engine.stats().integrity_demotions, 1u);
+  CHECK(engine.dataset().table(0).index_quarantined("a"));
+  CHECK(engine.select("(a <= 1 || a > 7)").bits(0)->to_positions() ==
+        ref_table.query("(a <= 1 || a > 7)", EvalMode::kScan).to_positions());
+  CHECK_EQ(engine.stats().integrity_demotions, 1u);
+}
+
+void test_union_probe_column_damage_is_typed() {
+  const std::filesystem::path pristine = fuzz::write_random_dataset(
+      "integrity_union_col_src", /*timesteps=*/1, /*rows=*/500,
+      /*seed=*/0x0418, /*index_bins=*/24);
+  const core::Engine reference = core::Engine::open(pristine);
+  const UnionCase c = union_case(pristine, reference, "integrity_union_col");
+  flip_byte_at(c.dir / io::step_dir_name(0) / "a.f64", 64);
+
+  const core::Engine engine = core::Engine::open(c.dir);
+  // An index-only answer (edges aligned, no candidate rows) never reads
+  // the column, so the damage stays unseen.
+  const std::string aligned =
+      "a >= " + format_double(c.pristine_index->bins().edges()[14]);
+  CHECK_EQ(engine.select(aligned).count(0),
+           reference.select(aligned).count(0));
+  // The gesture's boundary bins need the column: the candidate check meets
+  // the damage and fails typed — ground truth, not an index demotion.
+  bool typed = false;
+  try {
+    (void)engine.select(c.gesture).count(0);
+  } catch (const io::IntegrityError&) {
+    typed = true;
+  }
+  CHECK(typed);
+  CHECK_EQ(engine.stats().integrity_demotions, 0u);
+  CHECK(!engine.dataset().table(0).index_quarantined("a"));
+}
+
 // ---------------------------------------------------------- service edges ---
 
 void test_service_deadline_and_shedding() {
@@ -415,6 +502,8 @@ int main() {
   test_id_index_demotion_matches_scan();
   test_pyramid_demotion_matches_exact();
   test_corrupt_column_is_typed_error();
+  test_union_probe_demotes_on_complement_segment();
+  test_union_probe_column_damage_is_typed();
   test_service_deadline_and_shedding();
   test_protocol_deadline_and_statuses();
   return qdv::test::finish("test_integrity");

@@ -3,23 +3,27 @@
 // adversarial shapes — fills crossing the 30-bit fill-counter boundary,
 // mixed-length operands, empty/all-ones vectors, selectivities from 1e-5
 // to 1.0 — and results must be bit-identical.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "bitmap/bins.hpp"
 #include "bitmap/histogram.hpp"
 #include "bitmap/kernels.hpp"
 #include "bitmap/simd.hpp"
+#include "kernel_refs.hpp"
 #include "test_common.hpp"
 
 namespace {
 
 using qdv::Bins;
 using qdv::BitVector;
+using qdv::Interval;
 
 /// Deterministic xorshift run generator; max_run controls the shape (short
 /// runs = literal-heavy, long runs = fill-heavy).
@@ -249,6 +253,78 @@ void test_or_many_kway_vs_pairwise() {
   // Degenerate inputs.
   CHECK_EQ(qdv::kern::or_many_kway({}, 512).size(), 512u);
   CHECK_EQ(qdv::kern::or_many_kway({}, 512).count(), 0u);
+}
+
+/// The interval probe against the pairwise reference: its OR side (plain
+/// and inverted) is the OR of its operands, and each candidate row joins
+/// exactly when its value lies in one of the intervals. Operands of mixed
+/// lengths and shapes, plus row counts past one accumulator window with
+/// fills crossing the window edge.
+void test_probe_intervals_vs_reference() {
+  const std::vector<BitVector> shapes = shape_zoo();
+  std::vector<std::vector<const BitVector*>> sets;
+  const std::size_t picks[][5] = {
+      {3, 4, 0, 2, 9}, {10, 11, 12, 13, 14}, {1, 5, 6, 7, 8},
+      {9, 15, 16, 17, 18}, {19, 20, 21, 18, 12},
+  };
+  for (const auto& pick : picks) {
+    std::vector<const BitVector*> ops;
+    for (const std::size_t i : pick) ops.push_back(&shapes[i]);
+    sets.push_back(std::move(ops));
+  }
+  std::vector<BitVector> big;
+  big.push_back(make_sparse(600000, 0.01, 71));
+  big.push_back(make_sparse(600000, 0.3, 73));
+  {
+    BitVector v;  // one-fill across the 253,952-row window edge
+    v.append_run(false, 250000);
+    v.append_run(true, 10000);
+    v.append_run(false, 1);
+    v.append_run(true, 300001);
+    big.push_back(std::move(v));
+  }
+  big.push_back(BitVector::ones(600000));
+  sets.push_back({&big[0], &big[1], &big[2], &big[3]});
+  sets.push_back({&big[2], &big[0], &big[1]});
+
+  const std::vector<Interval> ivs = {Interval::between(10.0, 20.0),
+                                     Interval{50.0, 60.0, true, false}};
+  for (const std::vector<const BitVector*>& ops : sets) {
+    std::uint64_t longest = 0;
+    for (const BitVector* v : ops) longest = std::max(longest, v->size());
+    for (const std::uint64_t nbits : {longest, longest + 777}) {
+      std::vector<double> values(nbits);
+      for (std::uint64_t r = 0; r < nbits; ++r) values[r] = double(r % 97);
+      // The whole set as the OR side, plain and inverted.
+      const BitVector all = qdv::kern::ref::or_many_pairwise(ops, nbits);
+      CHECK(qdv::kern::probe_intervals(ops, false, {}, ivs, {}, nbits) == all);
+      CHECK(qdv::kern::probe_intervals(ops, true, {}, ivs, {}, nbits) == ~all);
+      // The first two as the OR side, the rest as candidates.
+      const std::span<const BitVector* const> or_side(ops.data(), 2);
+      const std::span<const BitVector* const> cands(ops.data() + 2,
+                                                    ops.size() - 2);
+      std::vector<std::uint32_t> rows;
+      for (const BitVector* c : cands)
+        c->for_each_set([&](std::uint64_t r) {
+          if (r < nbits && (ivs[0].contains(values[r]) || ivs[1].contains(values[r])))
+            rows.push_back(static_cast<std::uint32_t>(r));
+        });
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+      const BitVector survivors = BitVector::from_positions(rows, nbits);
+      const BitVector base = qdv::kern::ref::or_many_pairwise(
+          std::vector<const BitVector*>(or_side.begin(), or_side.end()), nbits);
+      CHECK(qdv::kern::probe_intervals(or_side, false, cands, ivs, values,
+                                       nbits) == (base | survivors));
+      CHECK(qdv::kern::probe_intervals(or_side, true, cands, ivs, values,
+                                       nbits) == (~base | survivors));
+    }
+  }
+  // Nothing to read: all zeros, or all ones for an empty complement side.
+  CHECK(qdv::kern::probe_intervals({}, false, {}, ivs, {}, 100) ==
+        BitVector::zeros(100));
+  CHECK(qdv::kern::probe_intervals({}, true, {}, ivs, {}, 100) ==
+        BitVector::ones(100));
 }
 
 void test_locator_matches_locate() {
@@ -696,6 +772,7 @@ int main() {
   test_blocked_windows();
   test_giant_fills_cross_counter_boundary();
   test_or_many_kway_vs_pairwise();
+  test_probe_intervals_vs_reference();
   test_locator_matches_locate();
   test_gather_hist_nan_rows();
   test_sharded_tally_matches_direct();

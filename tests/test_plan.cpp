@@ -45,6 +45,27 @@ void test_de_morgan() {
   CHECK(n->kind() == Query::Kind::kOr);
 }
 
+void test_nan_constants() {
+  // `a > nan` matches nothing, so its negation matches everything: the NOT
+  // stays (flipping to `a <= nan` would match nothing again). A finite
+  // constant still flips.
+  CHECK(canonicalize(parse_query("!(a > nan)"))->kind() == Query::Kind::kNot);
+  CHECK_EQ(key_of("!(a > 0)"), key_of("a <= 0"));
+  // A NaN bound survives fusion and the text form (it used to fuse away,
+  // leaving `a < 5`), and the fused leaf is a constant-empty step.
+  const QueryPtr fused = canonicalize(parse_query("a < 5 && a > nan"));
+  CHECK(fused->kind() == Query::Kind::kInterval);
+  CHECK(static_cast<const IntervalQuery&>(*fused).interval().empty());
+  CHECK(key_of("a < 5 && a > nan") != key_of("a < 5"));
+  CHECK_EQ(key_of(fused->to_string().c_str()), fused->to_string());
+  // A one-sided interval leaf under NOT flips like the comparison it is,
+  // so a second canonicalization changes nothing.
+  const QueryPtr negated = Query::lnot(
+      Query::interval("a", Interval::at_least(3.0)));
+  CHECK_EQ(canonicalize(negated)->to_string(), "a < 3");
+  CHECK_EQ(canonicalize(canonicalize(negated))->to_string(), "a < 3");
+}
+
 void test_interval_fusion() {
   // lo < x && x < hi fuses into a single interval predicate.
   const QueryPtr q = canonicalize(parse_query("x > 1 && x <= 2"));
@@ -136,6 +157,7 @@ int main() {
   test_flattening_is_canonical();
   test_duplicates_dropped();
   test_de_morgan();
+  test_nan_constants();
   test_interval_fusion();
   test_fused_interval_round_trips();
   test_contradiction_folds_to_constant();
