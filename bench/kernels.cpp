@@ -11,15 +11,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <span>
+#include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bitmap/bins.hpp"
+#include "bitmap/bitmap_index.hpp"
+#include "bitmap/index_segments.hpp"
 #include "bitmap/kernels.hpp"
 #include "bitmap/simd.hpp"
+#include "kernel_refs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -365,6 +372,140 @@ int main(int argc, char** argv) {
     char label[64];
     std::snprintf(label, sizeof(label), "or_many/fanin=%zu", fanin);
     report(label, t_scalar, t_block);
+  }
+
+  // ---- range steps: probe or scan (DESIGN.md Section 3) ----
+  // One explore-sized step (1,008,000 rows): y in random order, and px with
+  // a thermal bulk and a heavy tail, each indexed into 1024 uniform bins as
+  // the generator does. The probe rows carry the compressed words the
+  // probe reads and their ns per word; the scan rows carry ns per row per
+  // ISA. The range-step rule's constants (kern::kProbeNsPerWord,
+  // simd::Ops::scan_ns_per_row) are read off these rows.
+  {
+    const std::size_t step_rows = std::min<std::size_t>(rows, 1'008'000);
+    std::vector<double> y(step_rows), px(step_rows);
+    for (std::size_t i = 0; i < step_rows; ++i) {
+      y[i] = static_cast<double>(next_rand() >> 11) * 0x1.0p-52 - 1.0;
+      const double u = static_cast<double>(next_rand() >> 11) * 0x1.0p-53;
+      const double e = -std::log(1.0 - static_cast<double>(next_rand() >> 11) *
+                                           0x1.0p-53);
+      px[i] = u < 0.03 ? std::min(30.0 * e, 400.0) : std::min(e, 4.0);
+    }
+    struct Column {
+      const char* name;
+      const std::vector<double>& values;
+      std::string image;
+      SegmentedBitmapIndex index;
+    };
+    std::vector<Column> columns;
+    for (const auto& [name, values, hi] :
+         {std::tuple<const char*, const std::vector<double>&, double>{"y", y, 1.0},
+          {"px", px, 400.0}}) {
+      std::ostringstream out;
+      BitmapIndex::build(values, make_uniform_bins(name[0] == 'y' ? -1.0 : 0.0,
+                                                   hi, 1024))
+          .save(out);
+      columns.push_back({name, values, out.str(), {}});
+    }
+    for (Column& c : columns)
+      c.index = SegmentedBitmapIndex::open(
+          std::as_bytes(std::span<const char>(c.image)), nullptr);
+
+    const auto probe_row = [&](const Column& c, const char* what,
+                               const Interval& iv) {
+      const std::span<const Interval> ivs(&iv, 1);
+      const SegmentedBitmapIndex::ProbePlan plan = c.index.plan(ivs);
+      const SegmentedBitmapIndex::Probe probe = c.index.pin(plan);
+      BitVector got;
+      const double t = bench::time_best(
+          [&] { got = probe.run(ivs, c.values); }, 200, 0.3);
+      expect(got == kern::ref::scan_intervals_rows(c.values, ivs),
+             "probe_intervals result");
+      char label[96];
+      std::snprintf(label, sizeof(label), "probe_intervals/%s/%s", c.name, what);
+      const double ns_per_word = t * 1e9 / static_cast<double>(plan.words);
+      std::printf("%-44s %14s %14.5f %8.2f ns/word (%" PRIu64 " words)\n",
+                  label, "-", t, ns_per_word, plan.words);
+      json.row(label, t,
+               {{"words", static_cast<double>(plan.words)},
+                {"ns_per_word", ns_per_word}});
+    };
+    // y intervals centred on 0 at 5%, 20% and 50% of the domain.
+    for (const auto& [what, half] :
+         {std::pair<const char*, double>{"width=5%", 0.05}, {"width=20%", 0.2},
+          {"width=50%", 0.5}})
+      probe_row(columns[0], what, Interval::between(-half, half));
+    probe_row(columns[1], "bulk", Interval::greater_than(0.5));
+
+    // The scan of the 20% y interval at every supported level.
+    const simd::Isa initial = simd::active();
+    const Interval iv = Interval::between(-0.2, 0.2);
+    const std::span<const Interval> ivs(&iv, 1);
+    const BitVector want = kern::ref::scan_intervals_rows(y, ivs);
+    double t_scalar = 0.0;
+    for (const simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (!simd::supported(isa)) continue;
+      simd::force(isa);
+      BitVector got;
+      const double t = bench::time_best(
+          [&] { got = kern::scan_intervals(y, ivs); }, 200, 0.3);
+      expect(got == want, "scan_intervals result");
+      if (isa == simd::Isa::kScalar) t_scalar = t;
+      const double ns_per_row = t * 1e9 / static_cast<double>(step_rows);
+      char label[96];
+      std::snprintf(label, sizeof(label), "scan_intervals/y/isa=%s",
+                    simd::isa_name(isa));
+      std::printf("%-44s %14.5f %14.5f %8.3f ns/row\n", label, t_scalar, t,
+                  ns_per_row);
+      json.row(label, t,
+               {{"ns_per_row", ns_per_row},
+                {"speedup_vs_scalar", t > 0.0 ? t_scalar / t : 0.0}});
+    }
+    simd::force(initial);
+
+    // A quarantined y index: the row-at-a-time scan it used to fall back
+    // to, against the vector scan at the active level.
+    BitVector got;
+    const auto [t_rows, t_scan] = time_pair(
+        [&] { got = kern::ref::scan_intervals_rows(y, ivs); },
+        [&] { got = kern::scan_intervals(y, ivs); }, 100, 0.5);
+    expect(kern::scan_intervals(y, ivs) == want, "quarantined scan result");
+    report("scan_intervals/quarantined_y", t_rows, t_scan);
+
+    // ---- combine: the AND of explore's conjuncts and a brush refine ----
+    // y & px: two random-order range results (about 32K literal words
+    // each); y & x: x is value-ordered, so its range result is a zero
+    // fill, a literal, a one-fill, a literal and a zero fill.
+    std::vector<double> x(step_rows);
+    for (std::size_t i = 0; i < step_rows; ++i)
+      x[i] = static_cast<double>(i) / static_cast<double>(step_rows);
+    const Interval ypos = Interval::greater_than(0.0);
+    const Interval pxlo = Interval::less_than(1.0);
+    const Interval xmid = Interval::between(0.3, 0.6);
+    const BitVector ry = kern::scan_intervals(y, {&ypos, 1});
+    const BitVector rpx = kern::scan_intervals(px, {&pxlo, 1});
+    const BitVector rx = kern::scan_intervals(x, {&xmid, 1});
+    const auto combine_row = [&](const char* label, const BitVector& a,
+                                 const BitVector& b, char op) {
+      const auto bits = [op](bool p, bool q) {
+        return op == '&' ? (p && q) : op == '|' ? (p || q) : (p != q);
+      };
+      const auto run = [&] {
+        return op == '&' ? (a & b) : op == '|' ? (a | b) : (a ^ b);
+      };
+      BitVector out;
+      const double t_ref = bench::time_best(
+          [&] { out = kern::ref::combine_bits(a, b, bits); }, 3, 0.05);
+      expect(out == run(), label);
+      const double t = bench::time_best([&] { out = run(); }, 2000, 0.3);
+      report(label, t_ref, t);
+    };
+    combine_row("combine/y&px", ry, rpx, '&');
+    combine_row("combine/y&x", ry, rx, '&');
+    combine_row("combine/x&y", rx, ry, '&');
+    combine_row("combine/y|x", ry, rx, '|');
+    combine_row("combine/y^x", ry, rx, '^');
   }
 
   // ---- batch dispatch: thread spawn/join per batch vs persistent pool ----

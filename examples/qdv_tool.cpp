@@ -300,6 +300,9 @@ int cmd_query(const std::string& dir, const Args& args) {
               << s.hist1d_vector_calls << " vector / " << s.hist1d_scalar_calls
               << " scalar, hist2d " << s.hist2d_vector_calls << " vector / "
               << s.hist2d_scalar_calls << " scalar)\n";
+    std::cout << "ranges: " << s.range_probes << " probed (" << s.probe_words
+              << " words), " << s.range_scans << " scanned (" << s.scan_rows
+              << " rows)\n";
   }
   return 0;
 }

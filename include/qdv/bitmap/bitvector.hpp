@@ -140,10 +140,17 @@ class BitVector {
   static constexpr std::uint32_t kLiteralMask = 0x7FFFFFFFu;
 
   void append_fill(bool value, std::uint64_t groups);
-  void append_group(std::uint32_t literal);
+  /// One group: a fill when all zeros or all ones (the canonical form),
+  /// else a literal. Inline, since the word loops call it per group.
+  void append_group(std::uint32_t literal) {
+    literal &= kLiteralMask;
+    if (literal == 0 || literal == kLiteralMask) [[unlikely]]
+      append_fill(literal != 0, 1);
+    else
+      words_.push_back(literal);
+  }
   void flush_active();
 
-  friend class BitRunDecoder;
   friend struct kern::BitVectorOps;
   template <typename Op>
   friend BitVector combine(const BitVector& a, const BitVector& b, Op op);

@@ -90,6 +90,25 @@ class SegmentedBitmapIndex {
   using SegmentFetch =
       std::function<std::shared_ptr<const BitVector>(std::size_t segment)>;
 
+  /// What the probe of a union of intervals reads, worked out from the
+  /// segment directory alone (no segment is fetched or decoded).
+  struct ProbePlan {
+    /// Per bin: 0 outside the union, 1 partly inside, 2 fully inside.
+    std::vector<std::uint8_t> status;
+    /// True when the OR side is every segment but the bins fully inside.
+    bool complement = false;
+    /// Compressed words the probe reads: its OR side plus the segments
+    /// it checks against the column (the partial bins and a non-empty
+    /// outside bitmap). The probe side of the range-step rule.
+    std::uint64_t words = 0;
+    /// True when no segment the probe checks against the column is known,
+    /// from the directory, to hold a row: the outside bitmap is empty and
+    /// every partial bin's segment is no longer than an empty one. The
+    /// pinned probe then tells whether the column is read at all
+    /// (Probe::needs_column).
+    bool may_be_index_only = false;
+  };
+
   /// The segments one probe reads, pinned: pin() does all the segment I/O
   /// (and so meets every checksum failure), run() none of it.
   struct Probe {
@@ -105,18 +124,25 @@ class SegmentedBitmapIndex {
     bool needs_column() const { return !candidates.empty(); }
 
     /// The rows whose value lies in at least one of @p ivs (the intervals
-    /// pin() was given). @p values is the column, read only at candidate
-    /// bits; it may be empty when !needs_column().
+    /// the probe was planned for). @p values is the column, read only at
+    /// candidate bits; it may be empty when !needs_column().
     BitVector run(std::span<const Interval> ivs,
                   std::span<const double> values) const;
   };
 
-  /// Plan and pin the probe of the union of @p ivs (empty intervals are
-  /// ignored): classify every bin as fully, partly or not inside, then pin
-  /// the cheaper OR side by compressed words (the inside on a tie) and the
-  /// candidate segments, each segment fetched at most once. Without
+  /// Plan the probe of the union of @p ivs (empty intervals are ignored):
+  /// classify every bin as fully, partly or not inside, and pick the
+  /// cheaper OR side by compressed words (the inside on a tie).
+  ProbePlan plan(std::span<const Interval> ivs) const;
+
+  /// Pin the segments @p plan reads, each fetched at most once. Without
   /// @p fetch, segments are decoded directly from the image.
-  Probe pin(std::span<const Interval> ivs, const SegmentFetch& fetch = {}) const;
+  Probe pin(const ProbePlan& plan, const SegmentFetch& fetch = {}) const;
+
+  /// pin(plan(ivs), fetch).
+  Probe pin(std::span<const Interval> ivs, const SegmentFetch& fetch = {}) const {
+    return pin(plan(ivs), fetch);
+  }
 
   /// One-interval probe against the raw column.
   BitVector evaluate(const Interval& iv, std::span<const double> values,

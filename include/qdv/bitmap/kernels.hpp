@@ -1,9 +1,10 @@
 // Block-oriented execution kernels over WAH bitvectors (DESIGN.md
 // Section 10): the content walk that decodes compressed words in one pass
 // (zero fills skipped, one-fills reported as row ranges, literal runs read
-// in place), the one-pass interval probe that answers every served range
-// predicate, the k-way single-pass OR of the in-memory indices, and the
-// sharded tally driver for intra-timestep parallel histograms.
+// in place), the one-pass interval probe and the vector interval scan that
+// answer every served range predicate, the k-way single-pass OR of the
+// in-memory indices, and the sharded tally driver for intra-timestep
+// parallel histograms.
 //
 // The differential tests check these against element-at-a-time twins that
 // live with the tests (tests/kernel_refs.hpp), never in the library.
@@ -277,6 +278,26 @@ BitVector probe_intervals(std::span<const BitVector* const> or_side,
                           std::span<const BitVector* const> candidates,
                           std::span<const Interval> ivs,
                           std::span<const double> values, std::uint64_t nrows);
+
+/// The rows of @p values that lie in at least one of @p ivs, by the active
+/// ISA's scan kernel (simd::Ops::scan_intervals): each window of groups is
+/// compared in full and recompressed through the same loop as
+/// probe_intervals. Bit-identical to a row-at-a-time Interval::contains.
+BitVector scan_intervals(std::span<const double> values,
+                         std::span<const Interval> ivs);
+
+/// Nanoseconds per compressed word a probe reads, the probe side of the
+/// range-step rule: bench_kernels probe_intervals/y/width=5%, ns_per_word
+/// (median of three runs; BENCH_kernels.json holds one) — the row whose
+/// probe time sits nearest a scan's, where the rule's verdict matters.
+/// probe_intervals has no per-ISA body, so one constant serves every
+/// level.
+inline constexpr double kProbeNsPerWord = 3.5;
+
+/// The range-step cost rule (DESIGN.md Section 3): true when a probe that
+/// reads @p probe_words compressed words is estimated no slower than a
+/// scan of @p rows rows with the active ISA's scan kernel.
+bool probe_is_cheaper(std::uint64_t probe_words, std::uint64_t rows);
 
 /// Shard [0, nrows) across the global thread pool, give each shard a private
 /// zeroed count array of @p ncounts cells, and sum the partials into

@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernels (DESIGN.md Section 12): AVX2 and AVX-512
 // implementations of the flat per-row inner loops — set-bit position
-// extraction, vectorized bin location, and masked histogram accumulate —
-// selected once at startup via CPUID, with a scalar fallback that is always
-// built and always available.
+// extraction, vectorized bin location, masked histogram accumulate and the
+// interval scan — selected once at startup via CPUID, with a scalar
+// fallback that is always built and always available.
 //
 // Each ISA level lives in its own translation unit compiled with per-file
 // target flags (src/bitmap/simd_scalar.cpp / simd_avx2.cpp /
@@ -14,6 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "bitmap/interval.hpp"
 
 namespace qdv::simd {
 
@@ -121,6 +123,20 @@ struct Ops {
   void (*hist2d_dense)(const double* xs, const double* ys, std::size_t n,
                        const LocatorView& xloc, const LocatorView& yloc,
                        std::size_t ny, std::uint64_t* counts);
+
+  /// Membership of @p nrows values in the union of @p nivs intervals,
+  /// packed as 31-bit WAH literal groups: bit j of groups[g] is set when
+  /// values[31g + j] lies in some interval, exactly as Interval::contains
+  /// decides (NaN values and NaN bounds match nothing). Writes
+  /// ceil(nrows / 31) groups, the last one zero-padded; reads no value past
+  /// values[nrows - 1].
+  void (*scan_intervals)(const double* values, std::size_t nrows,
+                         const Interval* ivs, std::size_t nivs,
+                         std::uint32_t* groups);
+
+  /// Nanoseconds per row of scan_intervals at this level, the scan side of
+  /// the range-step rule (kern::probe_is_cheaper, DESIGN.md Section 3).
+  double scan_ns_per_row;
 };
 
 /// Kernel table of the active level.

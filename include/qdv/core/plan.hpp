@@ -6,9 +6,10 @@
 // nested And/Or chains are flattened, conjoined comparisons on one variable
 // are fused into a single IntervalQuery (one index probe instead of one per
 // comparison), duplicate operands are dropped, and operand lists are sorted.
-// plan_query() then records, per leaf predicate, whether the engine will
-// answer it from a bitmap/id index or a sequential scan, and renders the
-// whole decision as a human-readable explain() string.
+// plan_query() then records, per step (a leaf predicate, or a same-variable
+// Or of range leaves), whether the engine will answer it from a bitmap/id
+// index or a sequential scan, and renders the whole decision as a
+// human-readable explain() string.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +52,17 @@ enum class AccessPath {
   kPyramid,      // histogram-pyramid node classification (zoom routing only)
 };
 
+/// One step of a plan: an id-set leaf, or a range predicate — a Compare or
+/// Interval leaf, or an Or of such leaves on one variable, which one index
+/// probe answers as the union of their intervals (DESIGN.md Section 3).
 struct PredicateStep {
-  std::string predicate;  // canonical text of the leaf
+  std::string predicate;  // canonical text of the leaf (or the Or)
   std::string variable;
   AccessPath access = AccessPath::kScan;
   bool fused = false;     // true when the leaf is a fused IntervalQuery
+  /// A range step's non-empty intervals (empty for an id-set step, and
+  /// for a contradiction folded to kConstant).
+  std::vector<Interval> intervals;
   // True when the index exists on disk but was quarantined after failing a
   // checksum (DESIGN.md §15): the step planned kScan as a demotion, not
   // because no index was built. Plans cached before the quarantine keep
@@ -96,9 +103,13 @@ class ExecutionPlan {
   /// kScan otherwise. Empty when marginal_intervals() is nullopt or empty.
   const std::vector<PredicateStep>& zoom_steps() const { return zoom_steps_; }
 
-  /// Multi-line report: canonical query, cache key, the chosen access path
-  /// of every leaf predicate, and the zoom-tier routing decision.
-  std::string explain() const;
+  /// Multi-line report: canonical query, cache key, the access path of
+  /// every step, and the zoom-tier routing decision. Given @p table, each
+  /// range step also reports the probe-or-scan choice the executor makes
+  /// there under @p mode (TimestepTable::range_step): the compressed words
+  /// a probe reads, the rows a scan reads, and the path taken.
+  std::string explain(const io::TimestepTable* table = nullptr,
+                      EvalMode mode = EvalMode::kAuto) const;
 
  private:
   friend ExecutionPlan plan_query(QueryPtr query, const io::TimestepTable* probe);

@@ -83,6 +83,11 @@ class Dataset {
   /// the svc stats verb — DESIGN.md §15).
   const std::shared_ptr<IntegrityStats>& integrity_stats() const;
 
+  /// Dataset-wide range-step work counts: how many range steps every
+  /// table probed or scanned, and the words and rows they read (never
+  /// null; surfaced via EngineStats and the svc stats verb).
+  const std::shared_ptr<RangeStats>& range_stats() const;
+
   /// Global [min, max] of a variable across all timesteps.
   std::pair<double, double> global_domain(const std::string& name) const;
 

@@ -24,6 +24,7 @@
 // queries (and concurrent Selections sharing one mapped file) are safe.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <istream>
@@ -69,17 +70,28 @@ struct MetaLine {
 std::vector<MetaLine> read_meta_lines(std::istream& in,
                                       const std::filesystem::path& file);
 
+/// Work counts of the range steps a dataset's tables answered (DESIGN.md
+/// Section 3): each step is one index probe or one column scan.
+struct RangeStats {
+  std::atomic<std::uint64_t> probes{0};       // steps answered by a probe
+  std::atomic<std::uint64_t> scans{0};        // steps answered by a scan
+  std::atomic<std::uint64_t> probe_words{0};  // compressed words probed
+  std::atomic<std::uint64_t> scan_rows{0};    // rows scanned
+};
+
 class TimestepTable {
  public:
   /// Open the timestep stored in @p dir (reads meta.txt now, everything
   /// else lazily). @p budget is charged for every resident the table loads
   /// and may evict them; @p integrity receives this table's verification /
-  /// degradation counters (Dataset shares one across all its tables). Both
-  /// must be non-null. Checksums come from the directory's `checksums.qdv`
+  /// degradation counters and @p ranges its range-step work counts
+  /// (Dataset shares one of each across all its tables). All must be
+  /// non-null. Checksums come from the directory's `checksums.qdv`
   /// sidecar (io/checksum.hpp) — absent sidecar means every decode counts
   /// as unverified but everything still opens.
   TimestepTable(std::filesystem::path dir, std::shared_ptr<MemoryBudget> budget,
-                std::shared_ptr<IntegrityStats> integrity);
+                std::shared_ptr<IntegrityStats> integrity,
+                std::shared_ptr<RangeStats> ranges);
 
   std::uint64_t num_rows() const { return rows_; }
   const std::vector<std::string>& variables() const { return variables_; }
@@ -125,6 +137,28 @@ class TimestepTable {
   const std::shared_ptr<IntegrityStats>& integrity_stats() const {
     return integrity_;
   }
+
+  /// The range-step work counts this table reports into.
+  const std::shared_ptr<RangeStats>& range_stats() const { return ranges_; }
+
+  /// How one range step — the rows of @p variable in the union of the
+  /// non-empty intervals @p ivs — is answered at this timestep under
+  /// @p mode: the one place the probe-or-scan choice is made (DESIGN.md
+  /// Section 3). kIndex always probes (and throws without a usable index),
+  /// kScan always scans. kAuto probes a usable index when the probe reads
+  /// no column (it is index-only) or when kern::probe_is_cheaper weighs
+  /// its compressed words below a scan of the rows; otherwise it scans. A
+  /// segment failing its checksum while pinned quarantines the index, and
+  /// the step scans.
+  struct RangeStep {
+    std::uint64_t probe_words = 0;  // what a probe reads (0: no usable index)
+    std::uint64_t scan_rows = 0;    // what a scan reads
+    /// The probe's segments, pinned, when the step probes; empty when it
+    /// scans.
+    std::optional<SegmentedBitmapIndex::Probe> pinned;
+  };
+  RangeStep range_step(const std::string& variable, std::span<const Interval> ivs,
+                       EvalMode mode) const;
 
   /// Histogram pyramid of one column (`<name>.pyr`) or of a column pair
   /// (`<x>__<y>.pyr`, exactly that axis order — callers try both
@@ -172,6 +206,7 @@ class TimestepTable {
   std::unordered_map<std::string, std::pair<double, double>> domains_;
   std::shared_ptr<const ChecksumSet> sums_;  // sidecar; nullptr = unverified
   std::shared_ptr<IntegrityStats> integrity_;  // never null
+  std::shared_ptr<RangeStats> ranges_;         // never null
 
   // Lazy-loading state, guarded by mutex_. Handles are stored in node-based
   // maps, so references stay stable while the maps grow.

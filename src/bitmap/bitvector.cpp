@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <span>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -17,17 +18,6 @@ constexpr std::uint32_t kFillValueBit = 0x40000000u;
 constexpr std::uint32_t kCountMask = 0x3FFFFFFFu;
 constexpr std::uint32_t kLiteralMask = 0x7FFFFFFFu;
 }  // namespace
-
-void BitVector::append_group(std::uint32_t literal) {
-  literal &= kLiteralMask;
-  if (literal == 0) {
-    append_fill(false, 1);
-  } else if (literal == kLiteralMask) {
-    append_fill(true, 1);
-  } else {
-    words_.push_back(literal);
-  }
-}
 
 void BitVector::append_fill(bool value, std::uint64_t groups) {
   if (groups == 0) return;
@@ -135,125 +125,198 @@ bool BitVector::test(std::uint64_t pos) const {
   return false;
 }
 
-/// Streaming decoder over the compressed words of a BitVector: yields runs of
-/// whole groups (fills) or single literal groups, then zero-fills forever
-/// (callers zero-extend shorter operands).
-class BitRunDecoder {
- public:
-  explicit BitRunDecoder(const BitVector& v) : v_(v) { advance(); }
+namespace {
 
-  bool is_fill() const { return is_fill_; }
-  bool fill_value() const { return fill_value_; }
-  std::uint64_t groups() const { return groups_; }
+/// What a bitwise operator makes of the other operand's groups where one
+/// operand is a fill: a constant, the other operand's groups unchanged, or
+/// their inversion. Bitwise operators allow nothing else.
+enum class FillResult : std::uint8_t { kZeros, kOnes, kPass, kInvert };
+
+template <typename Op>
+FillResult fill_result(Op op, bool fill_ones, bool fill_is_lhs) {
+  const std::uint32_t fill = fill_ones ? kLiteralMask : 0u;
+  const auto apply = [&](std::uint32_t other) {
+    return (fill_is_lhs ? op(fill, other) : op(other, fill)) & kLiteralMask;
+  };
+  const std::uint32_t on_zeros = apply(0u);
+  if (on_zeros == apply(kLiteralMask))
+    return on_zeros != 0 ? FillResult::kOnes : FillResult::kZeros;
+  return on_zeros == 0 ? FillResult::kPass : FillResult::kInvert;
+}
+
+/// One operand of a binary operation, positioned at one group: its
+/// compressed words, then its zero-padded tail group as one literal, then
+/// zeros forever (operands of different lengths are zero-extended).
+class RunCursor {
+ public:
+  explicit RunCursor(const BitVector& v)
+      : words_(kern::BitVectorOps::words(v)),
+        tail_(kern::BitVectorOps::active(v)),
+        tail_pending_(kern::BitVectorOps::active_bits(v) > 0) {
+    next();
+  }
+
+  /// The current group is part of a fill of fill_left() groups; otherwise
+  /// it is the literal literal().
+  bool in_fill() const { return fill_left_ > 0; }
+  std::uint64_t fill_left() const { return fill_left_; }
+  bool fill_ones() const { return fill_ones_; }
   std::uint32_t literal() const { return literal_; }
 
-  /// Consume @p n groups (n <= groups() when is_fill(); n == 1 for literals).
-  void consume(std::uint64_t n) {
-    groups_ -= n;
-    if (groups_ == 0) advance();
+  /// The words after the current one, not yet read.
+  std::span<const std::uint32_t> rest() const { return words_.subspan(idx_); }
+
+  /// Step past the current literal and @p words more of rest(), all of
+  /// them literals.
+  void take_literals(std::size_t words) {
+    idx_ += words;
+    next();
+  }
+
+  /// Step past @p n groups.
+  void skip(std::uint64_t n) {
+    while (n > 0) {
+      if (fill_left_ > 0) {
+        const std::uint64_t take = std::min(n, fill_left_);
+        fill_left_ -= take;
+        n -= take;
+        if (fill_left_ == 0) next();
+        continue;
+      }
+      const std::size_t k = literals_ahead(n - 1);
+      take_literals(k);
+      n -= k + 1;
+    }
+  }
+
+  /// How many of the next @p limit words of rest() are literals, counted
+  /// up to the first fill.
+  std::size_t literals_ahead(std::uint64_t limit) const {
+    const std::span<const std::uint32_t> rest = this->rest();
+    const std::size_t stop =
+        static_cast<std::size_t>(std::min<std::uint64_t>(rest.size(), limit));
+    std::size_t k = 0;
+    while (k < stop && !(rest[k] & kFillFlag)) ++k;
+    return k;
   }
 
  private:
-  void advance() {
-    if (idx_ < v_.words_.size()) {
-      const std::uint32_t w = v_.words_[idx_++];
-      if (w & 0x80000000u) {
-        is_fill_ = true;
-        fill_value_ = (w & 0x40000000u) != 0;
-        groups_ = w & 0x3FFFFFFFu;
-      } else {
-        is_fill_ = false;
+  void next() {
+    while (idx_ < words_.size()) {
+      const std::uint32_t w = words_[idx_++];
+      if (!(w & kFillFlag)) {
         literal_ = w;
-        groups_ = 1;
+        return;
       }
+      fill_left_ = w & kCountMask;  // an empty fill word covers nothing
+      fill_ones_ = (w & kFillValueBit) != 0;
+      if (fill_left_ > 0) return;
+    }
+    if (tail_pending_) {
+      tail_pending_ = false;
+      literal_ = tail_;
       return;
     }
-    if (!tail_emitted_ && v_.active_bits_ > 0) {
-      // The partial tail group, zero-padded to a whole group (correct for
-      // the zero-extension semantics of mixed-length operands).
-      tail_emitted_ = true;
-      is_fill_ = false;
-      literal_ = v_.active_;
-      groups_ = 1;
-      return;
-    }
-    // Past the end: an infinite zero fill.
-    is_fill_ = true;
-    fill_value_ = false;
-    groups_ = ~std::uint64_t{0};
+    fill_left_ = ~std::uint64_t{0};
+    fill_ones_ = false;
   }
 
-  const BitVector& v_;
+  std::span<const std::uint32_t> words_;
   std::size_t idx_ = 0;
-  bool tail_emitted_ = false;
-  bool is_fill_ = false;
-  bool fill_value_ = false;
+  std::uint32_t tail_;
+  bool tail_pending_;
+  std::uint64_t fill_left_ = 0;
+  bool fill_ones_ = false;
   std::uint32_t literal_ = 0;
-  std::uint64_t groups_ = 0;
 };
-
-namespace {
-
-/// The 31-bit group with index @p group of @p v, zero-padded past the end:
-/// one pass over the compressed words. Replaces the combine() tail path that
-/// extracted the same bits one test() call each (O(31 * words) per operand).
-std::uint32_t group_word(const BitVector& v, std::uint64_t group) {
-  std::uint64_t g = 0;
-  for (const std::uint32_t w : kern::BitVectorOps::words(v)) {
-    if (w & kFillFlag) {
-      const std::uint64_t run = w & kCountMask;
-      if (group < g + run) return (w & kFillValueBit) ? kLiteralMask : 0u;
-      g += run;
-    } else {
-      if (group == g) return w;
-      ++g;
-    }
-  }
-  return group == g ? kern::BitVectorOps::active(v) : 0u;
-}
 
 }  // namespace
 
 template <typename Op>
 BitVector combine(const BitVector& a, const BitVector& b, Op op) {
-  BitVector out;
   const std::uint64_t nbits = std::max(a.nbits_, b.nbits_);
   const std::uint64_t full_groups = nbits / BitVector::kGroupBits;
-  BitRunDecoder da(a), db(b);
+  const FillResult a_zeros = fill_result(op, false, true);
+  const FillResult a_ones = fill_result(op, true, true);
+  const FillResult b_zeros = fill_result(op, false, false);
+  const FillResult b_ones = fill_result(op, true, false);
+  BitVector out;
+  // Reserved once: every output word comes from a word of either operand
+  // (or a tail group), and no vector has more words than groups.
+  out.words_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      a.words_.size() + b.words_.size() + 2, full_groups)));
+  // Append @p n groups of @p other where the other operand is a fill that
+  // makes them @p result, advancing @p other past them.
+  const auto against_fill = [&out](RunCursor& other, std::uint64_t n,
+                                   FillResult result) {
+    if (result == FillResult::kZeros || result == FillResult::kOnes) {
+      out.append_fill(result == FillResult::kOnes, n);
+      other.skip(n);
+      return;
+    }
+    const bool invert = result == FillResult::kInvert;
+    while (n > 0) {
+      if (other.in_fill()) {
+        const std::uint64_t take = std::min(n, other.fill_left());
+        out.append_fill(other.fill_ones() != invert, take);
+        other.skip(take);
+        n -= take;
+        continue;
+      }
+      // A literal run: copied (or inverted) word for word. Literal words
+      // of an operand are never all zeros or all ones; only the tail
+      // group, read as the current literal, can be.
+      out.append_group(invert ? ~other.literal() : other.literal());
+      const std::size_t k = other.literals_ahead(n - 1);
+      const std::uint32_t* run = other.rest().data();
+      if (invert) {
+        for (std::size_t i = 0; i < k; ++i)
+          out.words_.push_back(~run[i] & kLiteralMask);
+      } else {
+        out.words_.insert(out.words_.end(), run, run + k);
+      }
+      other.take_literals(k);
+      n -= k + 1;
+    }
+  };
+  RunCursor ca(a), cb(b);  // both always at group `done`
   std::uint64_t done = 0;
   while (done < full_groups) {
-    const std::uint64_t n =
-        std::min({da.groups(), db.groups(), full_groups - done});
-    if (da.is_fill() && db.is_fill()) {
-      out.append_fill(op(da.fill_value() ? kLiteralMask : 0u,
-                         db.fill_value() ? kLiteralMask : 0u) != 0,
-                      n);
-      da.consume(n);
-      db.consume(n);
+    if (ca.in_fill()) {
+      const std::uint64_t n = std::min(ca.fill_left(), full_groups - done);
+      against_fill(cb, n, ca.fill_ones() ? a_ones : a_zeros);
+      ca.skip(n);
+      done += n;
+    } else if (cb.in_fill()) {
+      const std::uint64_t n = std::min(cb.fill_left(), full_groups - done);
+      against_fill(ca, n, cb.fill_ones() ? b_ones : b_zeros);
+      cb.skip(n);
       done += n;
     } else {
-      const std::uint32_t wa =
-          da.is_fill() ? (da.fill_value() ? kLiteralMask : 0u) : da.literal();
-      const std::uint32_t wb =
-          db.is_fill() ? (db.fill_value() ? kLiteralMask : 0u) : db.literal();
-      out.append_group(op(wa, wb) & kLiteralMask);
-      da.consume(1);
-      db.consume(1);
-      ++done;
+      // Two literal runs: one pass over both word arrays until either
+      // reaches a fill.
+      out.append_group(op(ca.literal(), cb.literal()));
+      const std::span<const std::uint32_t> ra = ca.rest(), rb = cb.rest();
+      const std::size_t limit = static_cast<std::size_t>(std::min<std::uint64_t>(
+          std::min(ra.size(), rb.size()), full_groups - done - 1));
+      std::size_t k = 0;
+      for (; k < limit && !((ra[k] | rb[k]) & kFillFlag); ++k)
+        out.append_group(op(ra[k], rb[k]));
+      ca.take_literals(k);
+      cb.take_literals(k);
+      done += k + 1;
     }
   }
+  if (out.words_.capacity() > 2 * out.words_.size()) out.words_.shrink_to_fit();
   out.nbits_ = full_groups * BitVector::kGroupBits;
-  // Partial tail group: at most one operand still has literal tail bits.
-  const std::uint32_t tail = static_cast<std::uint32_t>(nbits - out.nbits_);
+  // Partial tail group: both cursors now sit on group full_groups.
+  const auto tail = static_cast<std::uint32_t>(nbits - out.nbits_);
   if (tail > 0) {
-    const auto tail_word = [full_groups](const BitVector& v) -> std::uint32_t {
-      if (v.nbits_ / BitVector::kGroupBits == full_groups && v.active_bits_ > 0)
-        return v.active_;
-      // The operand's tail region is covered by compressed words (or it is
-      // shorter than nbits): extract the whole group in one pass.
-      return group_word(v, full_groups);
+    const auto group = [](const RunCursor& c) -> std::uint32_t {
+      if (!c.in_fill()) return c.literal();
+      return c.fill_ones() ? kLiteralMask : 0u;
     };
-    out.active_ = op(tail_word(a), tail_word(b)) & ((1u << tail) - 1u);
+    out.active_ = op(group(ca), group(cb)) & ((1u << tail) - 1u);
     out.active_bits_ = tail;
     out.nbits_ = nbits;
   }

@@ -1,5 +1,6 @@
 #include "bitmap/index_segments.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -53,31 +54,55 @@ BitVector SegmentedBitmapIndex::decode_segment(std::size_t s) const {
   return BitVector::load(image_, cursor);
 }
 
-SegmentedBitmapIndex::Probe SegmentedBitmapIndex::pin(
-    std::span<const Interval> ivs, const SegmentFetch& fetch) const {
+namespace {
+enum Status : std::uint8_t { kNone, kPartial, kFull };
+}  // namespace
+
+SegmentedBitmapIndex::ProbePlan SegmentedBitmapIndex::plan(
+    std::span<const Interval> ivs) const {
   // Per-bin status over the union: full if some interval covers the whole
   // bin, partial if some interval touches it, none otherwise.
-  enum Status : std::uint8_t { kNone, kPartial, kFull };
   const std::size_t nbins = bins_.num_bins();
-  std::vector<std::uint8_t> status(nbins, kNone);
+  ProbePlan plan;
+  plan.status.assign(nbins, kNone);
   for (const Interval& iv : ivs) {
     if (iv.empty()) continue;
     const detail::BinCoverage cov = detail::classify_bins(bins_, iv);
     for (std::ptrdiff_t b = cov.full_lo; b <= cov.full_hi; ++b)
-      status[static_cast<std::size_t>(b)] = kFull;
+      plan.status[static_cast<std::size_t>(b)] = kFull;
     for (const std::size_t b : cov.partial)
-      if (status[b] == kNone) status[b] = kPartial;
+      if (plan.status[b] == kNone) plan.status[b] = kPartial;
   }
   // The bins and the outside bitmap partition the rows, so the complement
   // of every non-full segment is exactly the full bins.
-  std::uint64_t inside_words = 0, complement_words = 0;
-  for (std::size_t b = 0; b < nbins; ++b)
-    (status[b] == kFull ? inside_words : complement_words) += segment_words(b);
-  if (!outside_empty_) complement_words += segment_words(outside_segment());
+  std::uint64_t inside_words = 0, complement_words = 0, candidate_words = 0;
+  // An empty segment is one zero fill per 2^30 - 1 groups, so a longer
+  // (canonical) segment holds a row.
+  const std::uint64_t groups = nrows_ / BitVector::kGroupBits;
+  const std::uint64_t empty_words = (groups + 0x3FFFFFFEu) / 0x3FFFFFFFu;
+  plan.may_be_index_only = outside_empty_;
+  for (std::size_t b = 0; b < nbins; ++b) {
+    const std::uint64_t words = segment_words(b);
+    (plan.status[b] == kFull ? inside_words : complement_words) += words;
+    if (plan.status[b] == kPartial) {
+      candidate_words += words;
+      plan.may_be_index_only &= words <= empty_words;
+    }
+  }
+  if (!outside_empty_) {
+    complement_words += segment_words(outside_segment());
+    candidate_words += segment_words(outside_segment());
+  }
+  plan.complement = complement_words < inside_words;
+  plan.words = std::min(inside_words, complement_words) + candidate_words;
+  return plan;
+}
 
+SegmentedBitmapIndex::Probe SegmentedBitmapIndex::pin(
+    const ProbePlan& plan, const SegmentFetch& fetch) const {
   Probe probe;
   probe.nrows = nrows_;
-  probe.complement = complement_words < inside_words;
+  probe.complement = plan.complement;
   const auto get = [&](std::size_t s) {
     return fetch ? fetch(s)
                  : std::make_shared<const BitVector>(decode_segment(s));
@@ -87,11 +112,11 @@ SegmentedBitmapIndex::Probe SegmentedBitmapIndex::pin(
   };
   // One fetch per segment: on the complement side the partial bins and the
   // outside bitmap are ORed and checked both.
-  for (std::size_t b = 0; b < nbins; ++b) {
-    const bool ored = (status[b] == kFull) != probe.complement;
-    if (!ored && status[b] != kPartial) continue;
+  for (std::size_t b = 0; b < plan.status.size(); ++b) {
+    const bool ored = (plan.status[b] == kFull) != probe.complement;
+    if (!ored && plan.status[b] != kPartial) continue;
     std::shared_ptr<const BitVector> bits = get(b);
-    if (status[b] == kPartial) add_candidate(bits);
+    if (plan.status[b] == kPartial) add_candidate(bits);
     if (ored) probe.or_side.push_back(std::move(bits));
   }
   if (!outside_empty_) {

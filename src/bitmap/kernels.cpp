@@ -588,13 +588,13 @@ BitVector or_many_kway(std::span<const BitVector* const> operands,
 }
 
 // ------------------------------------------------------------------------
-// Interval probe
+// Interval probe and scan
 // ------------------------------------------------------------------------
 
 namespace {
 
-/// Accumulator window of probe_intervals, in 31-bit groups: 32 KiB of
-/// scratch (about 254K rows) whatever the row count.
+/// Accumulator window of probe_intervals and scan_intervals, in 31-bit
+/// groups: 32 KiB of scratch (about 254K rows) whatever the row count.
 constexpr std::uint64_t kProbeWindowGroups = 8192;
 
 /// Resumable group walk over one WAH vector: walk(n, ...) visits the
@@ -690,6 +690,54 @@ void put_fill(std::vector<std::uint32_t>& words, bool ones, std::uint64_t n) {
     words.push_back(head | static_cast<std::uint32_t>(take));
     n -= take;
   }
+}
+
+/// The one recompress loop of the window kernels (probe_intervals and
+/// scan_intervals): append full groups [0, @p stop) of the window
+/// accumulator @p a to @p words — groups outside [lo, hi) as fills of
+/// @p background, the rest as fills or literals by content — zeroing the
+/// accumulator as it is read.
+void encode_window(std::vector<std::uint32_t>& words, std::uint32_t* a,
+                   std::uint64_t lo, std::uint64_t hi, std::uint64_t stop,
+                   bool background) {
+  constexpr std::uint32_t kAll = BitVectorOps::kLiteralMask;
+  const std::uint64_t dense_lo = std::min(lo, stop);
+  const std::uint64_t dense_hi = std::max(dense_lo, std::min(hi, stop));
+  put_fill(words, background, dense_lo);
+  for (std::uint64_t g = dense_lo; g < dense_hi;) {
+    const std::uint32_t w = a[g];
+    if (w == 0 || w == kAll) {
+      std::uint64_t e = g + 1;
+      while (e < dense_hi && a[e] == w) ++e;
+      put_fill(words, w != 0, e - g);
+      std::fill(a + g, a + e, 0u);
+      g = e;
+    } else {
+      words.push_back(w);
+      a[g++] = 0;
+    }
+  }
+  put_fill(words, background, stop - dense_hi);
+}
+
+/// The vector of @p nrows bits whose full groups are @p words and whose
+/// ragged last group (if any) is @p tail_word. Trims an over-reserved word
+/// array to the slack growth by doubling would have left: cached results
+/// are charged by capacity.
+BitVector finish_vector(std::vector<std::uint32_t> words, std::uint64_t nrows,
+                        std::uint32_t tail_word) {
+  constexpr std::uint32_t G = BitVectorOps::kGroupBits;
+  if (words.capacity() > 2 * words.size()) words.shrink_to_fit();
+  const std::uint64_t full_groups = nrows / G;
+  const auto tail_bits = static_cast<std::uint32_t>(nrows - full_groups * G);
+  BitVector out;
+  BitVectorOps::set_words(out, std::move(words));
+  BitVectorOps::set_nbits(out, full_groups * G);
+  if (tail_bits > 0) {
+    BitVectorOps::set_tail(out, tail_word, tail_bits);
+    BitVectorOps::set_nbits(out, nrows);
+  }
+  return out;
 }
 
 }  // namespace
@@ -805,41 +853,45 @@ BitVector probe_intervals(std::span<const BitVector* const> or_side,
     }
 
     // Recompress the window's full groups: a fill up to lo, the touched
-    // groups, a fill after hi. The accumulator is zeroed as it is read.
-    const std::uint64_t stop = std::min(n, tail_at);
-    const std::uint64_t dense_lo = std::min(lo, stop);
-    const std::uint64_t dense_hi = std::max(dense_lo, std::min(hi, stop));
-    put_fill(words, complement, dense_lo);
-    for (std::uint64_t g = dense_lo; g < dense_hi;) {
-      const std::uint32_t w = a[g];
-      if (w == 0 || w == kAll) {
-        std::uint64_t e = g + 1;
-        while (e < dense_hi && a[e] == w) ++e;
-        put_fill(words, w != 0, e - g);
-        std::fill(a + g, a + e, 0u);
-        g = e;
-      } else {
-        words.push_back(w);
-        a[g++] = 0;
-      }
-    }
-    put_fill(words, complement, stop - dense_hi);
+    // groups, a fill after hi.
+    encode_window(words, a, lo, hi, std::min(n, tail_at), complement);
     if (lo <= tail_at && tail_at < hi) {
       tail_word = a[tail_at];
       a[tail_at] = 0;
     }
   }
-  // Trim an over-reserved result to the slack that growth by doubling
-  // would have left: cached results are charged by capacity.
-  if (words.capacity() > 2 * words.size()) words.shrink_to_fit();
-  BitVector out;
-  BitVectorOps::set_words(out, std::move(words));
-  BitVectorOps::set_nbits(out, full_groups * G);
-  if (tail_bits > 0) {
-    BitVectorOps::set_tail(out, tail_word, tail_bits);
-    BitVectorOps::set_nbits(out, nrows);
+  return finish_vector(std::move(words), nrows, tail_word);
+}
+
+BitVector scan_intervals(std::span<const double> values,
+                         std::span<const Interval> ivs) {
+  constexpr std::uint32_t G = BitVectorOps::kGroupBits;
+  const std::uint64_t nrows = values.size();
+  const std::uint64_t full_groups = nrows / G;
+  const std::uint64_t ngroups = (nrows + G - 1) / G;
+  const simd::Ops& ops = simd::ops();
+  std::vector<std::uint32_t> acc(
+      static_cast<std::size_t>(std::min(ngroups, kProbeWindowGroups)));
+  // A literal per group is the most a scan result can hold.
+  std::vector<std::uint32_t> words;
+  words.reserve(static_cast<std::size_t>(full_groups));
+  std::uint32_t tail_word = 0;
+  for (std::uint64_t w0 = 0; w0 < ngroups; w0 += kProbeWindowGroups) {
+    const std::uint64_t n = std::min(kProbeWindowGroups, ngroups - w0);
+    const std::uint64_t row0 = w0 * G;
+    ops.scan_intervals(values.data() + row0,
+                       static_cast<std::size_t>(std::min(n * G, nrows - row0)),
+                       ivs.data(), ivs.size(), acc.data());
+    const std::uint64_t stop = std::min(n, full_groups - w0);
+    if (stop < n) tail_word = acc[stop];
+    encode_window(words, acc.data(), 0, stop, stop, false);
   }
-  return out;
+  return finish_vector(std::move(words), nrows, tail_word);
+}
+
+bool probe_is_cheaper(std::uint64_t probe_words, std::uint64_t rows) {
+  return static_cast<double>(probe_words) * kProbeNsPerWord <=
+         static_cast<double>(rows) * simd::ops().scan_ns_per_row;
 }
 
 // ------------------------------------------------------------------------

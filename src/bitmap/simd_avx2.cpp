@@ -20,6 +20,9 @@
 //    spacing past a cache line) stay scalar: the gathers are latency-bound
 //    there and vector setup cannot win. The hist1d entries point at the
 //    scalar level's bodies.
+//  - interval scan: one group's 31 rows as eight 4-lane vectors (the last
+//    one a masked load, so nothing past the column is read), two ordered
+//    compares per interval, movemask into the group's bits.
 #include "simd_common.hpp"
 
 #if defined(__AVX2__)
@@ -192,6 +195,51 @@ void hist2d_dense_avx2(const double* xs, const double* ys, std::size_t n,
   hist2d_dense_scalar(xs + i, ys + i, n - i, xloc, yloc, ny, counts);
 }
 
+/// Bits 0-30 of one group: the 31 rows in eight 4-lane vectors (the last
+/// lane of @p v[7] is the next group's first row, or zero past the column,
+/// and is masked off) compared against one interval's bounds.
+template <int kLoCmp, int kHiCmp>
+inline std::uint32_t group_in_interval(const __m256d* v, __m256d lo,
+                                       __m256d hi) {
+  std::uint32_t word = 0;
+  for (int q = 0; q < 8; ++q) {
+    const __m256d in = _mm256_and_pd(_mm256_cmp_pd(v[q], lo, kLoCmp),
+                                     _mm256_cmp_pd(v[q], hi, kHiCmp));
+    word |= static_cast<std::uint32_t>(_mm256_movemask_pd(in)) << (4 * q);
+  }
+  return word & 0x7FFFFFFFu;
+}
+
+void scan_intervals_avx2(const double* values, std::size_t nrows,
+                         const Interval* ivs, std::size_t nivs,
+                         std::uint32_t* groups) {
+  const std::size_t full = nrows / 31;
+  const __m256i last_lanes = _mm256_setr_epi64x(-1, -1, -1, 0);
+  for (std::size_t g = 0; g < full; ++g) {
+    const double* row = values + 31 * g;
+    __m256d v[8];
+    for (int q = 0; q < 7; ++q) v[q] = _mm256_loadu_pd(row + 4 * q);
+    // The masked load reads rows 28-30 only: no value past the column.
+    v[7] = _mm256_maskload_pd(row + 28, last_lanes);
+    std::uint32_t word = 0;
+    for (std::size_t k = 0; k < nivs; ++k) {
+      const __m256d lo = _mm256_set1_pd(ivs[k].lo);
+      const __m256d hi = _mm256_set1_pd(ivs[k].hi);
+      // Ordered, non-signalling predicates: a NaN on either side is false.
+      switch (ivs[k].lo_open * 2 + ivs[k].hi_open) {
+        case 0: word |= group_in_interval<_CMP_GE_OQ, _CMP_LE_OQ>(v, lo, hi); break;
+        case 1: word |= group_in_interval<_CMP_GE_OQ, _CMP_LT_OQ>(v, lo, hi); break;
+        case 2: word |= group_in_interval<_CMP_GT_OQ, _CMP_LE_OQ>(v, lo, hi); break;
+        default: word |= group_in_interval<_CMP_GT_OQ, _CMP_LT_OQ>(v, lo, hi); break;
+      }
+    }
+    groups[g] = word;
+  }
+  if (nrows > 31 * full)
+    scan_intervals_scalar(values + 31 * full, nrows - 31 * full, ivs, nivs,
+                          groups + full);
+}
+
 // The hist1d entries are the scalar table's own bodies: four-lane gather +
 // locate measured a median 1.21x over scalar at sel=0.5, under the 1.5x a
 // vector family needs to be kept (DESIGN.md Section 12). hist2d, with two
@@ -203,6 +251,10 @@ constexpr Ops kAvx2Ops = {
     &hist2d_rows_avx2,
     &detail::hist1d_dense_baseline,
     &hist2d_dense_avx2,
+    &scan_intervals_avx2,
+    // bench_kernels scan_intervals/y/isa=avx2, ns_per_row (median of
+    // three runs; BENCH_kernels.json holds one).
+    0.47,
 };
 
 }  // namespace

@@ -121,6 +121,34 @@ static inline void hist2d_dense_scalar(const double* xs, const double* ys,
   }
 }
 
+/// One group of 31 rows at most: bit j is set when rows[j] lies in some
+/// interval. Branch-free per row; the interval loop is outermost so each
+/// pass compares against loop-invariant bounds.
+static inline std::uint32_t scan_group_scalar(const double* rows, std::size_t n,
+                                              const Interval* ivs,
+                                              std::size_t nivs) {
+  std::uint32_t word = 0;
+  for (std::size_t k = 0; k < nivs; ++k) {
+    const Interval& iv = ivs[k];
+    for (std::size_t j = 0; j < n; ++j) {
+      const double x = rows[j];
+      const bool in = (iv.lo_open ? x > iv.lo : x >= iv.lo) &
+                      (iv.hi_open ? x < iv.hi : x <= iv.hi);
+      word |= static_cast<std::uint32_t>(in) << j;
+    }
+  }
+  return word;
+}
+
+static inline void scan_intervals_scalar(const double* values,
+                                         std::size_t nrows,
+                                         const Interval* ivs, std::size_t nivs,
+                                         std::uint32_t* groups) {
+  for (std::size_t g = 0, row = 0; row < nrows; ++g, row += 31)
+    groups[g] = scan_group_scalar(values + row,
+                                  nrows - row < 31 ? nrows - row : 31, ivs, nivs);
+}
+
 namespace detail {
 
 // The scalar table's hist1d entries, defined once in simd_scalar.cpp

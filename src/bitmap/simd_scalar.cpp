@@ -27,6 +27,10 @@ constexpr Ops kScalarOps = {
     &hist2d_rows_scalar,
     &hist1d_dense_baseline,
     &hist2d_dense_scalar,
+    &scan_intervals_scalar,
+    // bench_kernels scan_intervals/y/isa=scalar, ns_per_row (median of
+    // three runs; BENCH_kernels.json holds one).
+    1.8,
 };
 
 }  // namespace

@@ -155,6 +155,11 @@ EngineStats Engine::stats() const {
   s.integrity_failures = integ.failures.load(std::memory_order_relaxed);
   s.integrity_demotions = integ.demotions.load(std::memory_order_relaxed);
   s.integrity_unverified = integ.unverified.load(std::memory_order_relaxed);
+  const io::RangeStats& ranges = *state_->dataset.range_stats();
+  s.range_probes = ranges.probes.load(std::memory_order_relaxed);
+  s.range_scans = ranges.scans.load(std::memory_order_relaxed);
+  s.probe_words = ranges.probe_words.load(std::memory_order_relaxed);
+  s.scan_rows = ranges.scan_rows.load(std::memory_order_relaxed);
   s.simd_isa = simd::isa_name(simd::active());
   const simd::DispatchCounts d = simd::dispatch_counts();
   s.positions_vector_calls = d.positions.vector;

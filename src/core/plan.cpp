@@ -252,6 +252,29 @@ bool collect_marginals(const Query& q,
   }
 }
 
+/// The step of one range predicate — a Compare or Interval leaf, or an Or
+/// of such leaves on one variable, which one probe answers as a union.
+PredicateStep range_predicate_step(const Query& q, std::string variable,
+                                   std::vector<Interval> intervals,
+                                   const io::TimestepTable* probe) {
+  PredicateStep step;
+  step.predicate = q.to_string();
+  step.variable = std::move(variable);
+  step.fused = q.kind() == Query::Kind::kInterval;
+  std::erase_if(intervals, [](const Interval& iv) { return iv.empty(); });
+  step.intervals = std::move(intervals);
+  if (step.intervals.empty()) {
+    step.access = AccessPath::kConstant;
+    return step;
+  }
+  step.demoted = probe && probe->index_quarantined(step.variable);
+  step.access = (!step.demoted &&
+                 (!probe || probe->has_value_index(step.variable)))
+                    ? AccessPath::kBitmapIndex
+                    : AccessPath::kScan;
+  return step;
+}
+
 void collect_steps(const Query& q, const io::TimestepTable* probe,
                    std::vector<PredicateStep>& steps) {
   switch (q.kind()) {
@@ -261,8 +284,17 @@ void collect_steps(const Query& q, const io::TimestepTable* probe,
       collect_steps(aq.rhs(), probe, steps);
       return;
     }
-    case Query::Kind::kOr: {
-      const auto& oq = static_cast<const OrQuery&>(q);
+    case Query::Kind::kOr:
+    case Query::Kind::kCompare:
+    case Query::Kind::kInterval: {
+      std::string variable;
+      std::vector<Interval> intervals;
+      if (interval_union(q, variable, intervals)) {
+        steps.push_back(range_predicate_step(q, std::move(variable),
+                                             std::move(intervals), probe));
+        return;
+      }
+      const auto& oq = static_cast<const OrQuery&>(q);  // Or over variables
       collect_steps(oq.lhs(), probe, steps);
       collect_steps(oq.rhs(), probe, steps);
       return;
@@ -270,37 +302,6 @@ void collect_steps(const Query& q, const io::TimestepTable* probe,
     case Query::Kind::kNot:
       collect_steps(static_cast<const NotQuery&>(q).operand(), probe, steps);
       return;
-    case Query::Kind::kCompare: {
-      const auto& cq = static_cast<const CompareQuery&>(q);
-      PredicateStep step;
-      step.predicate = cq.to_string();
-      step.variable = cq.variable();
-      step.demoted = probe && probe->index_quarantined(cq.variable());
-      step.access = (!step.demoted &&
-                     (!probe || probe->has_value_index(cq.variable())))
-                        ? AccessPath::kBitmapIndex
-                        : AccessPath::kScan;
-      steps.push_back(std::move(step));
-      return;
-    }
-    case Query::Kind::kInterval: {
-      const auto& vq = static_cast<const IntervalQuery&>(q);
-      PredicateStep step;
-      step.predicate = vq.to_string();
-      step.variable = vq.variable();
-      step.fused = true;
-      if (vq.interval().empty()) {
-        step.access = AccessPath::kConstant;
-      } else {
-        step.demoted = probe && probe->index_quarantined(vq.variable());
-        step.access = (!step.demoted &&
-                       (!probe || probe->has_value_index(vq.variable())))
-                          ? AccessPath::kBitmapIndex
-                          : AccessPath::kScan;
-      }
-      steps.push_back(std::move(step));
-      return;
-    }
     case Query::Kind::kIdIn: {
       const auto& iq = static_cast<const IdInQuery&>(q);
       PredicateStep step;
@@ -362,7 +363,8 @@ std::vector<std::string> ExecutionPlan::variables() const {
   return out;
 }
 
-std::string ExecutionPlan::explain() const {
+std::string ExecutionPlan::explain(const io::TimestepTable* table,
+                                   EvalMode mode) const {
   std::ostringstream out;
   out << "query:     " << (canonical_ ? canonical_->to_string() : "<all records>")
       << "\n";
@@ -374,7 +376,17 @@ std::string ExecutionPlan::explain() const {
     out << "  [" << i << "] " << step.predicate << "  ->  "
         << access_text(step.access) << "(" << step.variable << ")";
     if (step.fused) out << "  [fused interval]";
+    if (step.intervals.size() > 1)
+      out << "  [union of " << step.intervals.size() << " intervals]";
     if (step.demoted) out << "  [demoted: index quarantined]";
+    if (table && !step.intervals.empty()) {
+      // The range-step choice the executor makes at this timestep.
+      const io::TimestepTable::RangeStep verdict =
+          table->range_step(step.variable, step.intervals, mode);
+      out << "\n        t0: probe " << verdict.probe_words << " words, scan "
+          << verdict.scan_rows << " rows -> "
+          << (verdict.pinned ? "probe" : "scan");
+    }
     out << "\n";
   }
   if (marginal_) {

@@ -417,8 +417,10 @@ const QueryPtr& Selection::query() const {
 const std::string& Selection::cache_key() const { return plan().key(); }
 
 std::string Selection::explain() const {
-  std::string out = plan().explain();
-  if (!state_) return out;
+  if (!state_) return plan().explain();
+  std::string out = plan().explain(
+      state_->dataset.num_timesteps() > 0 ? &state_->dataset.table(0) : nullptr,
+      state_->mode);
   // Live cache / memory-budget snapshot (the engine-side counters the plan
   // alone cannot know).
   const io::MemoryBudgetStats b = state_->budget->stats();

@@ -20,6 +20,7 @@ struct Dataset::Impl {
   std::size_t timesteps = 0;
   std::shared_ptr<MemoryBudget> budget;
   std::shared_ptr<IntegrityStats> integrity;
+  std::shared_ptr<RangeStats> ranges;
   std::vector<std::string> variables;
   std::unordered_map<std::string, std::pair<double, double>> domains;
 
@@ -50,6 +51,7 @@ Dataset Dataset::open(const std::filesystem::path& dir,
   impl->dir = dir;
   impl->budget = std::make_shared<MemoryBudget>(options.budget_bytes);
   impl->integrity = std::make_shared<IntegrityStats>();
+  impl->ranges = std::make_shared<RangeStats>();
   // The root sidecar covers the manifest — ground truth for timestep count
   // and variables, so a mismatch is a typed open failure, while a missing
   // sidecar (pre-checksum dataset) just counts as unverified.
@@ -122,7 +124,7 @@ const TimestepTable& Dataset::table(std::size_t t) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   if (!impl_->cache[t])
     impl_->cache[t] = std::make_shared<TimestepTable>(
-        step_dir(t), impl_->budget, impl_->integrity);
+        step_dir(t), impl_->budget, impl_->integrity, impl_->ranges);
   return *impl_->cache[t];
 }
 
@@ -130,7 +132,8 @@ std::shared_ptr<TimestepTable> Dataset::open_table(std::size_t t) const {
   if (t >= impl_->timesteps)
     throw std::out_of_range("timestep out of range: " + std::to_string(t));
   return std::make_shared<TimestepTable>(
-      step_dir(t), std::make_shared<MemoryBudget>(), impl_->integrity);
+      step_dir(t), std::make_shared<MemoryBudget>(), impl_->integrity,
+      impl_->ranges);
 }
 
 const std::shared_ptr<MemoryBudget>& Dataset::memory_budget() const {
@@ -139,6 +142,10 @@ const std::shared_ptr<MemoryBudget>& Dataset::memory_budget() const {
 
 const std::shared_ptr<IntegrityStats>& Dataset::integrity_stats() const {
   return impl_->integrity;
+}
+
+const std::shared_ptr<RangeStats>& Dataset::range_stats() const {
+  return impl_->ranges;
 }
 
 std::pair<double, double> Dataset::global_domain(const std::string& name) const {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "agg/pyramid.hpp"
+#include "bitmap/kernels.hpp"
 
 namespace qdv::io {
 
@@ -70,9 +71,10 @@ std::pair<double, double> MetaLine::domain() const {
 
 TimestepTable::TimestepTable(std::filesystem::path dir,
                              std::shared_ptr<MemoryBudget> budget,
-                             std::shared_ptr<IntegrityStats> integrity)
+                             std::shared_ptr<IntegrityStats> integrity,
+                             std::shared_ptr<RangeStats> ranges)
     : dir_(std::move(dir)), budget_(std::move(budget)),
-      integrity_(std::move(integrity)) {
+      integrity_(std::move(integrity)), ranges_(std::move(ranges)) {
   budget_prefix_ = dir_.string();
   try {
     sums_ = ChecksumSet::load_dir(dir_);
@@ -366,6 +368,50 @@ std::pair<double, double> TimestepTable::domain(const std::string& name) const {
   return it->second;
 }
 
+TimestepTable::RangeStep TimestepTable::range_step(
+    const std::string& variable, std::span<const Interval> ivs,
+    EvalMode mode) const {
+  RangeStep step;
+  step.scan_rows = rows_;
+  if (mode == EvalMode::kScan) return step;
+  if (index_quarantined(variable)) {
+    // Already demoted: go straight to the scan, no re-verification per
+    // query. kIndex callers explicitly refused the fallback.
+    if (mode == EvalMode::kIndex)
+      throw IntegrityError("bitmap index for variable " + variable +
+                           " is quarantined");
+    return step;
+  }
+  try {
+    const SegmentedBitmapIndex* idx = value_index(variable);
+    if (!idx) {
+      if (mode == EvalMode::kIndex)
+        throw std::runtime_error("no bitmap index for variable " + variable);
+      return step;
+    }
+    const SegmentedBitmapIndex::ProbePlan plan = idx->plan(ivs);
+    step.probe_words = plan.words;
+    const bool probe =
+        mode == EvalMode::kIndex || kern::probe_is_cheaper(plan.words, rows_);
+    // An index-only probe never reads the column, so it wins whatever it
+    // costs: a scan would add column I/O. Pinning tells, and the probe
+    // needs those segments anyway.
+    if (probe || plan.may_be_index_only) {
+      SegmentedBitmapIndex::Probe pinned =
+          idx->pin(plan, segment_fetch(variable, *idx));
+      if (probe || !pinned.needs_column()) step.pinned = std::move(pinned);
+    }
+  } catch (const IntegrityError&) {
+    // A segment failed its checksum while being pinned: quarantine the
+    // index and demote this step to the scan — same bits, no index
+    // (DESIGN.md §15).
+    if (mode == EvalMode::kIndex) throw;
+    quarantine_index(variable);
+    step.pinned.reset();
+  }
+  return step;
+}
+
 namespace {
 
 /// Append one bit per row, coalescing equal neighbors into append_run calls
@@ -390,60 +436,28 @@ BitVector scan_predicate(std::uint64_t rows, Pred&& pred) {
   return out;
 }
 
-BitVector scan_intervals(const TimestepTable& table, const std::string& variable,
-                         std::span<const Interval> ivs) {
-  const std::span<const double> values = table.column(variable);
-  return scan_predicate(values.size(), [&](std::uint64_t row) {
-    for (const Interval& iv : ivs)
-      if (iv.contains(values[row])) return true;
-    return false;
-  });
-}
-
 /// The one served range path: rows whose value lies in at least one of
-/// @p ivs, by one index probe when an index exists (sequential scan
-/// otherwise). The probe pins only the segments it reads (DESIGN.md §3).
+/// @p ivs, by the probe or the scan range_step() picks. The column is read
+/// outside range_step()'s checksum catch: a corrupt column is ground-truth
+/// damage, not an index demotion.
 BitVector eval_intervals(const TimestepTable& table, const std::string& variable,
                          std::vector<Interval> ivs, EvalMode mode,
                          std::uint64_t rows) {
   std::erase_if(ivs, [](const Interval& iv) { return iv.empty(); });
   if (ivs.empty()) return BitVector::zeros(rows);
-  if (mode != EvalMode::kScan) {
-    if (table.index_quarantined(variable)) {
-      // Already demoted: go straight to the scan path, no re-verification
-      // per query. kIndex callers explicitly refused the fallback.
-      if (mode == EvalMode::kIndex)
-        throw IntegrityError("bitmap index for variable " + variable +
-                             " is quarantined");
-    } else {
-      bool have_index = false;
-      std::optional<SegmentedBitmapIndex::Probe> probe;
-      try {
-        if (const SegmentedBitmapIndex* idx = table.value_index(variable)) {
-          have_index = true;
-          probe = idx->pin(ivs, table.segment_fetch(variable, *idx));
-        }
-      } catch (const IntegrityError&) {
-        // A segment failed its checksum while being pinned: quarantine the
-        // index and demote this predicate to the scan path — same bits,
-        // no index (DESIGN.md §15).
-        if (mode == EvalMode::kIndex) throw;
-        table.quarantine_index(variable);
-        probe.reset();
-      }
-      if (probe) {
-        // Load the raw column only when a candidate segment has set bits —
-        // index-only answers (precision binning) never touch the data.
-        // Column access stays outside the catch: a corrupt column is
-        // ground truth damage, not an index demotion.
-        return probe->run(ivs, probe->needs_column() ? table.column(variable)
-                                                     : std::span<const double>{});
-      }
-      if (mode == EvalMode::kIndex && !have_index)
-        throw std::runtime_error("no bitmap index for variable " + variable);
-    }
+  TimestepTable::RangeStep step = table.range_step(variable, ivs, mode);
+  RangeStats& counts = *table.range_stats();
+  if (step.pinned) {
+    counts.probes.fetch_add(1, std::memory_order_relaxed);
+    counts.probe_words.fetch_add(step.probe_words, std::memory_order_relaxed);
+    // Index-only answers (precision binning) never touch the data.
+    return step.pinned->run(ivs, step.pinned->needs_column()
+                                     ? table.column(variable)
+                                     : std::span<const double>{});
   }
-  return scan_intervals(table, variable, ivs);
+  counts.scans.fetch_add(1, std::memory_order_relaxed);
+  counts.scan_rows.fetch_add(step.scan_rows, std::memory_order_relaxed);
+  return kern::scan_intervals(table.column(variable), ivs);
 }
 
 BitVector scan_id_in(const TimestepTable& table, const IdInQuery& q) {

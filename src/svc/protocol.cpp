@@ -353,6 +353,9 @@ std::string format_stats_line(const ServiceStats& s) {
       << " integrity_failures=" << s.integrity_failures
       << " integrity_demotions=" << s.integrity_demotions
       << " integrity_unverified=" << s.integrity_unverified
+      << " range_probes=" << s.range_probes
+      << " range_scans=" << s.range_scans
+      << " probe_words=" << s.probe_words << " scan_rows=" << s.scan_rows
       << " p50_us=" << static_cast<std::uint64_t>(s.p50_seconds * 1e6)
       << " p95_us=" << static_cast<std::uint64_t>(s.p95_seconds * 1e6)
       << " p99_us=" << static_cast<std::uint64_t>(s.p99_seconds * 1e6);

@@ -1032,6 +1032,11 @@ ServiceStats QueryService::stats() const {
   s.integrity_failures = integ.failures.load(std::memory_order_relaxed);
   s.integrity_demotions = integ.demotions.load(std::memory_order_relaxed);
   s.integrity_unverified = integ.unverified.load(std::memory_order_relaxed);
+  const io::RangeStats& ranges = *impl_->engine.dataset().range_stats();
+  s.range_probes = ranges.probes.load(std::memory_order_relaxed);
+  s.range_scans = ranges.scans.load(std::memory_order_relaxed);
+  s.probe_words = ranges.probe_words.load(std::memory_order_relaxed);
+  s.scan_rows = ranges.scan_rows.load(std::memory_order_relaxed);
   const std::shared_ptr<dist::Coordinator> coordinator =
       impl_->distributor_handle;
   std::vector<double> sorted = impl_->latencies;

@@ -1,15 +1,18 @@
 // Element-at-a-time reference twins of the kernel layer (bitmap/kernels.hpp)
-// for the differential tests and the old/new bench rows. They stay out of
+// and of BitVector's binary operators, for the differential tests and the
+// old/new bench rows. They stay out of
 // the library and must never be "optimized": their value is being the
 // obvious implementation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "bitmap/bitvector.hpp"
+#include "bitmap/interval.hpp"
 
 namespace qdv::kern::ref {
 
@@ -38,6 +41,44 @@ inline BitVector or_many_pairwise(std::span<const BitVector* const> operands,
   }
   BitVector out = std::move(level.front());
   if (out.size() < nbits) out.append_run(false, nbits - out.size());
+  return out;
+}
+
+/// Twin of scan_intervals: one Interval::contains test per row, appended
+/// as runs of equal bits (the row-at-a-time range scan the vector kernel
+/// replaced).
+inline BitVector scan_intervals_rows(std::span<const double> values,
+                                     std::span<const Interval> ivs) {
+  BitVector out;
+  std::uint64_t run_start = 0;
+  bool run_value = false;
+  for (std::uint64_t row = 0; row < values.size(); ++row) {
+    bool in = false;
+    for (const Interval& iv : ivs) in = in || iv.contains(values[row]);
+    if (row == 0) {
+      run_value = in;
+    } else if (in != run_value) {
+      out.append_run(run_value, row - run_start);
+      run_start = row;
+      run_value = in;
+    }
+  }
+  out.append_run(run_value, values.size() - run_start);
+  return out;
+}
+
+/// Twin of the binary operators of BitVector: both operands expanded bit
+/// by bit (zero-extended to the longer), @p op applied per bit, and the
+/// result appended one bit at a time.
+template <typename Op>
+BitVector combine_bits(const BitVector& a, const BitVector& b, Op op) {
+  const std::uint64_t nbits = std::max(a.size(), b.size());
+  std::vector<bool> x(nbits), y(nbits);
+  a.for_each_set([&](std::uint64_t row) { x[row] = true; });
+  b.for_each_set([&](std::uint64_t row) { y[row] = true; });
+  BitVector out;
+  for (std::uint64_t row = 0; row < nbits; ++row)
+    out.append_bit(op(x[row], y[row]));
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bitmap/bitvector.hpp"
+#include "kernel_refs.hpp"
 #include "test_common.hpp"
 
 namespace {
@@ -134,6 +135,44 @@ void test_logical_ops_against_model() {
   CHECK_EQ((~inv), m.v);
 }
 
+/// The binary operators against the bit-by-bit reference, compared with
+/// operator== so the canonical word form is checked too: long zero and
+/// one fills against literal runs on either side, fills meeting fills,
+/// operands of different lengths (zero extension) and ragged tails.
+void test_combine_runs_against_bits() {
+  std::vector<BitVector> shapes;
+  shapes.emplace_back();
+  for (const std::uint64_t n : {1u, 30u, 31u, 62u, 9300u}) {
+    shapes.push_back(BitVector::zeros(n));
+    shapes.push_back(BitVector::ones(n));
+  }
+  shapes.push_back(make_model(9300, 5, 3).v);    // literal run
+  shapes.push_back(make_model(9317, 6, 400).v);  // fills between literals
+  shapes.push_back(make_model(4000, 7, 2000).v);
+  {
+    // Fill, literals, one-fill, literals, ragged tail: x's range result
+    // beside y's.
+    Model m;
+    m.append_run(false, 3100);
+    for (int i = 0; i < 3100; ++i) m.append_run(i % 3 == 0, 1);
+    m.append_run(true, 3100);
+    for (int i = 0; i < 117; ++i) m.append_run(i % 5 != 0, 1);
+    shapes.push_back(m.v);
+  }
+  const auto ref = [](const BitVector& a, const BitVector& b, char op) {
+    return qdv::kern::ref::combine_bits(a, b, [op](bool x, bool y) {
+      return op == '&' ? (x && y) : op == '|' ? (x || y) : (x != y);
+    });
+  };
+  for (const BitVector& a : shapes) {
+    for (const BitVector& b : shapes) {
+      CHECK((a & b) == ref(a, b, '&'));
+      CHECK((a | b) == ref(a, b, '|'));
+      CHECK((a ^ b) == ref(a, b, '^'));
+    }
+  }
+}
+
 void test_from_positions_roundtrip() {
   const Model m = make_model(2000, 4242, 97);
   const BitVector rebuilt = BitVector::from_positions(m.v.to_positions(), 2000);
@@ -241,6 +280,7 @@ int main() {
   test_literal_fill_transitions();
   test_empty_and_all_set();
   test_logical_ops_against_model();
+  test_combine_runs_against_bits();
   test_from_positions_roundtrip();
   test_or_many();
   test_load_validates_header();

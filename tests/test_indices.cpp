@@ -6,7 +6,10 @@
 // bit-identical to a scan on every table shape that steers it (NaN and
 // out-of-domain rows, a ragged last group, value-ordered and random-order
 // columns, both sides of its OR rule), and its segment fetches are counted
-// exactly: a probe reads only the segments its plan names.
+// exactly: a probe reads only the segments its plan names. The range-step
+// choice between that probe and a column scan is bit-identical either way,
+// fetches nothing when it scans, never loads the column for an index-only
+// answer, and its work counts repeat exactly.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -20,8 +23,11 @@
 #include "bitmap/bitmap_index.hpp"
 #include "bitmap/index_segments.hpp"
 #include "bitmap/interval_index.hpp"
+#include "bitmap/kernels.hpp"
 #include "bitmap/range_index.hpp"
+#include "core/engine.hpp"
 #include "core/plan.hpp"
+#include "core/selection.hpp"
 #include "io/dataset.hpp"
 #include "sim/wakefield.hpp"
 #include "test_common.hpp"
@@ -254,21 +260,27 @@ bool check_union(const io::TimestepTable& table, const std::string& var,
   return !live.empty() && table.value_index(var)->pin(live).complement;
 }
 
-void test_union_probe_matches_scan() {
-  // 520,001 rows: three accumulator windows, and a ragged last group
-  // (520,001 = 31 * 16,774 + 7). "r" is in random order with NaN rows and
-  // rows outside the binned domain; "s" holds the same kind of values in
-  // ascending order, so its bins are long one-fills that cross windows.
-  constexpr std::size_t kRows = 520001;
+/// The columns of the 520,001-row table: three accumulator windows, and a
+/// ragged last group (520,001 = 31 * 16,774 + 7). "r" is in random order
+/// with NaN rows and rows outside the binned domain [0, 100]; "s" holds the
+/// same kind of values in ascending order, so its bins are long one-fills
+/// that cross windows.
+constexpr std::size_t kRows = 520001;
+std::vector<std::pair<std::string, std::vector<double>>> union_columns() {
   std::vector<double> r = make_values(kRows, 0x5eed);
   for (std::size_t i = 0; i < kRows; i += 97)
     r[i] = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> s = make_values(kRows, 0xbeef);
   std::sort(s.begin(), s.end());
+  return {{"r", std::move(r)}, {"s", std::move(s)}};
+}
+
+void test_union_probe_matches_scan() {
   const std::filesystem::path dir =
-      write_table("indices_union", {{"r", r}, {"s", s}}, 0.0, 100.0, 64);
+      write_table("indices_union", union_columns(), 0.0, 100.0, 64);
   const io::TimestepTable table(dir, std::make_shared<io::MemoryBudget>(),
-                                std::make_shared<io::IntegrityStats>());
+                                std::make_shared<io::IntegrityStats>(),
+                                std::make_shared<io::RangeStats>());
   CHECK(!table.value_index("r")->outside_empty());
   CHECK(!table.value_index("s")->outside_empty());
 
@@ -313,7 +325,8 @@ void test_union_probe_small_tables() {
         "indices_small_" + std::to_string(rows), {{"v", v}, {"n", nan}}, 0.0,
         100.0, 8);
     const io::TimestepTable table(dir, std::make_shared<io::MemoryBudget>(),
-                                  std::make_shared<io::IntegrityStats>());
+                                  std::make_shared<io::IntegrityStats>(),
+                                  std::make_shared<io::RangeStats>());
     for (const std::string var : {"v", "n"}) {
       check_union(table, var, {Interval::between(10.0, 60.0)});
       check_union(table, var, {Interval::at_most(12.5), Interval::greater_than(15.0)});
@@ -376,6 +389,135 @@ void test_probe_fetch_counts() {
   CHECK(gap < 64);
 }
 
+/// The range-step choice (DESIGN.md Section 3) on the 520,001-row table
+/// binned as the generator bins (1024 bins), plus "u": random order inside
+/// [0, 60], so the bins above 60 are empty and the outside bitmap is too.
+/// Every leg answers bit-identically to kScan. The intervals sit far from
+/// the crossover of every ISA level's constants.
+void test_range_choice() {
+  auto columns = union_columns();
+  std::vector<double> u = make_values(kRows, 0x1dea);
+  for (double& v : u) v = (v + 10.0) / 2.0;  // [0, 60)
+  columns.emplace_back("u", std::move(u));
+  const std::filesystem::path dir =
+      write_table("indices_choice", columns, 0.0, 100.0, 1024);
+  const auto budget = std::make_shared<io::MemoryBudget>();
+  const io::TimestepTable table(dir, budget, std::make_shared<io::IntegrityStats>(),
+                                std::make_shared<io::RangeStats>());
+  const auto count = [&](io::ResidentClass cls) {
+    const io::ResidentClassStats c = budget->stats().of(cls);
+    return c.hits + c.misses;
+  };
+  /// Runs one union under @p mode; returns the segment fetches it made and
+  /// whether it read the column.
+  struct Run {
+    std::uint64_t fetches = 0;
+    bool column = false;
+    BitVector bits;
+  };
+  const auto run = [&](const std::string& var, const std::vector<Interval>& ivs,
+                       EvalMode mode) {
+    Run out;
+    const std::uint64_t seg0 = count(io::ResidentClass::kIndexSegment);
+    const std::uint64_t col0 = count(io::ResidentClass::kColumn);
+    out.bits = table.query(*union_query(var, ivs), mode);
+    out.fetches = count(io::ResidentClass::kIndexSegment) - seg0;
+    out.column = count(io::ResidentClass::kColumn) != col0;
+    return out;
+  };
+  const auto scan = [&](const std::string& var, const std::vector<Interval>& ivs) {
+    return table.query(*union_query(var, ivs), EvalMode::kScan);
+  };
+  const auto probes = [&](const std::string& var, const std::vector<Interval>& ivs) {
+    return table.range_step(var, ivs, EvalMode::kAuto).pinned.has_value();
+  };
+
+  // A wide interval on the random-order column: the probe would read about
+  // a word per row, so the step scans and fetches no segment.
+  const std::vector<Interval> wide = {Interval::between(25.3, 75.7)};
+  CHECK(!probes("r", wide));
+  const Run w = run("r", wide, EvalMode::kAuto);
+  CHECK_EQ(w.fetches, 0u);
+  CHECK(w.column);
+  CHECK(w.bits == scan("r", wide));
+  // kIndex always probes, and fetches what the probe reads.
+  const Run wi = run("r", wide, EvalMode::kIndex);
+  CHECK(wi.fetches > 500);
+  CHECK(wi.bits == w.bits);
+
+  // A narrow interval probes, with the fetches kIndex makes.
+  const std::vector<Interval> narrow = {Interval::between(40.3, 41.3)};
+  CHECK(probes("r", narrow));
+  const Run n = run("r", narrow, EvalMode::kAuto);
+  CHECK(n.fetches > 0);
+  CHECK_EQ(n.fetches, run("r", narrow, EvalMode::kIndex).fetches);
+  CHECK(n.bits == scan("r", narrow));
+
+  // Edge-aligned on a column with no outside rows: index-only, so it
+  // probes however many words it reads, and never loads the column.
+  const std::vector<double>& edges = table.value_index("u")->bins().edges();
+  CHECK(table.value_index("u")->outside_empty());
+  const std::vector<Interval> aligned = {Interval::between(edges[100], edges[500])};
+  const SegmentedBitmapIndex::ProbePlan plan =
+      table.value_index("u")->plan(aligned);
+  CHECK(!kern::probe_is_cheaper(plan.words, kRows));
+  CHECK(probes("u", aligned));
+  const Run a = run("u", aligned, EvalMode::kAuto);
+  CHECK(!a.column);
+  // A partial bin past 60 is empty: pinned, the probe is index-only too.
+  const std::vector<Interval> empty_edge = {Interval{edges[100], 75.3, false, true}};
+  CHECK(table.value_index("u")->plan(empty_edge).may_be_index_only);
+  CHECK(probes("u", empty_edge));
+  const Run e = run("u", empty_edge, EvalMode::kAuto);
+  CHECK(!e.column);
+  // Every answer above is the scan's, bit for bit.
+  CHECK(a.bits == scan("u", aligned));
+  CHECK(e.bits == scan("u", empty_edge));
+  // And every path agrees on the value-ordered column too.
+  for (const std::vector<Interval>& ivs : {wide, narrow})
+    for (const EvalMode mode : {EvalMode::kAuto, EvalMode::kIndex})
+      CHECK(table.query(*union_query("s", ivs), mode) == scan("s", ivs));
+}
+
+/// Work counts of the range-step choice through the engine: a fixed query
+/// set (a narrow value-ordered conjunct that probes, a wide random-order
+/// one that scans, and a same-variable Or that probes) gives exact counts.
+void test_range_work_counts() {
+  const std::filesystem::path dir = test::scratch_dir("indices_counts");
+  io::IndexConfig index_config;
+  index_config.nbins = 1024;
+  index_config.build_pyramids = false;
+  CHECK(sim::generate_dataset(sim::WakefieldConfig::preset_bench(20000, 1),
+                              dir, index_config) > 0);
+  const core::Engine engine = core::Engine::open(dir);
+  const io::TimestepTable& table = engine.dataset().table(0);
+  const auto [xlo, xhi] = table.domain("x");
+  const auto [ylo, yhi] = table.domain("y");
+  const auto at = [](double lo, double hi, double f) { return lo + f * (hi - lo); };
+  const Interval x_narrow = Interval::between(at(xlo, xhi, 0.40), at(xlo, xhi, 0.42));
+  const Interval y_wide = Interval::between(at(ylo, yhi, 0.2), at(ylo, yhi, 0.7));
+  const std::vector<Interval> y_gap = {Interval::at_most(at(ylo, yhi, 0.40)),
+                                       Interval::greater_than(at(ylo, yhi, 0.43))};
+  const auto text = [](const std::string& var, const Interval& iv) {
+    return Query::interval(var, iv)->to_string();
+  };
+  const std::string texts[] = {
+      text("x", x_narrow) + " && " + text("y", y_wide),
+      "(" + text("y", y_gap[0]) + " || " + text("y", y_gap[1]) + ")",
+  };
+  const core::EngineStats before = engine.stats();
+  for (const std::string& text : texts) (void)engine.select(text).count(0);
+  const core::EngineStats after = engine.stats();
+  const auto words = [&](const std::string& var, std::vector<Interval> ivs) {
+    return table.value_index(var)->plan(ivs).words;
+  };
+  CHECK_EQ(after.range_probes - before.range_probes, 2u);
+  CHECK_EQ(after.range_scans - before.range_scans, 1u);
+  CHECK_EQ(after.probe_words - before.probe_words,
+           words("x", {x_narrow}) + words("y", y_gap));
+  CHECK_EQ(after.scan_rows - before.scan_rows, table.num_rows());
+}
+
 }  // namespace
 
 int main() {
@@ -386,5 +528,7 @@ int main() {
   test_union_probe_matches_scan();
   test_union_probe_small_tables();
   test_probe_fetch_counts();
+  test_range_choice();
+  test_range_work_counts();
   return qdv::test::finish("test_indices");
 }

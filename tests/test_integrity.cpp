@@ -320,7 +320,14 @@ void test_union_probe_demotes_on_complement_segment() {
   const core::Engine reference = core::Engine::open(pristine);
   const io::TimestepTable& ref_table = reference.dataset().table(0);
   const UnionCase c = union_case(pristine, reference, "integrity_union");
-  CHECK(c.pristine_index->pin(c.ivs).complement);
+  // The gesture with edge-aligned ends: index-only, so the range-step rule
+  // probes it at every ISA level, reading bins 9-12 as the complement side.
+  const std::vector<double>& e = c.pristine_index->bins().edges();
+  const std::vector<Interval> ivs = {Interval::less_than(e[9]),
+                                     Interval::at_least(e[13])};
+  const std::string gesture = "(a < " + format_double(e[9]) +
+                              " || a >= " + format_double(e[13]) + ")";
+  CHECK(c.pristine_index->pin(ivs).complement);
   // Damage bin 10: a gap bin only the complement side reads.
   const std::size_t victim = 10;
   CHECK(c.pristine_index->segment_words(victim) > 0);
@@ -330,15 +337,14 @@ void test_union_probe_demotes_on_complement_segment() {
 
   const core::Engine engine = core::Engine::open(c.dir);
   // A probe whose plan skips bin 10 answers from the index, undisturbed.
-  const std::string inside =
-      "a > " + format_double(c.pristine_index->bins().edges()[14]);
+  const std::string inside = "a >= " + format_double(e[14]);
   CHECK(engine.select(inside).bits(0)->to_positions() ==
         ref_table.query(inside, EvalMode::kScan).to_positions());
   CHECK_EQ(engine.stats().integrity_demotions, 0u);
   // The gesture reads bin 10, fails its checksum, quarantines the index
   // once, and demotes to the scan: the same bits.
-  CHECK(engine.select(c.gesture).bits(0)->to_positions() ==
-        ref_table.query(c.gesture, EvalMode::kScan).to_positions());
+  CHECK(engine.select(gesture).bits(0)->to_positions() ==
+        ref_table.query(gesture, EvalMode::kScan).to_positions());
   CHECK_EQ(engine.stats().integrity_demotions, 1u);
   CHECK(engine.dataset().table(0).index_quarantined("a"));
   CHECK(engine.select("(a <= 1 || a > 7)").bits(0)->to_positions() ==

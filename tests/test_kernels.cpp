@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <span>
@@ -730,6 +731,70 @@ void test_simd_forced_levels_end_to_end() {
   simd::force(initial);
 }
 
+/// The interval scan at every level against the row-at-a-time reference:
+/// NaN values and NaN bounds, infinite values and bounds, open and closed
+/// ends, and unions of 1-3 overlapping, adjacent or empty intervals, over
+/// row counts around the 31-row group and the 64-row word, and a ragged
+/// 520,001-row column that spans three accumulator windows.
+void test_simd_scan_intervals_differential() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t state = 4242;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  const auto column = [&](std::size_t n) {
+    const double specials[] = {nan, kInf, -kInf, 0.0, -0.0, 5.0, 10.0, 2.5};
+    std::vector<double> v(n);
+    for (double& x : v)
+      x = next() % 5 == 0 ? specials[next() % 8]
+                          : static_cast<double>(next() % 2400) / 100.0 - 2.0;
+    return v;
+  };
+  const std::vector<std::vector<Interval>> unions = {
+      {Interval::between(5.0, 10.0)},
+      {Interval{5.0, 10.0, true, false}},
+      {Interval{5.0, 5.0, false, false}},                 // one point
+      {Interval{5.0, 5.0, true, true}},                   // empty
+      {Interval::less_than(3.0)},
+      {Interval::at_least(15.0)},
+      {Interval::everything()},                           // finite values
+      {Interval{-kInf, kInf, false, false}},              // and the infinities
+      {Interval{kInf, kInf, false, false}},
+      {Interval{nan, 10.0, false, false}},                // NaN bounds
+      {Interval{0.0, nan, false, true}},
+      {Interval::between(2.0, 8.0), Interval{5.0, 12.0, false, false}},
+      {Interval::between(2.0, 5.0), Interval{5.0, 9.0, false, false}},
+      {Interval::at_most(0.0), Interval::greater_than(0.0)},
+      {Interval::between(2.0, 5.0), Interval{7.0, 7.0, true, true},
+       Interval{9.0, 9.0, false, false}},
+      {Interval::less_than(-1.0), Interval::between(4.0, 6.0),
+       Interval{20.0, kInf, true, false}},
+  };
+  std::vector<std::vector<double>> columns;
+  for (const std::size_t n : {0u, 1u, 30u, 31u, 32u, 63u, 64u, 65u, 520001u})
+    columns.push_back(column(n));
+  const simd::Isa initial = simd::active();
+  for (const std::vector<double>& values : columns) {
+    for (const std::vector<Interval>& ivs : unions) {
+      const BitVector want = qdv::kern::ref::scan_intervals_rows(values, ivs);
+      for (const simd::Isa level : supported_levels()) {
+        simd::force(level);
+        const BitVector got = qdv::kern::scan_intervals(values, ivs);
+        if (!(got == want)) {
+          std::fprintf(stderr, "scan_intervals mismatch: isa=%s rows=%zu\n",
+                       simd::isa_name(level), values.size());
+          ++qdv::test::failures;
+        }
+      }
+    }
+  }
+  simd::force(initial);
+}
+
 void test_avx2_hist_counters_follow_the_route() {
   // The histogram dispatch counters record whether any vector kernel ran.
   // The AVX2 table keeps the scalar hist1d bodies, so an AVX2 hist1d gather
@@ -781,5 +846,6 @@ int main() {
   test_simd_hist_kernels_differential();
   test_simd_forced_levels_end_to_end();
   test_avx2_hist_counters_follow_the_route();
+  test_simd_scan_intervals_differential();
   return qdv::test::finish("test_kernels");
 }

@@ -1,10 +1,14 @@
 // Planner canonicalization: cache-key stability under operand order and
 // associativity, De Morgan push-down, interval fusion, and the explain()
-// report. Dataset-free — structural checks only (test_engine covers the
-// semantic equivalences against real tables).
+// report. Structural checks only (test_engine covers the semantic
+// equivalences against real tables), bar one small generated table for the
+// range-step verdicts explain() prints.
 #include <stdexcept>
 
+#include "core/engine.hpp"
 #include "core/plan.hpp"
+#include "core/selection.hpp"
+#include "sim/wakefield.hpp"
 #include "test_common.hpp"
 
 namespace {
@@ -130,6 +134,55 @@ void test_explain_reports_fusion_and_access() {
   CHECK(plan.steps()[0].fused || plan.steps()[1].fused);
 }
 
+/// A same-variable Or is one probe of a union, so it is one step.
+void test_same_variable_or_is_one_step() {
+  const core::ExecutionPlan plan =
+      plan_query(parse_query("y <= -5e-5 || y > 5e-5"));
+  CHECK_EQ(plan.steps().size(), 1u);
+  CHECK_EQ(plan.steps()[0].intervals.size(), 2u);
+  CHECK(plan.steps()[0].access == core::AccessPath::kBitmapIndex);
+  const std::string report = plan.explain();
+  CHECK(report.find("union of 2 intervals") != std::string::npos);
+  CHECK_EQ(report.find("bitmap-index(y)"), report.rfind("bitmap-index(y)"));
+  // An Or over two variables stays a step per leaf.
+  CHECK_EQ(plan_query(parse_query("x > 1 || y > 2")).steps().size(), 2u);
+  CHECK_EQ(plan_query(parse_query("(x > 1 || x < 0) && y > 2")).steps().size(),
+           2u);
+}
+
+/// Given a table, each range step reports the range-step verdict there: a
+/// narrow conjunct on the value-ordered x probes, a wide one on the
+/// random-order y scans (both far from every ISA level's crossover).
+void test_explain_reports_range_verdicts() {
+  const std::filesystem::path dir = test::scratch_dir("plan_verdicts");
+  io::IndexConfig index_config;
+  index_config.nbins = 1024;
+  index_config.build_pyramids = false;
+  CHECK(sim::generate_dataset(sim::WakefieldConfig::preset_bench(20000, 1),
+                              dir, index_config) > 0);
+  const core::Engine engine = core::Engine::open(dir);
+  const io::TimestepTable& table = engine.dataset().table(0);
+  const auto [xlo, xhi] = table.domain("x");
+  const auto [ylo, yhi] = table.domain("y");
+  const Interval x = Interval::between(xlo + 0.40 * (xhi - xlo),
+                                       xlo + 0.42 * (xhi - xlo));
+  const Interval y = Interval::between(ylo + 0.2 * (yhi - ylo),
+                                       ylo + 0.7 * (yhi - ylo));
+  const std::string report =
+      engine.select(Query::interval("x", x)->to_string() + " && " +
+                    Query::interval("y", y)->to_string())
+          .explain();
+  const auto verdict = [&](const std::string& var, const Interval& iv,
+                           const char* path) {
+    return "t0: probe " +
+           std::to_string(table.value_index(var)->plan({&iv, 1}).words) +
+           " words, scan " + std::to_string(table.num_rows()) + " rows -> " +
+           path;
+  };
+  CHECK(report.find(verdict("x", x, "probe")) != std::string::npos);
+  CHECK(report.find(verdict("y", y, "scan")) != std::string::npos);
+}
+
 void test_all_records_plan() {
   CHECK(canonicalize(nullptr) == nullptr);
   const core::ExecutionPlan plan = plan_query(nullptr);
@@ -162,6 +215,8 @@ int main() {
   test_fused_interval_round_trips();
   test_contradiction_folds_to_constant();
   test_explain_reports_fusion_and_access();
+  test_same_variable_or_is_one_step();
+  test_explain_reports_range_verdicts();
   test_all_records_plan();
   test_interval_intersect();
   return qdv::test::finish("test_plan");
