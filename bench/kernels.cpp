@@ -437,14 +437,15 @@ int main(int argc, char** argv) {
       probe_row(columns[0], what, Interval::between(-half, half));
     probe_row(columns[1], "bulk", Interval::greater_than(0.5));
 
-    // The scan of the 20% y interval at every supported level.
+    // The scan of the 20% y interval at every supported level with a body
+    // of its own: the AVX-512 level runs the AVX2 body (DESIGN.md
+    // Section 12), so it gets no row.
     const simd::Isa initial = simd::active();
     const Interval iv = Interval::between(-0.2, 0.2);
     const std::span<const Interval> ivs(&iv, 1);
     const BitVector want = kern::ref::scan_intervals_rows(y, ivs);
     double t_scalar = 0.0;
-    for (const simd::Isa isa :
-         {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
       if (!simd::supported(isa)) continue;
       simd::force(isa);
       BitVector got;
@@ -494,12 +495,13 @@ int main(int argc, char** argv) {
       const auto run = [&] {
         return op == '&' ? (a & b) : op == '|' ? (a | b) : (a ^ b);
       };
-      BitVector out;
-      const double t_ref = bench::time_best(
-          [&] { out = kern::ref::combine_bits(a, b, bits); }, 3, 0.05);
+      // Timed alone: the bit-by-bit reference checks the result but is no
+      // baseline worth a ratio.
+      BitVector out = kern::ref::combine_bits(a, b, bits);
       expect(out == run(), label);
       const double t = bench::time_best([&] { out = run(); }, 2000, 0.3);
-      report(label, t_ref, t);
+      std::printf("%-44s %14s %14.7f\n", label, "-", t);
+      json.row(label, t);
     };
     combine_row("combine/y&px", ry, rpx, '&');
     combine_row("combine/y&x", ry, rx, '&');

@@ -127,26 +127,10 @@ bool BitVector::test(std::uint64_t pos) const {
 
 namespace {
 
-/// What a bitwise operator makes of the other operand's groups where one
-/// operand is a fill: a constant, the other operand's groups unchanged, or
-/// their inversion. Bitwise operators allow nothing else.
-enum class FillResult : std::uint8_t { kZeros, kOnes, kPass, kInvert };
-
-template <typename Op>
-FillResult fill_result(Op op, bool fill_ones, bool fill_is_lhs) {
-  const std::uint32_t fill = fill_ones ? kLiteralMask : 0u;
-  const auto apply = [&](std::uint32_t other) {
-    return (fill_is_lhs ? op(fill, other) : op(other, fill)) & kLiteralMask;
-  };
-  const std::uint32_t on_zeros = apply(0u);
-  if (on_zeros == apply(kLiteralMask))
-    return on_zeros != 0 ? FillResult::kOnes : FillResult::kZeros;
-  return on_zeros == 0 ? FillResult::kPass : FillResult::kInvert;
-}
-
-/// One operand of a binary operation, positioned at one group: its
-/// compressed words, then its zero-padded tail group as one literal, then
-/// zeros forever (operands of different lengths are zero-extended).
+/// One operand of a binary operation as runs: a fill of whole groups, or
+/// the literal words up to the next fill. After its compressed words come
+/// its zero-padded tail group, as a one-word literal run, then zeros
+/// forever (operands of different lengths are zero-extended).
 class RunCursor {
  public:
   explicit RunCursor(const BitVector& v)
@@ -155,79 +139,57 @@ class RunCursor {
         tail_pending_(kern::BitVectorOps::active_bits(v) > 0) {
     next();
   }
+  RunCursor(const RunCursor&) = delete;  // literals() may point at tail_
+  RunCursor& operator=(const RunCursor&) = delete;
 
-  /// The current group is part of a fill of fill_left() groups; otherwise
-  /// it is the literal literal().
-  bool in_fill() const { return fill_left_ > 0; }
-  std::uint64_t fill_left() const { return fill_left_; }
-  bool fill_ones() const { return fill_ones_; }
-  std::uint32_t literal() const { return literal_; }
+  /// Groups left in the current run.
+  std::uint64_t groups() const { return groups_; }
+  /// The current run's literal words, groups() of them; nullptr in a fill.
+  const std::uint32_t* literals() const { return literals_; }
+  /// The current fill's group: all ones or all zeros.
+  std::uint32_t fill_word() const { return fill_word_; }
 
-  /// The words after the current one, not yet read.
-  std::span<const std::uint32_t> rest() const { return words_.subspan(idx_); }
-
-  /// Step past the current literal and @p words more of rest(), all of
-  /// them literals.
-  void take_literals(std::size_t words) {
-    idx_ += words;
-    next();
-  }
-
-  /// Step past @p n groups.
-  void skip(std::uint64_t n) {
-    while (n > 0) {
-      if (fill_left_ > 0) {
-        const std::uint64_t take = std::min(n, fill_left_);
-        fill_left_ -= take;
-        n -= take;
-        if (fill_left_ == 0) next();
-        continue;
-      }
-      const std::size_t k = literals_ahead(n - 1);
-      take_literals(k);
-      n -= k + 1;
-    }
-  }
-
-  /// How many of the next @p limit words of rest() are literals, counted
-  /// up to the first fill.
-  std::size_t literals_ahead(std::uint64_t limit) const {
-    const std::span<const std::uint32_t> rest = this->rest();
-    const std::size_t stop =
-        static_cast<std::size_t>(std::min<std::uint64_t>(rest.size(), limit));
-    std::size_t k = 0;
-    while (k < stop && !(rest[k] & kFillFlag)) ++k;
-    return k;
+  /// Step past @p n <= groups() groups of the current run.
+  void take(std::uint64_t n) {
+    groups_ -= n;
+    if (literals_ != nullptr) literals_ += n;
+    if (groups_ == 0) next();
   }
 
  private:
   void next() {
+    literals_ = nullptr;
     while (idx_ < words_.size()) {
-      const std::uint32_t w = words_[idx_++];
+      const std::uint32_t w = words_[idx_];
       if (!(w & kFillFlag)) {
-        literal_ = w;
+        const std::size_t begin = idx_;
+        while (idx_ < words_.size() && !(words_[idx_] & kFillFlag)) ++idx_;
+        literals_ = words_.data() + begin;
+        groups_ = idx_ - begin;
         return;
       }
-      fill_left_ = w & kCountMask;  // an empty fill word covers nothing
-      fill_ones_ = (w & kFillValueBit) != 0;
-      if (fill_left_ > 0) return;
+      ++idx_;
+      groups_ = w & kCountMask;
+      fill_word_ = (w & kFillValueBit) ? kLiteralMask : 0u;
+      if (groups_ > 0) return;  // an empty fill word covers nothing
     }
     if (tail_pending_) {
       tail_pending_ = false;
-      literal_ = tail_;
+      literals_ = &tail_;
+      groups_ = 1;
       return;
     }
-    fill_left_ = ~std::uint64_t{0};
-    fill_ones_ = false;
+    groups_ = ~std::uint64_t{0};
+    fill_word_ = 0u;
   }
 
   std::span<const std::uint32_t> words_;
   std::size_t idx_ = 0;
   std::uint32_t tail_;
   bool tail_pending_;
-  std::uint64_t fill_left_ = 0;
-  bool fill_ones_ = false;
-  std::uint32_t literal_ = 0;
+  const std::uint32_t* literals_ = nullptr;
+  std::uint64_t groups_ = 0;
+  std::uint32_t fill_word_ = 0;
 };
 
 }  // namespace
@@ -236,85 +198,48 @@ template <typename Op>
 BitVector combine(const BitVector& a, const BitVector& b, Op op) {
   const std::uint64_t nbits = std::max(a.nbits_, b.nbits_);
   const std::uint64_t full_groups = nbits / BitVector::kGroupBits;
-  const FillResult a_zeros = fill_result(op, false, true);
-  const FillResult a_ones = fill_result(op, true, true);
-  const FillResult b_zeros = fill_result(op, false, false);
-  const FillResult b_ones = fill_result(op, true, false);
   BitVector out;
   // Reserved once: every output word comes from a word of either operand
   // (or a tail group), and no vector has more words than groups.
   out.words_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       a.words_.size() + b.words_.size() + 2, full_groups)));
-  // Append @p n groups of @p other where the other operand is a fill that
-  // makes them @p result, advancing @p other past them.
-  const auto against_fill = [&out](RunCursor& other, std::uint64_t n,
-                                   FillResult result) {
-    if (result == FillResult::kZeros || result == FillResult::kOnes) {
-      out.append_fill(result == FillResult::kOnes, n);
-      other.skip(n);
-      return;
-    }
-    const bool invert = result == FillResult::kInvert;
-    while (n > 0) {
-      if (other.in_fill()) {
-        const std::uint64_t take = std::min(n, other.fill_left());
-        out.append_fill(other.fill_ones() != invert, take);
-        other.skip(take);
-        n -= take;
-        continue;
-      }
-      // A literal run: copied (or inverted) word for word. Literal words
-      // of an operand are never all zeros or all ones; only the tail
-      // group, read as the current literal, can be.
-      out.append_group(invert ? ~other.literal() : other.literal());
-      const std::size_t k = other.literals_ahead(n - 1);
-      const std::uint32_t* run = other.rest().data();
-      if (invert) {
-        for (std::size_t i = 0; i < k; ++i)
-          out.words_.push_back(~run[i] & kLiteralMask);
-      } else {
-        out.words_.insert(out.words_.end(), run, run + k);
-      }
-      other.take_literals(k);
-      n -= k + 1;
-    }
-  };
   RunCursor ca(a), cb(b);  // both always at group `done`
-  std::uint64_t done = 0;
-  while (done < full_groups) {
-    if (ca.in_fill()) {
-      const std::uint64_t n = std::min(ca.fill_left(), full_groups - done);
-      against_fill(cb, n, ca.fill_ones() ? a_ones : a_zeros);
-      ca.skip(n);
-      done += n;
-    } else if (cb.in_fill()) {
-      const std::uint64_t n = std::min(cb.fill_left(), full_groups - done);
-      against_fill(ca, n, cb.fill_ones() ? b_ones : b_zeros);
-      cb.skip(n);
-      done += n;
+  for (std::uint64_t done = 0; done < full_groups;) {
+    const std::uint64_t n =
+        std::min({ca.groups(), cb.groups(), full_groups - done});
+    const std::uint32_t* la = ca.literals();
+    const std::uint32_t* lb = cb.literals();
+    if (la == nullptr && lb == nullptr) {
+      out.append_fill(op(ca.fill_word(), cb.fill_word()) != 0, n);
+    } else if (la == nullptr || lb == nullptr) {
+      // A fill against literals: the operator makes them a constant (one
+      // fill, the literals skipped), or passes or inverts them word by word.
+      const std::uint32_t fill = la == nullptr ? ca.fill_word() : cb.fill_word();
+      const std::uint32_t* lits = la == nullptr ? lb : la;
+      const auto apply = [&](std::uint32_t w) {
+        return (la == nullptr ? op(fill, w) : op(w, fill)) & kLiteralMask;
+      };
+      const std::uint32_t on_zeros = apply(0u);
+      if (on_zeros == apply(kLiteralMask)) {
+        out.append_fill(on_zeros != 0, n);
+      } else {
+        for (std::uint64_t k = 0; k < n; ++k) out.append_group(apply(lits[k]));
+      }
     } else {
-      // Two literal runs: one pass over both word arrays until either
-      // reaches a fill.
-      out.append_group(op(ca.literal(), cb.literal()));
-      const std::span<const std::uint32_t> ra = ca.rest(), rb = cb.rest();
-      const std::size_t limit = static_cast<std::size_t>(std::min<std::uint64_t>(
-          std::min(ra.size(), rb.size()), full_groups - done - 1));
-      std::size_t k = 0;
-      for (; k < limit && !((ra[k] | rb[k]) & kFillFlag); ++k)
-        out.append_group(op(ra[k], rb[k]));
-      ca.take_literals(k);
-      cb.take_literals(k);
-      done += k + 1;
+      // Two literal runs: one pass over both word arrays.
+      for (std::uint64_t k = 0; k < n; ++k) out.append_group(op(la[k], lb[k]));
     }
+    ca.take(n);
+    cb.take(n);
+    done += n;
   }
   if (out.words_.capacity() > 2 * out.words_.size()) out.words_.shrink_to_fit();
   out.nbits_ = full_groups * BitVector::kGroupBits;
   // Partial tail group: both cursors now sit on group full_groups.
   const auto tail = static_cast<std::uint32_t>(nbits - out.nbits_);
   if (tail > 0) {
-    const auto group = [](const RunCursor& c) -> std::uint32_t {
-      if (!c.in_fill()) return c.literal();
-      return c.fill_ones() ? kLiteralMask : 0u;
+    const auto group = [](const RunCursor& c) {
+      return c.literals() != nullptr ? c.literals()[0] : c.fill_word();
     };
     out.active_ = op(group(ca), group(cb)) & ((1u << tail) - 1u);
     out.active_bits_ = tail;

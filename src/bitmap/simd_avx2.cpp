@@ -22,7 +22,8 @@
 //    scalar level's bodies.
 //  - interval scan: one group's 31 rows as eight 4-lane vectors (the last
 //    one a masked load, so nothing past the column is read), two ordered
-//    compares per interval, movemask into the group's bits.
+//    compares per interval, movemask into the group's bits. External
+//    linkage: the AVX-512 table points its scan entry here too.
 #include "simd_common.hpp"
 
 #if defined(__AVX2__)
@@ -210,6 +211,27 @@ inline std::uint32_t group_in_interval(const __m256d* v, __m256d lo,
   return word & 0x7FFFFFFFu;
 }
 
+// The hist1d entries are the scalar table's own bodies: four-lane gather +
+// locate measured a median 1.21x over scalar at sel=0.5, under the 1.5x a
+// vector family needs to be kept (DESIGN.md Section 12). hist2d, with two
+// locates per row, measured 1.53x and stays.
+constexpr Ops kAvx2Ops = {
+    Isa::kAvx2,
+    &positions_from_groups_avx2,
+    &detail::hist1d_rows_baseline,
+    &hist2d_rows_avx2,
+    &detail::hist1d_dense_baseline,
+    &hist2d_dense_avx2,
+    &detail::scan_intervals_avx2,
+    // bench_kernels scan_intervals/y/isa=avx2, ns_per_row (median of
+    // three runs; BENCH_kernels.json holds one).
+    0.47,
+};
+
+}  // namespace
+
+namespace detail {
+
 void scan_intervals_avx2(const double* values, std::size_t nrows,
                          const Interval* ivs, std::size_t nivs,
                          std::uint32_t* groups) {
@@ -240,27 +262,8 @@ void scan_intervals_avx2(const double* values, std::size_t nrows,
                           groups + full);
 }
 
-// The hist1d entries are the scalar table's own bodies: four-lane gather +
-// locate measured a median 1.21x over scalar at sel=0.5, under the 1.5x a
-// vector family needs to be kept (DESIGN.md Section 12). hist2d, with two
-// locates per row, measured 1.53x and stays.
-constexpr Ops kAvx2Ops = {
-    Isa::kAvx2,
-    &positions_from_groups_avx2,
-    &detail::hist1d_rows_baseline,
-    &hist2d_rows_avx2,
-    &detail::hist1d_dense_baseline,
-    &hist2d_dense_avx2,
-    &scan_intervals_avx2,
-    // bench_kernels scan_intervals/y/isa=avx2, ns_per_row (median of
-    // three runs; BENCH_kernels.json holds one).
-    0.47,
-};
-
-}  // namespace
-
-namespace detail {
 const Ops* avx2_ops() { return &kAvx2Ops; }
+
 }  // namespace detail
 
 }  // namespace qdv::simd

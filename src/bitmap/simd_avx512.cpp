@@ -16,8 +16,8 @@
 // verify edges in-register instead of gathering them, and hist2d runs two
 // phases (vector bin compute + compressed flat indices, then a prefetched
 // increment pass) to decouple the serial counts updates from the gathers.
-// The interval scan compares one group's 31 rows, four 8-lane vectors (the
-// last a masked load), against each interval's bounds with mask compares.
+// The interval scan entry is the AVX2 level's body: an 8-lane twin measured
+// no faster on a million-row column, where the scan is memory-bound.
 #include "simd_common.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__) && \
@@ -342,52 +342,6 @@ void hist2d_dense_avx512(const double* xs, const double* ys, std::size_t n,
   hist2d_dense_scalar(xs + i, ys + i, n - i, xloc, yloc, ny, counts);
 }
 
-/// Bits 0-30 of one group: the 31 rows in four 8-lane vectors (the last
-/// lane of @p v[3] is the next group's first row, or zero past the column,
-/// and is masked off) compared against one interval's bounds.
-template <int kLoCmp, int kHiCmp>
-inline std::uint32_t group_in_interval(const __m512d* v, __m512d lo,
-                                       __m512d hi) {
-  std::uint32_t word = 0;
-  for (int q = 0; q < 4; ++q) {
-    const __mmask8 lane = q == 3 ? 0x7F : 0xFF;
-    const __mmask8 above = _mm512_mask_cmp_pd_mask(lane, v[q], lo, kLoCmp);
-    word |= static_cast<std::uint32_t>(
-                _mm512_mask_cmp_pd_mask(above, v[q], hi, kHiCmp))
-            << (8 * q);
-  }
-  return word;
-}
-
-void scan_intervals_avx512(const double* values, std::size_t nrows,
-                           const Interval* ivs, std::size_t nivs,
-                           std::uint32_t* groups) {
-  const std::size_t full = nrows / 31;
-  for (std::size_t g = 0; g < full; ++g) {
-    const double* row = values + 31 * g;
-    // The masked load reads rows 24-30 only: no value past the column.
-    const __m512d v[4] = {_mm512_loadu_pd(row), _mm512_loadu_pd(row + 8),
-                          _mm512_loadu_pd(row + 16),
-                          _mm512_maskz_loadu_pd(0x7F, row + 24)};
-    std::uint32_t word = 0;
-    for (std::size_t k = 0; k < nivs; ++k) {
-      const __m512d lo = _mm512_set1_pd(ivs[k].lo);
-      const __m512d hi = _mm512_set1_pd(ivs[k].hi);
-      // Ordered, non-signalling predicates: a NaN on either side is false.
-      switch (ivs[k].lo_open * 2 + ivs[k].hi_open) {
-        case 0: word |= group_in_interval<_CMP_GE_OQ, _CMP_LE_OQ>(v, lo, hi); break;
-        case 1: word |= group_in_interval<_CMP_GE_OQ, _CMP_LT_OQ>(v, lo, hi); break;
-        case 2: word |= group_in_interval<_CMP_GT_OQ, _CMP_LE_OQ>(v, lo, hi); break;
-        default: word |= group_in_interval<_CMP_GT_OQ, _CMP_LT_OQ>(v, lo, hi); break;
-      }
-    }
-    groups[g] = word;
-  }
-  if (nrows > 31 * full)
-    scan_intervals_scalar(values + 31 * full, nrows - 31 * full, ivs, nivs,
-                          groups + full);
-}
-
 constexpr Ops kAvx512Ops = {
     Isa::kAvx512,
     &positions_from_groups_avx512,
@@ -395,10 +349,10 @@ constexpr Ops kAvx512Ops = {
     &hist2d_rows_avx512,
     &hist1d_dense_avx512,
     &hist2d_dense_avx512,
-    &scan_intervals_avx512,
-    // bench_kernels scan_intervals/y/isa=avx512, ns_per_row (median of
+    &detail::scan_intervals_avx2,
+    // bench_kernels scan_intervals/y/isa=avx2, ns_per_row (median of
     // three runs; BENCH_kernels.json holds one).
-    0.45,
+    0.47,
 };
 
 }  // namespace

@@ -161,6 +161,14 @@ void hist1d_rows_baseline(const std::uint32_t* rows, std::size_t n,
 void hist1d_dense_baseline(const double* values, std::size_t n,
                            const LocatorView& loc, std::uint64_t* counts);
 
+// The AVX2 table's interval scan, defined in simd_avx2.cpp (external
+// linkage). The AVX-512 table points its scan entry here: an 8-lane body
+// measured no faster on a memory-bound million-row scan (DESIGN.md
+// Section 12).
+void scan_intervals_avx2(const double* values, std::size_t nrows,
+                         const Interval* ivs, std::size_t nivs,
+                         std::uint32_t* groups);
+
 }  // namespace detail
 
 /// Byte-decode table for the AVX2 position kernels: entry m packs the bit
