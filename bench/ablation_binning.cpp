@@ -4,14 +4,19 @@
 // uniform vs quantile boundaries, and precision binning (which answers
 // low-precision range queries from the index alone, with no candidate
 // check). This bench measures index build time, range-query time and the
-// candidate-check volume across those choices.
+// candidate-check volume across those choices. Queries probe the saved
+// `.bmi` image through SegmentedBitmapIndex, as served queries do.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bitmap/bitmap_index.hpp"
 #include "bitmap/bins.hpp"
+#include "bitmap/index_segments.hpp"
 
 namespace {
 
@@ -60,37 +65,60 @@ void BM_IndexBuild(benchmark::State& state) {
   state.counters["bins"] = static_cast<double>(bins.num_bins());
 }
 
+/// The `.bmi` image of BitmapIndex::build(values, bins), opened as the
+/// SegmentedBitmapIndex every served query reads.
+struct SavedIndex {
+  SegmentedBitmapIndex index;
+  std::size_t image_bytes = 0;
+};
+
+SavedIndex open_saved(std::span<const double> values, const Bins& bins) {
+  std::stringstream stream;
+  BitmapIndex::build(values, bins).save(stream);
+  const auto image = std::make_shared<const std::string>(stream.str());
+  return {SegmentedBitmapIndex::open(
+              std::as_bytes(std::span(image->data(), image->size())), image),
+          image->size()};
+}
+
+/// Set rows in the segments @p probe checks against the column.
+double candidate_rows(const SegmentedBitmapIndex::Probe& probe) {
+  std::uint64_t rows = 0;
+  for (const auto& c : probe.candidates) rows += c->count();
+  return static_cast<double>(rows);
+}
+
 void BM_RangeQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto nbins = static_cast<std::size_t>(state.range(1));
   const int strategy = static_cast<int>(state.range(2));
   const std::vector<double> values = make_column(n, 13);
-  const BitmapIndex index =
-      BitmapIndex::build(values, bins_for_strategy(strategy, values, nbins));
+  const SavedIndex saved =
+      open_saved(values, bins_for_strategy(strategy, values, nbins));
   // Mid-bin threshold: forces a candidate check for non-precision bins.
-  const Interval iv = Interval::greater_than(7.05e10);
+  const std::vector<Interval> ivs = {Interval::greater_than(7.05e10)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.evaluate(iv, values));
+    benchmark::DoNotOptimize(saved.index.pin(ivs).run(ivs, values));
   }
-  state.counters["candidates"] =
-      static_cast<double>(index.evaluate_approx(iv).candidates.count());
+  state.counters["candidates"] = candidate_rows(saved.index.pin(ivs));
   state.counters["index_mb"] =
-      static_cast<double>(index.memory_bytes()) / (1024.0 * 1024.0);
+      static_cast<double>(saved.image_bytes) / (1024.0 * 1024.0);
 }
 
 void BM_PrecisionBinningAnswersIndexOnly(benchmark::State& state) {
-  // Low-precision constant (1-digit: 7e10) against a precision-binned
-  // index: the candidate set must be empty, making the query index-only.
+  // Inclusive low-precision threshold (1-digit: x >= 7e10) against a
+  // precision-binned index: the candidate set must be empty, making the
+  // query index-only. A strict threshold on the edge keeps one candidate
+  // bin, since values equal to the edge must be excluded.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<double> values = make_column(n, 17);
-  const BitmapIndex index =
-      BitmapIndex::build(values, make_precision_bins(0.0, 1.15e11, 2, 1u << 14));
-  const Interval iv = Interval::greater_than(7e10);
+  const SavedIndex saved =
+      open_saved(values, make_precision_bins(0.0, 1.15e11, 2, 1u << 14));
+  const std::vector<Interval> ivs = {Interval::at_least(7e10)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.evaluate(iv, values));
+    benchmark::DoNotOptimize(saved.index.pin(ivs).run(ivs, values));
   }
-  state.counters["candidates"] =
-      static_cast<double>(index.evaluate_approx(iv).candidates.count());
+  state.counters["candidates"] = candidate_rows(saved.index.pin(ivs));
 }
 
 }  // namespace

@@ -8,10 +8,10 @@
 // compression win).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <vector>
 
-#include "bitmap/bitmap_index.hpp"
 #include "bitmap/bitvector.hpp"
 
 namespace {
@@ -88,23 +88,6 @@ void BM_WahToPositions(benchmark::State& state) {
   state.counters["set_bits"] = static_cast<double>(a.count());
 }
 
-void BM_OrManyTreeReduction(benchmark::State& state) {
-  // The or_many pairwise reduction used when assembling range queries from
-  // many bin bitmaps.
-  const auto nops = static_cast<std::size_t>(state.range(0));
-  constexpr std::uint64_t kBits = 1u << 20;
-  std::vector<BitVector> vs;
-  vs.reserve(nops);
-  for (std::size_t i = 0; i < nops; ++i)
-    vs.push_back(make_vector(kBits, 1.0 / 2048.0, 100 + i));
-  for (auto _ : state) {
-    std::vector<const BitVector*> ops;
-    ops.reserve(vs.size());
-    for (const auto& v : vs) ops.push_back(&v);
-    benchmark::DoNotOptimize(qdv::or_many(std::move(ops), kBits));
-  }
-}
-
 }  // namespace
 
 // Sweep: 1M and 8M bits; mean run lengths 4 (dense/noisy) to 4096 (sparse).
@@ -120,6 +103,5 @@ BENCHMARK(BM_WahCount)
 BENCHMARK(BM_WahToPositions)
     ->ArgsProduct({{8 << 20}, {64, 4096}})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_OrManyTreeReduction)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -36,10 +36,11 @@
 namespace qdv::bench {
 
 /// Reconstruction of the pre-kernel ("scalar") two-step range evaluation,
-/// used as the old side of the old/new kernel rows: pairwise-tree or_many
-/// over the touched bin segments and a per-bit candidate resolve. Segments
-/// are decoded at construction so both old and new sides measure warm
-/// evaluation (the engine caches decoded segments in its memory budget).
+/// used as the old side of the old/new kernel rows: a pairwise-tree OR
+/// (kern::ref::or_many_pairwise) over the touched bin segments and a
+/// per-bit candidate resolve. Segments are decoded at construction so both
+/// old and new sides measure warm evaluation (the engine caches decoded
+/// segments in its memory budget).
 class ScalarTwoStepRef {
  public:
   ScalarTwoStepRef(const io::TimestepTable& table, const std::string& variable,

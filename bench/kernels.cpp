@@ -1,8 +1,9 @@
 // Old-vs-new rows for every execution kernel of DESIGN.md Section 10, over
 // synthetic data (no dataset on disk needed): the scalar pre-PR paths
-// (per-bit for_each_set + per-value Bins::locate + pairwise or_many +
-// thread spawn/join per batch) against the block kernels (content walk +
-// Bins::Locator + k-way OR + persistent pool). Every comparison
+// (per-bit for_each_set + per-value Bins::locate + thread spawn/join per
+// batch) against the block kernels (content walk + Bins::Locator +
+// persistent pool), and the range-step rows: the interval probe against
+// the pairwise OR reference and the interval scan per ISA. Every comparison
 // asserts the two paths produce identical results and exits nonzero on any
 // mismatch, so this doubles as the CI benchmark smoke check.
 //
@@ -352,26 +353,6 @@ int main(int argc, char** argv) {
           8000, 0.3);
     }
     simd::force(initial);
-  }
-
-  // ---- k-way OR (the multi-bin range probe shape) ----
-  for (const std::size_t fanin : {8u, 64u, 256u}) {
-    std::vector<BitVector> bins_bitmaps;
-    bins_bitmaps.reserve(fanin);
-    // Disjoint equality-encoded bin bitmaps, ~rows/fanin bits each.
-    for (std::size_t b = 0; b < fanin; ++b)
-      bins_bitmaps.push_back(make_selected(rows, 1.0 / static_cast<double>(fanin)));
-    std::vector<const BitVector*> ops;
-    for (const BitVector& b : bins_bitmaps) ops.push_back(&b);
-    BitVector out_pair, out_kway;
-    const double t_scalar = bench::time_best(
-        [&] { out_pair = kern::ref::or_many_pairwise(ops, rows); });
-    const double t_block =
-        bench::time_best([&] { out_kway = kern::or_many_kway(ops, rows); });
-    expect(out_pair == out_kway, "or_many result");
-    char label[64];
-    std::snprintf(label, sizeof(label), "or_many/fanin=%zu", fanin);
-    report(label, t_scalar, t_block);
   }
 
   // ---- range steps: probe or scan (DESIGN.md Section 3) ----

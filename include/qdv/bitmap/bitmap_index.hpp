@@ -1,7 +1,8 @@
 // Equality-encoded bitmap index (FastBit's default): one WAH-compressed
-// bitmap per bin. Range queries OR the bitmaps of bins fully inside the
-// interval and verify the (at most two) boundary bins against the raw
-// column — the two-step evaluation described in DESIGN.md Section 3.
+// bitmap per bin plus one for the rows outside the bins. BitmapIndex builds
+// the index and writes its `.bmi` image; range queries run against that
+// image through SegmentedBitmapIndex (bitmap/index_segments.hpp), the
+// two-step evaluation described in DESIGN.md Section 3.
 #pragma once
 
 #include <cstdint>
@@ -15,13 +16,6 @@
 
 namespace qdv {
 
-/// Index-only answer of a range condition: rows certainly matching plus rows
-/// that need a candidate check against the raw column.
-struct ApproxAnswer {
-  BitVector hits;
-  BitVector candidates;
-};
-
 namespace detail {
 /// Classification of the bin range covered by an interval: bins
 /// [full_lo, full_hi] are certain hits (empty when full_lo > full_hi);
@@ -32,40 +26,15 @@ struct BinCoverage {
   std::vector<std::size_t> partial;
 };
 BinCoverage classify_bins(const Bins& bins, const Interval& iv);
-
-/// Per-row bin assignment used by all index builders: positions grouped by
-/// bin (ascending within each bin) plus the rows outside the bin range.
-struct BinnedRows {
-  std::vector<std::uint32_t> grouped;     // row ids, grouped by bin
-  std::vector<std::size_t> offsets;       // per-bin [offsets[b], offsets[b+1])
-  std::vector<std::uint32_t> outside;     // rows not covered by the bins
-};
-BinnedRows bin_rows(std::span<const double> values, const Bins& bins);
-
-/// Second step of the two-step evaluation, shared by every index encoding:
-/// verify the candidate rows against the raw column and fold the survivors
-/// into the hits.
-BitVector resolve_candidates(const Interval& iv, ApproxAnswer approx,
-                             std::span<const double> values,
-                             std::uint64_t nrows);
 }  // namespace detail
 
 class BitmapIndex {
  public:
   static BitmapIndex build(std::span<const double> values, const Bins& bins);
 
-  /// Index-only evaluation: hits plus candidate rows (boundary bins and rows
-  /// outside the binned range).
-  ApproxAnswer evaluate_approx(const Interval& iv) const;
-
-  /// Full two-step evaluation: index answer plus candidate check against the
-  /// raw column values.
-  BitVector evaluate(const Interval& iv, std::span<const double> values) const;
-
   const Bins& bins() const { return bins_; }
   std::uint64_t num_rows() const { return nrows_; }
   const BitVector& bin_bitmap(std::size_t bin) const { return bitmaps_[bin]; }
-  std::size_t memory_bytes() const;
 
   /// Writes the `.bmi` image that SegmentedBitmapIndex::open reads back.
   void save(std::ostream& out) const;

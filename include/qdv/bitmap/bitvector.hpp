@@ -161,9 +161,4 @@ class BitVector {
   std::uint64_t nbits_ = 0;
 };
 
-/// K-way OR: used to assemble range queries from many per-bin bitmaps.
-/// Merges every operand's run decoder in a single pass (kern::or_many_kway);
-/// inputs shorter than @p nbits are zero-extended.
-BitVector or_many(std::vector<const BitVector*> operands, std::uint64_t nbits);
-
 }  // namespace qdv

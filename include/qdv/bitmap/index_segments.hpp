@@ -5,12 +5,12 @@
 // final "outside" bitmap. SegmentedBitmapIndex parses only the header and a
 // byte-offset directory of the segments, so opening an index touches O(bins)
 // record headers instead of deserializing every bitmap; a range query then
-// decodes only the segments its probe reads — the out-of-core counterpart
-// of BitmapIndex (DESIGN.md Section 9). A probe answers a union of
-// intervals on the variable in one pass (DESIGN.md Section 3): it ORs
-// whichever side of the bins costs fewer compressed words, the bins fully
-// inside the union or every other segment (then inverted), and checks only
-// the boundary rows against the column.
+// decodes only the segments its probe reads (DESIGN.md Section 9).
+// BitmapIndex builds and writes the image; every query reads it through
+// this class. A probe answers a union of intervals on the variable in one
+// pass (DESIGN.md Section 3): it ORs whichever side of the bins costs fewer
+// compressed words, the bins fully inside the union or every other segment
+// (then inverted), and checks only the boundary rows against the column.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +34,7 @@ namespace qdv {
 /// index regardless of who mapped it. Decoded segments are returned by
 /// value (or through the caller's fetch hook); the index itself stays
 /// metadata-sized (edges + offsets).
-/// Thread-safety: immutable after open(); decode/evaluate are const and
+/// Thread-safety: immutable after open(); decode/plan/pin are const and
 /// safe to call concurrently.
 class SegmentedBitmapIndex {
  public:
@@ -143,10 +143,6 @@ class SegmentedBitmapIndex {
   Probe pin(std::span<const Interval> ivs, const SegmentFetch& fetch = {}) const {
     return pin(plan(ivs), fetch);
   }
-
-  /// One-interval probe against the raw column.
-  BitVector evaluate(const Interval& iv, std::span<const double> values,
-                     const SegmentFetch& fetch = {}) const;
 
   /// Heap bytes of the directory itself (edges + offsets), i.e. the cost of
   /// keeping the index open without any decoded segment.

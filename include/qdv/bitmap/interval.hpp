@@ -1,6 +1,6 @@
 // A one-dimensional range condition with optional open/closed endpoints —
 // the common currency between the query AST, the planner's fused interval
-// predicates, and every bitmap index encoding.
+// predicates, the bitmap index probe and the interval scan.
 #pragma once
 
 #include <limits>

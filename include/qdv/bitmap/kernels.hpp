@@ -2,9 +2,8 @@
 // Section 10): the content walk that decodes compressed words in one pass
 // (zero fills skipped, one-fills reported as row ranges, literal runs read
 // in place), the one-pass interval probe and the vector interval scan that
-// answer every served range predicate, the k-way single-pass OR of the
-// in-memory indices, and the sharded tally driver for intra-timestep
-// parallel histograms.
+// answer every served range predicate, and the sharded tally driver for
+// intra-timestep parallel histograms.
 //
 // The differential tests check these against element-at-a-time twins that
 // live with the tests (tests/kernel_refs.hpp), never in the library.
@@ -196,39 +195,6 @@ inline void for_each_set_blocked(const BitVector& v, Fn&& fn) {
   for_each_set_blocked(v, 0, v.size(), std::forward<Fn>(fn));
 }
 
-/// True when @p v is so sparse (under ~1 set bit per 64) that the scalar
-/// WAH decode — which skips zero fills arithmetically and pays no per-run
-/// setup — beats the block walk of for_each_set_blocked. Dense and
-/// run-heavy vectors take the block walk. The scan bails out the moment the density
-/// threshold is crossed, so on dense vectors it touches only a prefix of
-/// the words (a one-fill exits immediately); on sparse vectors a bounded
-/// prefix decides from its own density — the old full scan cost as much as
-/// the decode it was trying to avoid (the to_positions 0.48x regression at
-/// sel=1e-3).
-inline bool prefer_scalar_decode(const BitVector& v) {
-  constexpr std::size_t kMaxScanWords = 1024;
-  const std::uint64_t threshold = v.size() / 64;
-  std::uint64_t count = 0;
-  std::uint64_t groups = 0;
-  std::size_t scanned = 0;
-  for (const std::uint32_t w : BitVectorOps::words(v)) {
-    if (w & BitVectorOps::kFillFlag) {
-      const std::uint64_t g = w & BitVectorOps::kCountMask;
-      groups += g;
-      if (w & BitVectorOps::kFillValueBit)
-        count += g * BitVectorOps::kGroupBits;
-    } else {
-      groups += 1;
-      count += static_cast<std::uint32_t>(std::popcount(w));
-    }
-    if (count >= threshold) return false;
-    if (++scanned >= kMaxScanWords)
-      return count * 64 < groups * BitVectorOps::kGroupBits;
-  }
-  count += static_cast<std::uint32_t>(std::popcount(BitVectorOps::active(v)));
-  return count < threshold;
-}
-
 /// Conditional 1D histogram gather over the set rows of @p v in
 /// [begin, end): counts[loc(values[row])]++. Walks the compressed words in
 /// a single pass (zero fills skipped arithmetically, one-fills handed to
@@ -253,13 +219,6 @@ void to_positions_blocked(const BitVector& v, std::vector<std::uint32_t>& out);
 /// Set-bit count via a single pass over the compressed words (fills are
 /// arithmetic, literals popcount). Backs BitVector::count.
 std::uint64_t count_words(const BitVector& v);
-
-/// K-way OR: merges all operands' run decoders in one pass, appending fills
-/// and literal groups directly to the output — no pairwise intermediate
-/// BitVectors. Inputs shorter than @p nbits are zero-extended; the result is
-/// as long as the longest of {nbits, operands}. Backs qdv::or_many.
-BitVector or_many_kway(std::span<const BitVector* const> operands,
-                       std::uint64_t nbits);
 
 /// One-pass range probe of an equality-encoded index (DESIGN.md Sections 3
 /// and 10): the rows of [0, @p nrows) whose value lies in at least one of

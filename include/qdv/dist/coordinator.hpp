@@ -3,8 +3,8 @@
 // protocol to worker processes, gathers the partials, and merges them into
 // results bit-identical to single-process core::Engine execution — counts
 // sum, uniform-bin histogram counts sum elementwise (identical edges come
-// from the shared table domain), and windowed selection bitvectors merge
-// through kern::or_many_kway.
+// from the shared table domain), and each windowed selection bitvector maps
+// its rows through the id column inside its own window, in window order.
 //
 // Robustness is structural, not bolted on: every worker channel carries an
 // SO_RCVTIMEO request timeout, a failed sub-request gets a bounded

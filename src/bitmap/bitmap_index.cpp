@@ -7,8 +7,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "bitmap/kernels.hpp"
-
 namespace qdv {
 
 namespace {
@@ -70,92 +68,42 @@ BinCoverage classify_bins(const Bins& bins, const Interval& iv) {
   return cov;
 }
 
-BinnedRows bin_rows(std::span<const double> values, const Bins& bins) {
+}  // namespace detail
+
+BitmapIndex BitmapIndex::build(std::span<const double> values, const Bins& bins) {
+  // Group the row ids by bin (ascending within each bin, bin b at
+  // [offsets[b], offsets[b + 1])), then build one bitmap per group.
   const std::size_t n = bins.num_bins();
-  BinnedRows out;
   std::vector<std::int32_t> bin_of(values.size());
-  std::vector<std::size_t> counts(n, 0);
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<std::uint32_t> outside;
   const Bins::Locator locate = bins.locator();
   for (std::size_t row = 0; row < values.size(); ++row) {
     const std::ptrdiff_t b = locate(values[row]);
     bin_of[row] = static_cast<std::int32_t>(b);
     if (b >= 0)
-      ++counts[static_cast<std::size_t>(b)];
+      ++offsets[static_cast<std::size_t>(b) + 1];
     else
-      out.outside.push_back(static_cast<std::uint32_t>(row));
+      outside.push_back(static_cast<std::uint32_t>(row));
   }
-  out.offsets.assign(n + 1, 0);
-  for (std::size_t b = 0; b < n; ++b) out.offsets[b + 1] = out.offsets[b] + counts[b];
-  out.grouped.resize(out.offsets.back());
-  std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
-  for (std::size_t row = 0; row < values.size(); ++row) {
-    const std::int32_t b = bin_of[row];
-    if (b >= 0)
-      out.grouped[cursor[static_cast<std::size_t>(b)]++] =
+  for (std::size_t b = 0; b < n; ++b) offsets[b + 1] += offsets[b];
+  std::vector<std::uint32_t> grouped(offsets.back());
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t row = 0; row < values.size(); ++row)
+    if (bin_of[row] >= 0)
+      grouped[cursor[static_cast<std::size_t>(bin_of[row])]++] =
           static_cast<std::uint32_t>(row);
-  }
-  return out;
-}
 
-BitVector resolve_candidates(const Interval& iv, ApproxAnswer approx,
-                             std::span<const double> values,
-                             std::uint64_t nrows) {
-  std::vector<std::uint32_t> verified;
-  const auto check = [&](std::uint64_t row) {
-    if (iv.contains(values[row])) verified.push_back(static_cast<std::uint32_t>(row));
-  };
-  // Candidate sets are usually a couple of boundary bins — very sparse, the
-  // scalar decoder's best regime; dense candidate sets take the block path.
-  if (kern::prefer_scalar_decode(approx.candidates))
-    approx.candidates.for_each_set(check);
-  else
-    kern::for_each_set_blocked(approx.candidates, check);
-  if (verified.empty()) return std::move(approx.hits);
-  return approx.hits | BitVector::from_positions(verified, nrows);
-}
-
-}  // namespace detail
-
-BitmapIndex BitmapIndex::build(std::span<const double> values, const Bins& bins) {
   BitmapIndex index;
   index.bins_ = bins;
   index.nrows_ = values.size();
-  const detail::BinnedRows rows = detail::bin_rows(values, bins);
-  const std::size_t n = bins.num_bins();
   index.bitmaps_.reserve(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::span<const std::uint32_t> slice(
-        rows.grouped.data() + rows.offsets[b], rows.offsets[b + 1] - rows.offsets[b]);
-    index.bitmaps_.push_back(BitVector::from_positions(slice, index.nrows_));
-  }
-  index.outside_ = BitVector::from_positions(rows.outside, index.nrows_);
+  for (std::size_t b = 0; b < n; ++b)
+    index.bitmaps_.push_back(BitVector::from_positions(
+        std::span(grouped).subspan(offsets[b], offsets[b + 1] - offsets[b]),
+        index.nrows_));
+  index.outside_ = BitVector::from_positions(outside, index.nrows_);
   return index;
-}
-
-ApproxAnswer BitmapIndex::evaluate_approx(const Interval& iv) const {
-  const detail::BinCoverage cov = detail::classify_bins(bins_, iv);
-  ApproxAnswer out;
-  std::vector<const BitVector*> fulls;
-  for (std::ptrdiff_t b = cov.full_lo; b <= cov.full_hi; ++b)
-    fulls.push_back(&bitmaps_[static_cast<std::size_t>(b)]);
-  out.hits = or_many(std::move(fulls), nrows_);
-  std::vector<const BitVector*> partials;
-  for (const std::size_t b : cov.partial) partials.push_back(&bitmaps_[b]);
-  if (outside_.count() > 0) partials.push_back(&outside_);
-  out.candidates = or_many(std::move(partials), nrows_);
-  return out;
-}
-
-BitVector BitmapIndex::evaluate(const Interval& iv,
-                                std::span<const double> values) const {
-  return detail::resolve_candidates(iv, evaluate_approx(iv), values, nrows_);
-}
-
-std::size_t BitmapIndex::memory_bytes() const {
-  std::size_t total = outside_.memory_bytes() +
-                      bins_.edges().capacity() * sizeof(double);
-  for (const BitVector& b : bitmaps_) total += b.memory_bytes();
-  return total;
 }
 
 void BitmapIndex::save(std::ostream& out) const {

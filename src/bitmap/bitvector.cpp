@@ -278,10 +278,6 @@ BitVector BitVector::operator~() const {
   return out;
 }
 
-BitVector or_many(std::vector<const BitVector*> operands, std::uint64_t nbits) {
-  return kern::or_many_kway(operands, nbits);
-}
-
 void BitVector::save(std::ostream& out) const {
   const std::uint64_t nwords = words_.size();
   out.write(reinterpret_cast<const char*>(&nbits_), sizeof(nbits_));

@@ -139,13 +139,6 @@ BitVector SegmentedBitmapIndex::Probe::run(std::span<const Interval> ivs,
                                values, nrows);
 }
 
-BitVector SegmentedBitmapIndex::evaluate(const Interval& iv,
-                                         std::span<const double> values,
-                                         const SegmentFetch& fetch) const {
-  const std::span<const Interval> ivs(&iv, 1);
-  return pin(ivs, fetch).run(ivs, values);
-}
-
 std::size_t SegmentedBitmapIndex::metadata_bytes() const {
   return bins_.edges().capacity() * sizeof(double) +
          offsets_.capacity() * sizeof(std::uint64_t);

@@ -342,252 +342,6 @@ std::uint64_t count_words(const BitVector& v) {
 }
 
 // ------------------------------------------------------------------------
-// K-way OR
-// ------------------------------------------------------------------------
-
-namespace {
-
-/// Decoder over one operand's compressed words that only surfaces *content*
-/// — literal groups and one-fills — skipping zero fills arithmetically. The
-/// k-way OR never needs to look at an operand between its set regions, so
-/// merging k sparse bin bitmaps costs O(content words * log k), not
-/// O(groups * k): range probes OR hundreds of mostly-empty per-bin bitmaps.
-struct ContentCursor {
-  std::span<const std::uint32_t> words;
-  std::uint32_t active = 0;
-  std::uint32_t active_bits = 0;
-  std::size_t idx = 0;
-  bool tail_done = false;
-
-  std::uint64_t pos = 0;         // group index where the current content starts
-  std::uint64_t run_groups = 0;  // content length in groups (literal = 1)
-  bool is_one_fill = false;
-  std::uint32_t literal = 0;  // valid when !is_one_fill
-  bool exhausted = false;
-
-  explicit ContentCursor(const BitVector& v)
-      : words(BitVectorOps::words(v)),
-        active(BitVectorOps::active(v)),
-        active_bits(BitVectorOps::active_bits(v)) {
-    next_content();
-  }
-
-  /// Advance past the current content to the next literal / one-fill.
-  void next_content() {
-    pos += run_groups;
-    run_groups = 0;
-    for (;;) {
-      if (idx < words.size()) {
-        const std::uint32_t w = words[idx++];
-        if (w & BitVectorOps::kFillFlag) {
-          const std::uint64_t g = w & BitVectorOps::kCountMask;
-          if (w & BitVectorOps::kFillValueBit) {
-            is_one_fill = true;
-            run_groups = g;
-            return;
-          }
-          pos += g;  // zero fill: free skip
-          continue;
-        }
-        is_one_fill = false;
-        literal = w;
-        run_groups = 1;
-        return;
-      }
-      if (!tail_done && active_bits > 0) {
-        tail_done = true;
-        if (active != 0) {
-          is_one_fill = false;
-          literal = active;  // zero-padded to a whole group
-          run_groups = 1;
-          return;
-        }
-        pos += 1;
-        continue;
-      }
-      exhausted = true;
-      return;
-    }
-  }
-
-  /// Ensure the current content starts at group >= @p group (consuming any
-  /// part of it the output has already covered).
-  void skip_to(std::uint64_t group) {
-    while (!exhausted && pos + run_groups <= group) next_content();
-    if (!exhausted && pos < group) {
-      // Only a one-fill can straddle (literals span one group).
-      run_groups -= group - pos;
-      pos = group;
-    }
-  }
-};
-
-}  // namespace
-
-namespace {
-
-/// Dense-accumulator OR: scatter every operand's content into an
-/// uncompressed per-group uint32 array, then recompress once. O(total
-/// content words + groups) with no per-group coordination — the winner when
-/// the operands' combined content is dense relative to the output range
-/// (e.g. a threshold query ORing hundreds of well-filled bin bitmaps).
-BitVector or_many_dense(std::span<const BitVector* const> operands,
-                        std::uint64_t target) {
-  const std::uint64_t full_groups = target / BitVectorOps::kGroupBits;
-  const auto tail =
-      static_cast<std::uint32_t>(target - full_groups * BitVectorOps::kGroupBits);
-  std::vector<std::uint32_t> acc(full_groups + (tail > 0 ? 1 : 0), 0);
-  for (const BitVector* v : operands) {
-    std::size_t g = 0;
-    for (const std::uint32_t w : BitVectorOps::words(*v)) {
-      if (w & BitVectorOps::kFillFlag) {
-        const std::uint64_t run = w & BitVectorOps::kCountMask;
-        if (w & BitVectorOps::kFillValueBit)
-          std::fill(acc.begin() + static_cast<std::ptrdiff_t>(g),
-                    acc.begin() + static_cast<std::ptrdiff_t>(
-                                      std::min<std::uint64_t>(g + run, acc.size())),
-                    BitVectorOps::kLiteralMask);
-        g += run;
-      } else {
-        acc[g++] |= w;
-      }
-    }
-    if (BitVectorOps::active_bits(*v) > 0 && g < acc.size())
-      acc[g] |= BitVectorOps::active(*v);
-  }
-  BitVector out;
-  std::size_t g = 0;
-  while (g < full_groups) {
-    const std::uint32_t w = acc[g];
-    if (w == 0 || w == BitVectorOps::kLiteralMask) {
-      std::size_t e = g + 1;
-      while (e < full_groups && acc[e] == w) ++e;
-      BitVectorOps::append_fill(out, w != 0, e - g);
-      g = e;
-    } else {
-      BitVectorOps::append_group(out, w);
-      ++g;
-    }
-  }
-  BitVectorOps::set_nbits(out, full_groups * BitVectorOps::kGroupBits);
-  if (tail > 0) {
-    BitVectorOps::set_tail(out, acc[full_groups] & ((1u << tail) - 1u), tail);
-    BitVectorOps::set_nbits(out, target);
-  }
-  return out;
-}
-
-/// Scratch ceiling for the dense accumulator (groups -> 4 bytes each).
-constexpr std::uint64_t kMaxDenseGroups = 1ull << 22;  // 16 MiB scratch
-
-}  // namespace
-
-BitVector or_many_kway(std::span<const BitVector* const> operands,
-                       std::uint64_t nbits) {
-  std::uint64_t target = nbits;
-  std::uint64_t total_words = 0;
-  for (const BitVector* v : operands) {
-    target = std::max(target, v->size());
-    total_words += v->word_count();
-  }
-  if (operands.empty()) return BitVector::zeros(target);
-  if (operands.size() == 1) {
-    BitVector out = *operands[0];
-    if (out.size() < target) out.append_run(false, target - out.size());
-    return out;
-  }
-  const std::uint64_t full_groups = target / BitVectorOps::kGroupBits;
-  // Dense accumulation when the combined content is a meaningful fraction
-  // of the range (total_words over-counts content by including fill words —
-  // an acceptable bias toward the dense path, whose worst case is mild);
-  // heap merge otherwise (and always for ranges too big to scatter into).
-  if (full_groups <= kMaxDenseGroups && total_words >= full_groups / 8)
-    return or_many_dense(operands, target);
-  std::vector<ContentCursor> cursors;
-  cursors.reserve(operands.size());
-  for (const BitVector* v : operands) cursors.emplace_back(*v);
-
-  // Min-heap of cursor indices ordered by content position.
-  std::vector<std::size_t> heap;
-  heap.reserve(cursors.size());
-  const auto by_pos = [&](std::size_t a, std::size_t b) {
-    return cursors[a].pos > cursors[b].pos;  // min-heap
-  };
-  for (std::size_t i = 0; i < cursors.size(); ++i)
-    if (!cursors[i].exhausted) heap.push_back(i);
-  std::make_heap(heap.begin(), heap.end(), by_pos);
-  const auto pop_min = [&] {
-    std::pop_heap(heap.begin(), heap.end(), by_pos);
-    const std::size_t i = heap.back();
-    heap.pop_back();
-    return i;
-  };
-  const auto push = [&](std::size_t i) {
-    heap.push_back(i);
-    std::push_heap(heap.begin(), heap.end(), by_pos);
-  };
-
-  BitVector out;
-  std::uint64_t done = 0;
-  while (!heap.empty() && done < full_groups) {
-    const std::size_t i = pop_min();
-    ContentCursor& c = cursors[i];
-    if (c.pos >= full_groups) break;  // heap min: every cursor is past the end
-    if (c.pos < done) {
-      // Content already covered by an emitted one-fill: fast-forward.
-      c.skip_to(done);
-      if (!c.exhausted) push(i);
-      continue;
-    }
-    if (c.pos > done) {
-      // Nothing has content before c.pos: the gap is all zeros.
-      BitVectorOps::append_fill(out, false, c.pos - done);
-      done = c.pos;
-    }
-    if (c.is_one_fill) {
-      const std::uint64_t g = std::min(c.run_groups, full_groups - done);
-      BitVectorOps::append_fill(out, true, g);
-      done += g;
-      c.skip_to(done);
-      if (!c.exhausted) push(i);
-      continue;
-    }
-    // Literal group at `done`: OR in every other cursor with content here.
-    std::uint32_t w = c.literal;
-    c.skip_to(done + 1);
-    while (!heap.empty() && cursors[heap.front()].pos == done) {
-      const std::size_t j = pop_min();
-      ContentCursor& d = cursors[j];
-      // A one-fill starting here covers this group entirely; its remainder
-      // (starting at done + 1) is emitted by later heap pops.
-      w |= d.is_one_fill ? BitVectorOps::kLiteralMask : d.literal;
-      d.skip_to(done + 1);
-      if (!d.exhausted) push(j);
-    }
-    BitVectorOps::append_group(out, w & BitVectorOps::kLiteralMask);
-    ++done;
-    if (!c.exhausted) push(i);
-  }
-  if (done < full_groups)
-    BitVectorOps::append_fill(out, false, full_groups - done);
-  BitVectorOps::set_nbits(out, full_groups * BitVectorOps::kGroupBits);
-  const auto tail =
-      static_cast<std::uint32_t>(target - full_groups * BitVectorOps::kGroupBits);
-  if (tail > 0) {
-    // The zero-padded tail group: OR of each operand's group at full_groups.
-    std::uint32_t w = 0;
-    for (ContentCursor& c : cursors) {
-      c.skip_to(full_groups);
-      if (!c.exhausted && c.pos == full_groups)
-        w |= c.is_one_fill ? BitVectorOps::kLiteralMask : c.literal;
-    }
-    BitVectorOps::set_tail(out, w & ((1u << tail) - 1u), tail);
-    BitVectorOps::set_nbits(out, target);
-  }
-  return out;
-}
-
-// ------------------------------------------------------------------------
 // Interval probe and scan
 // ------------------------------------------------------------------------
 

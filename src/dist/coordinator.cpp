@@ -435,14 +435,23 @@ struct Coordinator::Impl {
                      std::vector<Partial> partials) {
     GatherResult out;
     out.shards = partials.size();
+    // Re-queued windows arrive out of order: sorted, they must tile
+    // [0, rows) exactly, each starting where the previous one ended.
+    std::sort(partials.begin(), partials.end(),
+              [](const Partial& a, const Partial& b) {
+                return a.range.begin < b.range.begin;
+              });
+    const std::uint64_t rows = rows_per_timestep[timestep];
     std::uint64_t covered = 0;
     for (const Partial& p : partials) {
       const double s = read_exec_seconds(p.frame);
       out.sum_shard_seconds += s;
       out.max_shard_seconds = std::max(out.max_shard_seconds, s);
-      covered += p.range.end - p.range.begin;
+      if (p.range.begin != covered)
+        throw std::runtime_error("gathered windows do not tile the timestep");
+      covered = p.range.end;
     }
-    if (covered != rows_per_timestep[timestep])
+    if (covered != rows)
       throw std::runtime_error("gathered windows do not tile the timestep");
 
     switch (kind) {
@@ -455,29 +464,30 @@ struct Coordinator::Impl {
         break;
       }
       case ShardKind::kBits: {
-        // OR-merge the windowed selection bitvectors (disjoint windows, so
-        // this is exactly the single-process bitvector), then map rows
-        // through the id column — the same row-ascending walk as
-        // Selection::ids.
-        std::vector<BitVector> parts;
-        parts.reserve(partials.size());
+        // Map each partial's set rows through the id column inside its own
+        // window. The windows are sorted and tile the timestep, so this is
+        // the row-ascending walk of Selection::ids. A partial longer than
+        // the timestep, or with a set row outside its window, is refused.
+        const std::span<const std::uint64_t> id_col =
+            dataset.table(timestep).id_column("id");
         for (const Partial& p : partials) {
           WireReader r(p.frame.payload);
           r.f64();
           std::istringstream blob(r.str());
-          parts.push_back(BitVector::load(blob));
+          const BitVector bits = BitVector::load(blob);
+          if (bits.size() > rows)
+            throw std::runtime_error(
+                "partial id bitvector is longer than the timestep");
+          const std::uint64_t set = bits.count();
+          const std::size_t before = out.ids.size();
+          out.ids.reserve(before + set);
+          kern::for_each_set_blocked(
+              bits, p.range.begin, p.range.end,
+              [&](std::uint64_t row) { out.ids.push_back(id_col[row]); });
+          if (out.ids.size() - before != set)
+            throw std::runtime_error(
+                "partial id bitvector has rows outside its window");
         }
-        std::vector<const BitVector*> ptrs;
-        ptrs.reserve(parts.size());
-        for (const BitVector& b : parts) ptrs.push_back(&b);
-        const BitVector merged =
-            kern::or_many_kway(ptrs, rows_per_timestep[timestep]);
-        const std::span<const std::uint64_t> id_col =
-            dataset.table(timestep).id_column("id");
-        out.ids.reserve(merged.count());
-        kern::for_each_set_blocked(merged, [&](std::uint64_t row) {
-          out.ids.push_back(id_col[row]);
-        });
         out.count = out.ids.size();
         break;
       }

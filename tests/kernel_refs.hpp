@@ -16,8 +16,9 @@
 
 namespace qdv::kern::ref {
 
-/// Twin of or_many_kway: the original pairwise tree reduction over
-/// operator|.
+/// The OR of many bitvectors as a pairwise tree reduction over operator|:
+/// the reference for probe_intervals's OR side, and the old side of the
+/// bench rows that time the two-step evaluation (bench_common.hpp).
 inline BitVector or_many_pairwise(std::span<const BitVector* const> operands,
                                   std::uint64_t nbits) {
   if (operands.empty()) return BitVector::zeros(nbits);

@@ -1,7 +1,6 @@
 // WAH bitvector edge cases: tails off the 31-bit boundary, literal<->fill
-// transitions, empty/all-set vectors, mixed-length operands, and or_many
-// over 1, 2, and 33 inputs — each cross-checked against a plain
-// std::vector<bool> reference model.
+// transitions, empty/all-set vectors and mixed-length operands — each
+// cross-checked against a plain std::vector<bool> reference model.
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -179,28 +178,6 @@ void test_from_positions_roundtrip() {
   CHECK(rebuilt == m.v);
 }
 
-void test_or_many() {
-  constexpr std::uint64_t kBits = 10000;
-  for (const std::size_t n : {1u, 2u, 33u}) {
-    std::vector<Model> models;
-    models.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      models.push_back(make_model(kBits, 1000 + i, 301));
-    std::vector<const BitVector*> ops;
-    std::vector<bool> expect(kBits, false);
-    for (const Model& m : models) {
-      ops.push_back(&m.v);
-      for (std::size_t i = 0; i < kBits; ++i)
-        if (m.ref[i]) expect[i] = true;
-    }
-    check_matches(qdv::or_many(std::move(ops), kBits), expect);
-  }
-  // Empty operand list: all zeros at the requested width.
-  const BitVector none = qdv::or_many({}, 512);
-  CHECK_EQ(none.size(), 512u);
-  CHECK_EQ(none.count(), 0u);
-}
-
 void test_load_validates_header() {
   const Model m = make_model(5000, 2024, 77);
   std::ostringstream saved;
@@ -282,7 +259,6 @@ int main() {
   test_logical_ops_against_model();
   test_combine_runs_against_bits();
   test_from_positions_roundtrip();
-  test_or_many();
   test_load_validates_header();
   test_for_each_set_order();
   return qdv::test::finish("test_bitvector");

@@ -5,19 +5,23 @@
 // 2, and 4 workers, through a seeded fuzz leg (the same random-AST
 // machinery as test_fuzz_query, via fuzz_common.hpp), after a worker is
 // SIGKILLed and its window is re-sharded onto the survivors, and through
-// the svc::QueryService distributed path. Plus pure-logic legs for the
+// the svc::QueryService distributed path. A stub worker's forged id
+// partials (a row outside its window, a bitvector longer than the
+// timestep) are refused with a typed error. Plus pure-logic legs for the
 // wire framing (round-trip, truncation, version mismatch against a live
 // worker) and the shard manifest (partition, reassign, text round-trip).
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -297,6 +301,117 @@ void test_fuzz_differential(const std::filesystem::path& dir,
   }
 }
 
+// ---------------------------------------------------------- forged frames ---
+
+/// What the stub worker below puts in each id partial, for the window it
+/// was asked about.
+enum class Forge {
+  kHonest,         // every row of the window: the all-records answer
+  kOutsideWindow,  // no row of the window, one row of another window
+  kTooLong,        // one bit past the timestep's last row
+};
+
+/// A stub worker attached twice, so that it owns two windows of every
+/// timestep: an io::UnixServer whose handler answers hello, heartbeats and
+/// shutdown as a real worker does and every id query with a partial forged
+/// as @p forge says. Each forged partial must be refused with a typed
+/// error, never merged into an answer.
+void test_forged_id_partials_refused(const std::filesystem::path& dir,
+                                     const core::Engine& direct) {
+  constexpr std::size_t kStep = 0;
+  const std::uint64_t rows = direct.dataset().table(kStep).num_rows();
+  std::atomic<Forge> forge{Forge::kHonest};
+  const auto partial = [&](const dist::ShardQuery& q) {
+    BitVector bits;
+    switch (forge.load()) {
+      case Forge::kHonest:
+        bits.append_run(false, q.row_begin);
+        bits.append_run(true, q.row_end - q.row_begin);
+        bits.append_run(false, rows - q.row_end);
+        break;
+      case Forge::kOutsideWindow: {
+        const std::uint64_t row = q.row_begin == 0 ? q.row_end : 0;
+        bits.append_run(false, row);
+        bits.append_run(true, 1);
+        bits.append_run(false, rows - row - 1);
+        break;
+      }
+      case Forge::kTooLong:
+        bits.append_run(false, rows);
+        bits.append_run(true, 1);
+        break;
+    }
+    std::ostringstream blob;
+    bits.save(blob);
+    dist::WireWriter w;
+    w.f64(0.0);
+    w.str(blob.str());
+    return w.take();
+  };
+  const std::filesystem::path sock = test::scratch_dir("dist_stub") / "s.sock";
+  io::UnixServer stub(sock, [&](int fd) {
+    dist::Channel channel(::dup(fd));
+    for (;;) {
+      dist::Frame request;
+      try {
+        request = channel.recv();
+      } catch (const std::exception&) {
+        return;
+      }
+      dist::Frame reply;
+      reply.seq = request.seq;
+      switch (request.type) {
+        case dist::MsgType::kHello: {
+          dist::WireWriter w;
+          w.u64(static_cast<std::uint64_t>(::getpid()));
+          w.u64(direct.num_timesteps());
+          w.u64(0);
+          reply.type = dist::MsgType::kHelloAck;
+          reply.payload = w.take();
+          break;
+        }
+        case dist::MsgType::kHeartbeat:
+          reply.type = dist::MsgType::kHeartbeatAck;
+          break;
+        case dist::MsgType::kShardQuery:
+          reply.type = dist::MsgType::kPartialBits;
+          reply.payload = partial(dist::ShardQuery::decode(request.payload));
+          break;
+        default:
+          reply.type = dist::MsgType::kShutdownAck;
+          break;
+      }
+      channel.send(reply);
+    }
+  });
+  stub.start();
+  {
+    dist::Coordinator coordinator(io::Dataset::open(dir.string()),
+                                  quiet_config());
+    coordinator.attach_worker(sock);
+    coordinator.attach_worker(sock);
+    CHECK_EQ(coordinator.manifest_snapshot().ranges(kStep).size(), 2u);
+
+    // The honest stub answers as the engine does.
+    const auto all = coordinator.execute(dist::ShardKind::kBits, kStep, "");
+    CHECK(all.ok);
+    CHECK(all.ids == direct.all().ids(kStep));
+
+    const auto refused = [&](Forge f, const std::string& reason) {
+      forge = f;
+      try {
+        (void)coordinator.execute(dist::ShardKind::kBits, kStep, "");
+      } catch (const std::runtime_error& e) {
+        return std::string(e.what()).find(reason) != std::string::npos;
+      }
+      return false;
+    };
+    CHECK(refused(Forge::kOutsideWindow, "outside its window"));
+    CHECK(refused(Forge::kTooLong, "longer than the timestep"));
+  }
+  stub.stop();
+}
+
 // --------------------------------------------------------------- backoff ---
 
 void test_backoff_delay() {
@@ -518,6 +633,7 @@ int main(int argc, char** argv) {
   test_backoff_delay();
   test_differential_vs_single_process(dir, direct);
   test_fuzz_differential(dir, direct);
+  test_forged_id_partials_refused(dir, direct);
   test_retry_backoff_sleeper(dir, direct);
   test_worker_kill_reshard(dir, direct);
   test_heartbeat_death_detection(dir, direct);

@@ -1,20 +1,22 @@
-// Index encodings against a brute-force reference: equality, range, and
-// interval encodings must produce identical exact answers for every query
-// shape, including values outside the binned range; the id index must match
-// a sequential scan. The on-disk decoders must reject forged entry counts
-// before allocating for them. The served interval-union probe must be
-// bit-identical to a scan on every table shape that steers it (NaN and
-// out-of-domain rows, a ragged last group, value-ordered and random-order
-// columns, both sides of its OR rule), and its segment fetches are counted
-// exactly: a probe reads only the segments its plan names. The range-step
-// choice between that probe and a column scan is bit-identical either way,
-// fetches nothing when it scans, never loads the column for an index-only
-// answer, and its work counts repeat exactly.
+// The equality-encoded index against a brute-force reference: a probe of
+// the saved `.bmi` image must give the exact answer for every query shape,
+// including values outside the binned range, and its pinned segments alone
+// must bracket that answer; the id index must match a sequential scan. The
+// on-disk decoders must reject forged entry counts before allocating for
+// them. The served interval-union probe must be bit-identical to a scan on
+// every table shape that steers it (NaN and out-of-domain rows, a ragged
+// last group, value-ordered and random-order columns, both sides of its OR
+// rule), and its segment fetches are counted exactly: a probe reads only
+// the segments its plan names. The range-step choice between that probe
+// and a column scan is bit-identical either way, fetches nothing when it
+// scans, never loads the column for an index-only answer, and its work
+// counts repeat exactly.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,13 +24,12 @@
 
 #include "bitmap/bitmap_index.hpp"
 #include "bitmap/index_segments.hpp"
-#include "bitmap/interval_index.hpp"
 #include "bitmap/kernels.hpp"
-#include "bitmap/range_index.hpp"
 #include "core/engine.hpp"
 #include "core/plan.hpp"
 #include "core/selection.hpp"
 #include "io/dataset.hpp"
+#include "kernel_refs.hpp"
 #include "sim/wakefield.hpp"
 #include "test_common.hpp"
 
@@ -58,30 +59,49 @@ std::vector<std::uint32_t> brute_force(std::span<const double> values,
   return out;
 }
 
-template <typename Index>
-void check_index(const Index& index, std::span<const double> values,
-                 const Interval& iv, const char* label) {
-  const BitVector answer = index.evaluate(iv, values);
+/// A SegmentedBitmapIndex over the `.bmi` image of BitmapIndex::build, the
+/// form in which every served query reads an index.
+SegmentedBitmapIndex open_saved(std::span<const double> values, const Bins& bins) {
+  std::stringstream stream;
+  BitmapIndex::build(values, bins).save(stream);
+  const auto image = std::make_shared<const std::string>(stream.str());
+  return SegmentedBitmapIndex::open(
+      std::as_bytes(std::span(image->data(), image->size())), image);
+}
+
+void check_index(const SegmentedBitmapIndex& index,
+                 std::span<const double> values, const Interval& iv,
+                 const char* label) {
+  const std::span<const Interval> ivs(&iv, 1);
+  const SegmentedBitmapIndex::Probe probe = index.pin(ivs);
+  const BitVector answer = probe.run(ivs, values);
   const std::vector<std::uint32_t> expect = brute_force(values, iv);
   if (answer.to_positions() != expect) {
     std::fprintf(stderr, "%s mismatch: lo=%g hi=%g got %zu expect %zu\n", label,
                  iv.lo, iv.hi, answer.to_positions().size(), expect.size());
     ++qdv::test::failures;
   }
-  // The approximate answer must bracket the exact one.
-  const auto approx = index.evaluate_approx(iv);
-  CHECK((approx.hits & ~answer).count() == 0);  // no false certain hits
-  CHECK((answer & ~(approx.hits | approx.candidates)).count() == 0);
+  // The index alone must bracket the exact answer. Against a NaN column
+  // every candidate fails its check, so the probe returns only the rows
+  // the bins make certain; every exact row is one of those or a candidate.
+  const std::vector<double> nan(values.size(),
+                                std::numeric_limits<double>::quiet_NaN());
+  const BitVector hits = probe.run(ivs, nan);
+  std::vector<const BitVector*> candidates;
+  for (const auto& c : probe.candidates) candidates.push_back(c.get());
+  const BitVector maybe =
+      hits | kern::ref::or_many_pairwise(candidates, values.size());
+  CHECK((hits & ~answer).count() == 0);  // no false certain hits
+  CHECK((answer & ~maybe).count() == 0);
 }
 
 void test_value_indices() {
   const std::vector<double> values = make_values(5000, 99);
   // Bins deliberately narrower than the data range: rows fall outside.
   for (const std::size_t nbins : {1u, 2u, 3u, 7u, 64u}) {
-    const Bins bins = make_uniform_bins(0.0, 100.0, nbins);
-    const BitmapIndex eq = BitmapIndex::build(values, bins);
-    const RangeEncodedIndex range = RangeEncodedIndex::build(values, bins);
-    const IntervalEncodedIndex interval = IntervalEncodedIndex::build(values, bins);
+    const SegmentedBitmapIndex index =
+        open_saved(values, make_uniform_bins(0.0, 100.0, nbins));
+    CHECK(!index.outside_empty());
     const std::vector<Interval> queries = {
         Interval::greater_than(50.0),  Interval::greater_than(-100.0),
         Interval::greater_than(99.99), Interval::less_than(0.5),
@@ -90,27 +110,29 @@ void test_value_indices() {
         Interval::between(33.3, 33.4), Interval::greater_than(200.0),
         Interval::between(50.0, 50.0),
     };
-    for (const Interval& iv : queries) {
-      check_index(eq, values, iv, "equality");
-      check_index(range, values, iv, "range");
-      check_index(interval, values, iv, "interval");
-    }
+    for (const Interval& iv : queries) check_index(index, values, iv, "equality");
   }
 }
 
 void test_precision_binning_index_only() {
-  // An inclusive threshold on a bin edge of a precision-binned index: the
-  // candidate set must be empty (index-only answer). The strict form keeps
-  // one candidate bin: values exactly equal to the edge must be excluded.
+  // An inclusive threshold on a bin edge of a precision-binned index: no
+  // segment the probe checks holds a row, so the answer is index-only and
+  // the column is never read. The strict form keeps one candidate bin:
+  // values exactly equal to the edge must be excluded.
   const std::vector<double> values = make_values(2000, 7);
-  const BitmapIndex index =
-      BitmapIndex::build(values, make_precision_bins(-10.0, 110.0, 2, 1u << 14));
-  const auto inclusive = index.evaluate_approx(Interval::at_least(70.0));
-  CHECK_EQ(inclusive.candidates.count(), 0u);
-  const auto strict = index.evaluate_approx(Interval::greater_than(70.0));
-  CHECK(strict.candidates.count() <= values.size() / 10);  // one bin of twelve
-  check_index(index, values, Interval::at_least(70.0), "precision");
-  check_index(index, values, Interval::greater_than(70.0), "precision-strict");
+  const SegmentedBitmapIndex index =
+      open_saved(values, make_precision_bins(-10.0, 110.0, 2, 1u << 14));
+  const std::vector<Interval> inclusive = {Interval::at_least(70.0)};
+  CHECK(index.plan(inclusive).may_be_index_only);
+  CHECK(!index.pin(inclusive).needs_column());
+  const std::vector<Interval> strict = {Interval::greater_than(70.0)};
+  const SegmentedBitmapIndex::Probe probe = index.pin(strict);
+  CHECK(probe.needs_column());
+  std::uint64_t candidates = 0;
+  for (const auto& c : probe.candidates) candidates += c->count();
+  CHECK(candidates <= values.size() / 10);  // one bin of twelve
+  check_index(index, values, inclusive.front(), "precision");
+  check_index(index, values, strict.front(), "precision-strict");
 }
 
 void test_id_index() {

@@ -219,43 +219,6 @@ void test_giant_fills_cross_counter_boundary() {
   }
 }
 
-void test_or_many_kway_vs_pairwise() {
-  const std::vector<BitVector> shapes = shape_zoo();
-  // Operand sets of mixed shapes and lengths, including duplicates.
-  const std::size_t picks[][6] = {
-      {3, 4, 0, 0, 0, 2},   {10, 11, 12, 13, 14, 6},  {1, 2, 3, 4, 5, 6},
-      {9, 9, 9, 10, 15, 3}, {16, 17, 18, 14, 8, 5},
-  };
-  for (const auto& pick : picks) {
-    const std::size_t k = pick[5];
-    std::vector<const BitVector*> ops;
-    std::uint64_t nbits = 0;
-    for (std::size_t i = 0; i < k && i < 5; ++i) {
-      ops.push_back(&shapes[pick[i]]);
-      nbits = std::max(nbits, shapes[pick[i]].size());
-    }
-    const BitVector kway = qdv::kern::or_many_kway(ops, nbits);
-    const BitVector pairwise = qdv::kern::ref::or_many_pairwise(ops, nbits);
-    CHECK(kway == pairwise);
-    CHECK_EQ(kway.size(), pairwise.size());
-    // Also with extension beyond the longest operand.
-    const BitVector kway_ext = qdv::kern::or_many_kway(ops, nbits + 777);
-    const BitVector pair_ext = qdv::kern::ref::or_many_pairwise(ops, nbits + 777);
-    CHECK(kway_ext == pair_ext);
-  }
-  // Wide fan-in: 33 sparse operands (the multi-bin range probe shape).
-  std::vector<BitVector> bins;
-  for (std::size_t i = 0; i < 33; ++i)
-    bins.push_back(make_sparse(20000, 0.01, 1000 + i));
-  std::vector<const BitVector*> ops;
-  for (const BitVector& b : bins) ops.push_back(&b);
-  CHECK(qdv::kern::or_many_kway(ops, 20000) ==
-        qdv::kern::ref::or_many_pairwise(ops, 20000));
-  // Degenerate inputs.
-  CHECK_EQ(qdv::kern::or_many_kway({}, 512).size(), 512u);
-  CHECK_EQ(qdv::kern::or_many_kway({}, 512).count(), 0u);
-}
-
 /// The interval probe against the pairwise reference: its OR side (plain
 /// and inverted) is the OR of its operands, and each candidate row joins
 /// exactly when its value lies in one of the intervals. Operands of mixed
@@ -836,7 +799,6 @@ int main() {
   test_blocked_matches_for_each_set();
   test_blocked_windows();
   test_giant_fills_cross_counter_boundary();
-  test_or_many_kway_vs_pairwise();
   test_probe_intervals_vs_reference();
   test_locator_matches_locate();
   test_gather_hist_nan_rows();

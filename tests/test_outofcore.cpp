@@ -15,6 +15,7 @@
 #include "core/selection.hpp"
 #include "io/mapped_file.hpp"
 #include "io/memory_budget.hpp"
+#include "kernel_refs.hpp"
 #include "parallel/prefetch.hpp"
 #include "sim/wakefield.hpp"
 #include "test_common.hpp"
@@ -133,9 +134,10 @@ void test_segmented_index_matches_eager() {
        {Interval::greater_than(40.0), Interval::at_most(-3.5),
         Interval::between(0.0, 55.0), Interval::at_least(119.0),
         Interval::between(-100.0, 300.0), Interval::greater_than(200.0)}) {
-    const BitVector expect = eager.evaluate(iv, values);
-    CHECK(lazy.evaluate(iv, values) == expect);
-    CHECK(lazy.evaluate(iv, values, fetch) == expect);
+    const std::span<const Interval> ivs(&iv, 1);
+    const BitVector expect = kern::ref::scan_intervals_rows(values, ivs);
+    CHECK(lazy.pin(ivs).run(ivs, values) == expect);
+    CHECK(lazy.pin(ivs, fetch).run(ivs, values) == expect);
   }
   CHECK(cache.stats().of(io::ResidentClass::kIndexSegment).hits > 0);
 }
