@@ -17,6 +17,7 @@
 #include "bitmap/bitmap_index.hpp"
 #include "bitmap/bins.hpp"
 #include "bitmap/index_segments.hpp"
+#include "bitmap/kernels.hpp"
 
 namespace {
 
@@ -84,7 +85,7 @@ SavedIndex open_saved(std::span<const double> values, const Bins& bins) {
 /// Set rows in the segments @p probe checks against the column.
 double candidate_rows(const SegmentedBitmapIndex::Probe& probe) {
   std::uint64_t rows = 0;
-  for (const auto& c : probe.candidates) rows += c->count();
+  for (const kern::WahView& c : probe.candidates) rows += kern::count_words(c);
   return static_cast<double>(rows);
 }
 

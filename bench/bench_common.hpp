@@ -39,8 +39,8 @@ namespace qdv::bench {
 /// used as the old side of the old/new kernel rows: a pairwise-tree OR
 /// (kern::ref::or_many_pairwise) over the touched bin segments and a
 /// per-bit candidate resolve. Segments are decoded at construction so both
-/// old and new sides measure warm evaluation (the engine caches decoded
-/// segments in its memory budget).
+/// old and new sides measure warm evaluation (the engine reads its segments
+/// in place, with nothing to decode).
 class ScalarTwoStepRef {
  public:
   ScalarTwoStepRef(const io::TimestepTable& table, const std::string& variable,

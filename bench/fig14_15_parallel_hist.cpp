@@ -51,8 +51,8 @@ par::ClusterRun run_scalar_ref(const io::Dataset& dataset, double threshold,
     for (const auto& [vx, vy] : kPairs) {
       // Two-step per pair, exactly like the pre-PR
       // HistogramEngine::histogram2d(condition) call the workload made
-      // (decoded segments stay warm across pairs, as the budget cache kept
-      // them pre-PR).
+      // (the reference decodes its segments once, so they stay warm
+      // across pairs).
       (void)bench::scalar_hist2d(*table, vx, vy, kBins, scalar_ref.evaluate());
     }
   });

@@ -3,7 +3,8 @@
 // (per-bit for_each_set + per-value Bins::locate + thread spawn/join per
 // batch) against the block kernels (content walk + Bins::Locator +
 // persistent pool), and the range-step rows: the interval probe against
-// the pairwise OR reference and the interval scan per ISA. Every comparison
+// the pairwise OR reference, the interval scan per ISA, and the pin of a
+// probe's segments. Every comparison
 // asserts the two paths produce identical results and exits nonzero on any
 // mismatch, so this doubles as the CI benchmark smoke check.
 //
@@ -356,16 +357,19 @@ int main(int argc, char** argv) {
   }
 
   // ---- range steps: probe or scan (DESIGN.md Section 3) ----
-  // One explore-sized step (1,008,000 rows): y in random order, and px with
-  // a thermal bulk and a heavy tail, each indexed into 1024 uniform bins as
-  // the generator does. The probe rows carry the compressed words the
-  // probe reads and their ns per word; the scan rows carry ns per row per
-  // ISA. The range-step rule's constants (kern::kProbeNsPerWord,
-  // simd::Ops::scan_ns_per_row) are read off these rows.
+  // One explore-sized step (1,008,000 rows): y in random order, px with a
+  // thermal bulk and a heavy tail, and x in value order, each indexed into
+  // 1024 uniform bins as the generator does. The probe rows carry the
+  // compressed words the probe reads and their ns per word; the scan rows
+  // carry ns per row per ISA; the pin row, the segments a probe pins and
+  // its ns per segment. The range-step rule's constants
+  // (kern::kProbeNsPerWord, simd::Ops::scan_ns_per_row) are read off these
+  // rows.
   {
     const std::size_t step_rows = std::min<std::size_t>(rows, 1'008'000);
-    std::vector<double> y(step_rows), px(step_rows);
+    std::vector<double> y(step_rows), px(step_rows), x(step_rows);
     for (std::size_t i = 0; i < step_rows; ++i) {
+      x[i] = static_cast<double>(i) / static_cast<double>(step_rows);
       y[i] = static_cast<double>(next_rand() >> 11) * 0x1.0p-52 - 1.0;
       const double u = static_cast<double>(next_rand() >> 11) * 0x1.0p-53;
       const double e = -std::log(1.0 - static_cast<double>(next_rand() >> 11) *
@@ -381,7 +385,8 @@ int main(int argc, char** argv) {
     std::vector<Column> columns;
     for (const auto& [name, values, hi] :
          {std::tuple<const char*, const std::vector<double>&, double>{"y", y, 1.0},
-          {"px", px, 400.0}}) {
+          {"px", px, 400.0},
+          {"x", x, 1.0}}) {
       std::ostringstream out;
       BitmapIndex::build(values, make_uniform_bins(name[0] == 'y' ? -1.0 : 0.0,
                                                    hi, 1024))
@@ -417,6 +422,27 @@ int main(int argc, char** argv) {
           {"width=50%", 0.5}})
       probe_row(columns[0], what, Interval::between(-half, half));
     probe_row(columns[1], "bulk", Interval::greater_than(0.5));
+
+    // The pin of a 30% x interval: about 300 segments, the shape of
+    // explore's x and xrel steps. Warm: the first pin checks every segment
+    // once, so the row times what each later probe pays per segment.
+    {
+      const Interval iv = Interval::between(0.35, 0.65);
+      const SegmentedBitmapIndex::ProbePlan plan =
+          columns[2].index.plan({&iv, 1});
+      const std::uint64_t segments = columns[2].index.pin(plan).segments;
+      std::uint64_t pinned = 0;
+      const double t = bench::time_best(
+          [&] { pinned = columns[2].index.pin(plan).segments; }, 20000, 0.3);
+      expect(pinned == segments && segments > 0, "pin segments");
+      const double ns_per_segment = t * 1e9 / static_cast<double>(segments);
+      std::printf("%-44s %14s %14.7f %8.2f ns/segment (%" PRIu64
+                  " segments)\n",
+                  "pin/x/width=30%", "-", t, ns_per_segment, segments);
+      json.row("pin/x/width=30%", t,
+               {{"segments", static_cast<double>(segments)},
+                {"ns_per_segment", ns_per_segment}});
+    }
 
     // The scan of the 20% y interval at every supported level with a body
     // of its own: the AVX-512 level runs the AVX2 body (DESIGN.md
@@ -459,9 +485,6 @@ int main(int argc, char** argv) {
     // y & px: two random-order range results (about 32K literal words
     // each); y & x: x is value-ordered, so its range result is a zero
     // fill, a literal, a one-fill, a literal and a zero fill.
-    std::vector<double> x(step_rows);
-    for (std::size_t i = 0; i < step_rows; ++i)
-      x[i] = static_cast<double>(i) / static_cast<double>(step_rows);
     const Interval ypos = Interval::greater_than(0.0);
     const Interval pxlo = Interval::less_than(1.0);
     const Interval xmid = Interval::between(0.3, 0.6);

@@ -302,7 +302,7 @@ int cmd_query(const std::string& dir, const Args& args) {
               << s.hist2d_scalar_calls << " scalar)\n";
     std::cout << "ranges: " << s.range_probes << " probed (" << s.probe_words
               << " words), " << s.range_scans << " scanned (" << s.scan_rows
-              << " rows)\n";
+              << " rows), " << s.probe_segments << " segments pinned\n";
   }
   return 0;
 }

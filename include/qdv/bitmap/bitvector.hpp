@@ -115,7 +115,8 @@ class BitVector {
   /// Binary serialization (used by the on-disk index format). load()
   /// validates the header (word count consistent with the bit count, tail
   /// width below a group) before allocating, so a corrupt or truncated
-  /// stream throws instead of attempting a huge resize.
+  /// stream throws instead of attempting a huge resize, and refuses a
+  /// record that fails record_fault().
   void save(std::ostream& out) const;
   static BitVector load(std::istream& in);
 
@@ -128,6 +129,18 @@ class BitVector {
   /// std::runtime_error when the record would overrun @p image.
   static std::size_t serialized_size(std::span<const std::byte> image,
                                      std::size_t offset);
+
+  /// What is wrong with a serialized record of @p nbits bits whose words
+  /// are @p words and whose tail group is @p active, @p active_bits wide:
+  /// "tail width" (not nbits % 31), "tail bits" (set above that width),
+  /// "word count" (more words than groups) or "group count" (the words
+  /// cover other than nbits / 31 groups); nullptr when it is well formed.
+  /// These are the checks load() makes; an index checks its segments with
+  /// them in place.
+  static const char* record_fault(std::uint64_t nbits,
+                                  std::span<const std::uint32_t> words,
+                                  std::uint32_t active,
+                                  std::uint32_t active_bits);
 
   /// Bytes of a serialized record before its compressed words:
   ///   nbits (u64) | nwords (u64) | active (u32) | active_bits (u32)

@@ -56,6 +56,25 @@ struct BitVectorOps {
   }
 };
 
+/// A WAH vector read in place (DESIGN.md Section 9): its compressed words
+/// wherever they live — a BitVector, or a segment of a mapped `.bmi` image
+/// — plus its zero-padded tail group and the tail's width. Valid while the
+/// words are; a BitVector converts to one, so tests and benches pass
+/// vectors where a probe reads segments.
+struct WahView {
+  std::span<const std::uint32_t> words;
+  std::uint32_t tail = 0;
+  std::uint32_t tail_bits = 0;
+
+  WahView() = default;
+  WahView(std::span<const std::uint32_t> w, std::uint32_t t, std::uint32_t bits)
+      : words(w), tail(t), tail_bits(bits) {}
+  WahView(const BitVector& v)  // implicit on purpose, see above
+      : words(BitVectorOps::words(v)),
+        tail(BitVectorOps::active(v)),
+        tail_bits(BitVectorOps::active_bits(v)) {}
+};
+
 /// Single-pass content walk of a WAH vector clipped to rows [begin, end):
 /// zero fills are skipped arithmetically (never materialized), one-fill row
 /// ranges are reported via on_ones(lo, hi), and maximal runs of literal
@@ -218,7 +237,7 @@ void to_positions_blocked(const BitVector& v, std::vector<std::uint32_t>& out);
 
 /// Set-bit count via a single pass over the compressed words (fills are
 /// arithmetic, literals popcount). Backs BitVector::count.
-std::uint64_t count_words(const BitVector& v);
+std::uint64_t count_words(const WahView& v);
 
 /// One-pass range probe of an equality-encoded index (DESIGN.md Sections 3
 /// and 10): the rows of [0, @p nrows) whose value lies in at least one of
@@ -231,10 +250,10 @@ std::uint64_t count_words(const BitVector& v);
 /// processed in fixed windows with a resumable cursor per segment, so
 /// scratch stays bounded for any row count, and a window touches only the
 /// groups some segment has content in. @p values must hold @p nrows values
-/// unless @p candidates is empty (then it is never read).
-BitVector probe_intervals(std::span<const BitVector* const> or_side,
-                          bool complement,
-                          std::span<const BitVector* const> candidates,
+/// unless @p candidates is empty (then it is never read). The operands are
+/// views, so a probe reads index segments where they are mapped.
+BitVector probe_intervals(std::span<const WahView> or_side, bool complement,
+                          std::span<const WahView> candidates,
                           std::span<const Interval> ivs,
                           std::span<const double> values, std::uint64_t nrows);
 

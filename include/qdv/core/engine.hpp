@@ -65,12 +65,14 @@ struct EngineStats {
   std::uint64_t integrity_unverified = 0;  // decodes with no recorded sum
 
   // Range steps (DESIGN.md §3): how many were answered by an index probe
-  // or a column scan across every table of the dataset, and the
-  // compressed words and rows those probes and scans read.
+  // or a column scan across every table of the dataset, the compressed
+  // words and rows those probes and scans read, and the index segments
+  // their pins read.
   std::uint64_t range_probes = 0;
   std::uint64_t range_scans = 0;
   std::uint64_t probe_words = 0;
   std::uint64_t scan_rows = 0;
+  std::uint64_t probe_segments = 0;
 
   // SIMD dispatch (process-wide, see qdv::simd): the active ISA level and
   // per-kernel-family counts of vector vs scalar-fallback invocations.

@@ -2,7 +2,7 @@
 // the out-of-core engine (DESIGN.md Section 9).
 //
 // One budget instance governs every resident the engine can re-create from
-// disk: mapped column pages, decoded per-bin index segments, and evaluated
+// disk: mapped column pages, mapped bitmap-index images, and evaluated
 // query bitvectors. Each resident is charged its byte cost; when the total
 // exceeds the configured budget, least-recently-used residents are evicted
 // (their optional release hook runs — e.g. dropping a column's mapped
@@ -23,7 +23,7 @@ namespace qdv::io {
 /// engine's entry-capacity knob applies to the kBitVector class only.
 enum class ResidentClass : unsigned {
   kColumn = 0,        // mapped raw column pages
-  kIndexSegment = 1,  // decoded per-bin WAH bitmaps (and pinned id indices)
+  kIndexSegment = 1,  // mapped .bmi images, pinned index directories and id indices
   kBitVector = 2,     // evaluated per-timestep query bitvectors
   kResult = 3,        // completed service results (svc::QueryService cache)
   kPyramid = 4,       // lazily-loaded histogram-pyramid levels (agg::Pyramid)

@@ -9,14 +9,15 @@
 //
 // Out-of-core behavior (DESIGN.md Section 9): the table mmaps column files
 // on first touch and opens `.bmi` indices as segment directories
-// (SegmentedBitmapIndex), decoding per-bin WAH bitmaps only when a query's
-// bin coverage needs them. Every binary artifact is verified from the bytes
-// its decoder reads. All residents are charged to the table's MemoryBudget;
-// budget eviction drops mapped pages / decoded segments but never
-// invalidates a span already handed out — mappings stay address-valid for
-// the table's lifetime.
+// (SegmentedBitmapIndex), whose probes read the per-bin WAH bitmaps in
+// place in the mapping. Every binary artifact is verified from the bytes
+// its reader trusts, a column or index segment once, on first touch. All
+// residents are charged to the table's MemoryBudget — a column or a `.bmi`
+// image as one resident of its file bytes; budget eviction drops mapped
+// pages but never invalidates a span already handed out — mappings stay
+// address-valid for the table's lifetime.
 //
-// Ownership: a TimestepTable owns its mappings and decoded indices; spans
+// Ownership: a TimestepTable owns its mappings and opened indices; spans
 // returned by column()/id_column() and pointers returned by the index
 // accessors are valid for the lifetime of the table.
 // Thread-safety: all lazy-loading accessors are guarded by one internal
@@ -77,6 +78,9 @@ struct RangeStats {
   std::atomic<std::uint64_t> scans{0};        // steps answered by a scan
   std::atomic<std::uint64_t> probe_words{0};  // compressed words probed
   std::atomic<std::uint64_t> scan_rows{0};    // rows scanned
+  /// Index segments pinned, each once per pin (SegmentedBitmapIndex::
+  /// Probe::segments) — also by a pin whose step then scans.
+  std::atomic<std::uint64_t> probe_segments{0};
 };
 
 class TimestepTable {
@@ -87,8 +91,8 @@ class TimestepTable {
   /// degradation counters and @p ranges its range-step work counts
   /// (Dataset shares one of each across all its tables). All must be
   /// non-null. Checksums come from the directory's `checksums.qdv`
-  /// sidecar (io/checksum.hpp) — absent sidecar means every decode counts
-  /// as unverified but everything still opens.
+  /// sidecar (io/checksum.hpp) — absent sidecar means every section checked
+  /// counts as unverified but everything still opens.
   TimestepTable(std::filesystem::path dir, std::shared_ptr<MemoryBudget> budget,
                 std::shared_ptr<IntegrityStats> integrity,
                 std::shared_ptr<RangeStats> ranges);
@@ -148,8 +152,10 @@ class TimestepTable {
   /// kScan always scans. kAuto probes a usable index when the probe reads
   /// no column (it is index-only) or when kern::probe_is_cheaper weighs
   /// its compressed words below a scan of the rows; otherwise it scans. A
-  /// segment failing its checksum while pinned quarantines the index, and
-  /// the step scans.
+  /// pin refreshes the `.bmi` image in the budget (one lookup) and counts
+  /// its segments in RangeStats::probe_segments. A segment failing its
+  /// checksum or its structural checks while pinned quarantines the index,
+  /// and the step scans.
   struct RangeStep {
     std::uint64_t probe_words = 0;  // what a probe reads (0: no usable index)
     std::uint64_t scan_rows = 0;    // what a scan reads
@@ -175,11 +181,6 @@ class TimestepTable {
 
   /// True when at least one serialized index accompanies the data files.
   bool has_indices() const;
-
-  /// Budget-cached decoded-segment supplier for @p idx (variable @p name);
-  /// the query path hands this to SegmentedBitmapIndex::pin.
-  SegmentedBitmapIndex::SegmentFetch segment_fetch(
-      const std::string& name, const SegmentedBitmapIndex& idx) const;
 
   /// Per-timestep [min, max] of a variable (from meta.txt).
   std::pair<double, double> domain(const std::string& name) const;
@@ -213,7 +214,14 @@ class TimestepTable {
   mutable std::mutex mutex_;
   mutable std::unordered_map<std::string, ColumnHandle<double>> column_handles_;
   mutable std::unordered_map<std::string, ColumnHandle<std::uint64_t>> id_handles_;
-  mutable std::unordered_map<std::string, std::optional<SegmentedBitmapIndex>>
+  // An opened `.bmi`: its mapping, charged to the budget under budget_key
+  // as one resident, and the index a probe reads in place from it.
+  struct ValueIndex {
+    std::shared_ptr<MappedFile> file;
+    std::string budget_key;
+    SegmentedBitmapIndex index;
+  };
+  mutable std::unordered_map<std::string, std::optional<ValueIndex>>
       seg_indices_;
   mutable std::unordered_map<std::string, std::optional<IdIndex>> id_indices_;
   // Keyed by .pyr file stem ("x", "x__px"); nullptr = probed, absent.
@@ -226,6 +234,9 @@ class TimestepTable {
 
   std::shared_ptr<const agg::Pyramid> open_pyramid(
       const std::string& stem) const;
+  // value_index() with the mapping behind it; nullptr when absent or
+  // quarantined.
+  const ValueIndex* open_value_index(const std::string& name) const;
 
   // Whole-file verification of a mapped column or id index, at most once
   // per file (mutex_ held). Throws IntegrityError on mismatch: a column is

@@ -227,12 +227,13 @@ struct ServiceStats {
   std::uint64_t integrity_unverified = 0;
 
   // Range steps (DESIGN.md §3), mirrored from the engine's dataset-wide
-  // counters: steps answered by an index probe or a column scan, and the
-  // compressed words and rows they read.
+  // counters: steps answered by an index probe or a column scan, the
+  // compressed words and rows they read, and the index segments pinned.
   std::uint64_t range_probes = 0;
   std::uint64_t range_scans = 0;
   std::uint64_t probe_words = 0;
   std::uint64_t scan_rows = 0;
+  std::uint64_t probe_segments = 0;
 
   // Linked-brushing sessions (DESIGN.md §16). brush_edits counts
   // refine/invert/combine verbs; brush_queries counts completed requests

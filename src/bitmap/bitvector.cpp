@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "bitmap/kernels.hpp"
 
@@ -294,19 +295,39 @@ namespace {
 /// so a corrupt/truncated .bmi or cache file throws instead of attempting a
 /// huge resize. The invariants are exactly what append_run maintains: the
 /// tail group holds nbits % 31 bits with nothing above them, and every
-/// compressed word covers at least one 31-bit group.
-void validate_header(std::uint64_t nbits, std::uint64_t nwords,
-                     std::uint32_t active, std::uint32_t active_bits) {
+/// compressed word covers at least one 31-bit group. Returns the broken
+/// invariant, or nullptr.
+const char* header_fault(std::uint64_t nbits, std::uint64_t nwords,
+                         std::uint32_t active, std::uint32_t active_bits) {
   if (active_bits >= BitVector::kGroupBits ||
       active_bits != nbits % BitVector::kGroupBits)
-    throw std::runtime_error("BitVector::load: corrupt header (tail width)");
+    return "tail width";
   if (active_bits == 0 ? active != 0 : (active >> active_bits) != 0)
-    throw std::runtime_error("BitVector::load: corrupt header (tail bits)");
-  if (nwords > nbits / BitVector::kGroupBits)
-    throw std::runtime_error("BitVector::load: corrupt header (word count)");
+    return "tail bits";
+  if (nwords > nbits / BitVector::kGroupBits) return "word count";
+  return nullptr;
+}
+
+[[noreturn]] void throw_corrupt(const char* fault) {
+  throw std::runtime_error(std::string("BitVector::load: corrupt record (") +
+                           fault + ")");
 }
 
 }  // namespace
+
+const char* BitVector::record_fault(std::uint64_t nbits,
+                                    std::span<const std::uint32_t> words,
+                                    std::uint32_t active,
+                                    std::uint32_t active_bits) {
+  if (const char* fault = header_fault(nbits, words.size(), active, active_bits))
+    return fault;
+  // The words must cover exactly the declared full-group count: bit-rotted
+  // fill counts can keep the header plausible.
+  std::uint64_t groups = 0;
+  for (const std::uint32_t w : words)
+    groups += (w & kFillFlag) ? (w & kCountMask) : 1;
+  return groups != nbits / kGroupBits ? "group count" : nullptr;
+}
 
 BitVector BitVector::load(std::istream& in) {
   BitVector v;
@@ -316,7 +337,8 @@ BitVector BitVector::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&v.active_), sizeof(v.active_));
   in.read(reinterpret_cast<char*>(&v.active_bits_), sizeof(v.active_bits_));
   if (!in) throw std::runtime_error("BitVector::load: truncated stream");
-  validate_header(v.nbits_, nwords, v.active_, v.active_bits_);
+  if (const char* fault = header_fault(v.nbits_, nwords, v.active_, v.active_bits_))
+    throw_corrupt(fault);
   // Read the payload in bounded chunks: a forged header whose nbits/nwords
   // are mutually consistent but enormous must fail at the first short read,
   // never commit gigabytes up front (memory grows only as data arrives).
@@ -333,12 +355,8 @@ BitVector BitVector::load(std::istream& in) {
     if (!in) throw std::runtime_error("BitVector::load: truncated stream");
     read_words += n;
   }
-  // The decoded groups must cover exactly the declared full-group count.
-  std::uint64_t groups = 0;
-  for (const std::uint32_t w : v.words_)
-    groups += (w & kFillFlag) ? (w & kCountMask) : 1;
-  if (groups != v.nbits_ / kGroupBits)
-    throw std::runtime_error("BitVector::load: word/bit count mismatch");
+  if (const char* fault = record_fault(v.nbits_, v.words_, v.active_, v.active_bits_))
+    throw_corrupt(fault);
   return v;
 }
 
@@ -358,27 +376,20 @@ std::size_t BitVector::serialized_size(std::span<const std::byte> image,
 BitVector BitVector::load(std::span<const std::byte> image, std::size_t& offset) {
   BitVector v;
   v.nbits_ = detail::read_unaligned<std::uint64_t>(image, offset);
-  const auto nwords = detail::read_unaligned<std::uint64_t>(image, offset + 8);
   v.active_ = detail::read_unaligned<std::uint32_t>(image, offset + 16);
   v.active_bits_ = detail::read_unaligned<std::uint32_t>(image, offset + 20);
-  validate_header(v.nbits_, nwords, v.active_, v.active_bits_);
-  const std::size_t payload =
-      static_cast<std::size_t>(nwords) * sizeof(std::uint32_t);
-  if (offset + kRecordHeaderBytes + payload > image.size())
-    throw std::runtime_error("BitVector: truncated serialized image");
-  v.words_.resize(static_cast<std::size_t>(nwords));
-  if (payload > 0)  // an empty vector's data() may be null: memcpy's UB
+  // serialized_size bounds the word count by the image, so the copy below
+  // allocates no more than the image holds.
+  const std::size_t size = serialized_size(image, offset);
+  v.words_.resize((size - kRecordHeaderBytes) / sizeof(std::uint32_t));
+  if (!v.words_.empty())  // an empty vector's data() may be null: memcpy's UB
     std::memcpy(v.words_.data(), image.data() + offset + kRecordHeaderBytes,
-                payload);
-  offset += kRecordHeaderBytes + payload;
-  // Same group-coverage consistency check as the stream loader: a mapped
-  // .bmi with bit-rotted fill counts must throw, not silently decode to a
-  // vector whose words disagree with its declared size.
-  std::uint64_t groups = 0;
-  for (const std::uint32_t w : v.words_)
-    groups += (w & kFillFlag) ? (w & kCountMask) : 1;
-  if (groups != v.nbits_ / kGroupBits)
-    throw std::runtime_error("BitVector: corrupt serialized image (group count)");
+                size - kRecordHeaderBytes);
+  // A mapped .bmi with bit-rotted fill counts must throw, not silently
+  // decode to a vector whose words disagree with its declared size.
+  if (const char* fault = record_fault(v.nbits_, v.words_, v.active_, v.active_bits_))
+    throw_corrupt(fault);
+  offset += size;
   return v;
 }
 

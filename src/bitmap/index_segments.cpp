@@ -3,16 +3,23 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "bitmap/kernels.hpp"
+#include "io/checksum.hpp"
 
 namespace qdv {
 
 using detail::read_unaligned;
 
 SegmentedBitmapIndex SegmentedBitmapIndex::open(
-    std::span<const std::byte> image, std::shared_ptr<const void> keeper) {
+    std::span<const std::byte> image, std::shared_ptr<const void> keeper,
+    SectionCheck check) {
+  // Every record starts 4-byte aligned within the image (the header is
+  // whole u64s, a record 24 bytes plus its words), so an aligned image
+  // lets a probe read each segment's words where they lie.
+  if (reinterpret_cast<std::uintptr_t>(image.data()) % alignof(std::uint32_t) != 0)
+    throw std::runtime_error("SegmentedBitmapIndex: image not 4-byte aligned");
   SegmentedBitmapIndex index;
   index.image_ = image;
   index.keeper_ = std::move(keeper);
@@ -44,14 +51,52 @@ SegmentedBitmapIndex SegmentedBitmapIndex::open(
     cursor += BitVector::serialized_size(image, cursor);  // throws on overrun
     index.offsets_.push_back(cursor);
   }
-  index.outside_empty_ =
-      index.decode_segment(index.outside_segment()).count() == 0;
+  index.check_ = std::move(check);
+  if (index.check_) index.check_(0, image.first(index.offsets_[0]));
+  index.states_ =
+      std::make_unique<std::atomic<std::uint8_t>[]>(index.num_segments());
+  index.check_mutex_ = std::make_unique<std::mutex>();
+  index.outside_empty_ = index.touch(index.outside_segment()) == kEmpty;
   return index;
 }
 
 BitVector SegmentedBitmapIndex::decode_segment(std::size_t s) const {
   std::size_t cursor = static_cast<std::size_t>(offsets_[s]);
   return BitVector::load(image_, cursor);
+}
+
+kern::WahView SegmentedBitmapIndex::view(std::size_t s) const {
+  // Record layout: nbits u64 | nwords u64 | active u32 | active_bits u32 |
+  // words; the directory already bounded the words by the image.
+  const std::size_t at = static_cast<std::size_t>(offsets_[s]);
+  const auto* words = reinterpret_cast<const std::uint32_t*>(
+      image_.data() + at + BitVector::kRecordHeaderBytes);
+  return {{words, static_cast<std::size_t>(segment_words(s))},
+          read_unaligned<std::uint32_t>(image_, at + 16),
+          read_unaligned<std::uint32_t>(image_, at + 20)};
+}
+
+SegmentedBitmapIndex::SegmentState SegmentedBitmapIndex::touch(
+    std::size_t s) const {
+  const auto state =
+      static_cast<SegmentState>(states_[s].load(std::memory_order_acquire));
+  if (state != kUnchecked) [[likely]]
+    return state;
+  // First touch: check once, under the mutex, so concurrent probes of a
+  // cold index neither repeat a check nor read a segment before it passes.
+  std::lock_guard<std::mutex> lock(*check_mutex_);
+  if (const auto again = states_[s].load(std::memory_order_relaxed);
+      again != kUnchecked)
+    return static_cast<SegmentState>(again);
+  if (check_) check_(offsets_[s], image_.subspan(offsets_[s], segment_bytes(s)));
+  const kern::WahView v = view(s);
+  const auto nbits = read_unaligned<std::uint64_t>(image_, offsets_[s]);
+  if (const char* fault = BitVector::record_fault(nbits, v.words, v.tail, v.tail_bits))
+    throw io::IntegrityError("malformed bitmap segment " + std::to_string(s) +
+                             " (" + fault + ")");
+  const SegmentState checked = kern::count_words(v) > 0 ? kHoldsRows : kEmpty;
+  states_[s].store(checked, std::memory_order_release);
+  return checked;
 }
 
 namespace {
@@ -99,49 +144,37 @@ SegmentedBitmapIndex::ProbePlan SegmentedBitmapIndex::plan(
 }
 
 SegmentedBitmapIndex::Probe SegmentedBitmapIndex::pin(
-    const ProbePlan& plan, const SegmentFetch& fetch) const {
+    const ProbePlan& plan) const {
   Probe probe;
   probe.nrows = nrows_;
   probe.complement = plan.complement;
-  const auto get = [&](std::size_t s) {
-    return fetch ? fetch(s)
-                 : std::make_shared<const BitVector>(decode_segment(s));
-  };
-  const auto add_candidate = [&](const std::shared_ptr<const BitVector>& bits) {
-    if (bits->count() > 0) probe.candidates.push_back(bits);
-  };
-  // One fetch per segment: on the complement side the partial bins and the
+  // One read per segment: on the complement side the partial bins and the
   // outside bitmap are ORed and checked both.
+  const auto read = [&](std::size_t s, bool ored, bool candidate) {
+    const bool holds_rows = touch(s) == kHoldsRows;
+    const kern::WahView v = view(s);
+    ++probe.segments;
+    if (candidate && holds_rows) probe.candidates.push_back(v);
+    if (ored) probe.or_side.push_back(v);
+  };
   for (std::size_t b = 0; b < plan.status.size(); ++b) {
     const bool ored = (plan.status[b] == kFull) != probe.complement;
-    if (!ored && plan.status[b] != kPartial) continue;
-    std::shared_ptr<const BitVector> bits = get(b);
-    if (plan.status[b] == kPartial) add_candidate(bits);
-    if (ored) probe.or_side.push_back(std::move(bits));
+    if (ored || plan.status[b] == kPartial)
+      read(b, ored, plan.status[b] == kPartial);
   }
-  if (!outside_empty_) {
-    std::shared_ptr<const BitVector> bits = get(outside_segment());
-    add_candidate(bits);
-    if (probe.complement) probe.or_side.push_back(std::move(bits));
-  }
+  if (!outside_empty_) read(outside_segment(), probe.complement, true);
   return probe;
 }
 
 BitVector SegmentedBitmapIndex::Probe::run(std::span<const Interval> ivs,
                                            std::span<const double> values) const {
-  const auto raw = [](const std::vector<std::shared_ptr<const BitVector>>& v) {
-    std::vector<const BitVector*> out;
-    out.reserve(v.size());
-    for (const auto& p : v) out.push_back(p.get());
-    return out;
-  };
-  return kern::probe_intervals(raw(or_side), complement, raw(candidates), ivs,
-                               values, nrows);
+  return kern::probe_intervals(or_side, complement, candidates, ivs, values,
+                               nrows);
 }
 
 std::size_t SegmentedBitmapIndex::metadata_bytes() const {
   return bins_.edges().capacity() * sizeof(double) +
-         offsets_.capacity() * sizeof(std::uint64_t);
+         offsets_.capacity() * sizeof(std::uint64_t) + num_segments();
 }
 
 }  // namespace qdv

@@ -326,9 +326,9 @@ void gather_hist2d(const BitVector& v, std::uint64_t begin, std::uint64_t end,
       }));
 }
 
-std::uint64_t count_words(const BitVector& v) {
+std::uint64_t count_words(const WahView& v) {
   std::uint64_t total = 0;
-  for (const std::uint32_t w : BitVectorOps::words(v)) {
+  for (const std::uint32_t w : v.words) {
     if (w & BitVectorOps::kFillFlag) {
       if (w & BitVectorOps::kFillValueBit)
         total += static_cast<std::uint64_t>(w & BitVectorOps::kCountMask) *
@@ -337,7 +337,7 @@ std::uint64_t count_words(const BitVector& v) {
       total += static_cast<std::uint32_t>(std::popcount(w));
     }
   }
-  total += static_cast<std::uint32_t>(std::popcount(BitVectorOps::active(v)));
+  total += static_cast<std::uint32_t>(std::popcount(v.tail));
   return total;
 }
 
@@ -351,16 +351,15 @@ namespace {
 /// groups: 32 KiB of scratch (about 254K rows) whatever the row count.
 constexpr std::uint64_t kProbeWindowGroups = 8192;
 
-/// Resumable group walk over one WAH vector: walk(n, ...) visits the
-/// content of the next @p n groups, numbered from 0 in the callbacks, with
-/// any fill that crosses the end kept for the next call. Zero fills are
-/// skipped arithmetically; past the last word every group reads as zero.
+/// Resumable group walk over one WAH vector, read in place: walk(n, ...)
+/// visits the content of the next @p n groups, numbered from 0 in the
+/// callbacks, with any fill that crosses the end kept for the next call.
+/// Zero fills are skipped arithmetically; past the last word every group
+/// reads as zero.
 class GroupCursor {
  public:
-  explicit GroupCursor(const BitVector& v)
-      : words_(BitVectorOps::words(v)),
-        tail_(BitVectorOps::active(v)),
-        tail_pending_(BitVectorOps::active_bits(v) > 0) {}
+  explicit GroupCursor(const WahView& v)
+      : words_(v.words), tail_(v.tail), tail_pending_(v.tail_bits > 0) {}
 
   /// on_ones(g0, g1) for each one-fill stretch, on_literal(g, w) for each
   /// literal group (the zero-padded tail group included). Returns the
@@ -496,9 +495,8 @@ BitVector finish_vector(std::vector<std::uint32_t> words, std::uint64_t nrows,
 
 }  // namespace
 
-BitVector probe_intervals(std::span<const BitVector* const> or_side,
-                          bool complement,
-                          std::span<const BitVector* const> candidates,
+BitVector probe_intervals(std::span<const WahView> or_side, bool complement,
+                          std::span<const WahView> candidates,
                           std::span<const Interval> ivs,
                           std::span<const double> values, std::uint64_t nrows) {
   constexpr std::uint32_t G = BitVectorOps::kGroupBits;
@@ -512,11 +510,8 @@ BitVector probe_intervals(std::span<const BitVector* const> or_side,
   if (or_side.empty() && candidates.empty())  // nothing to read
     return complement ? BitVector::ones(nrows) : BitVector::zeros(nrows);
 
-  std::vector<GroupCursor> ors, cands;
-  ors.reserve(or_side.size());
-  cands.reserve(candidates.size());
-  for (const BitVector* v : or_side) ors.emplace_back(*v);
-  for (const BitVector* v : candidates) cands.emplace_back(*v);
+  std::vector<GroupCursor> ors(or_side.begin(), or_side.end());
+  std::vector<GroupCursor> cands(candidates.begin(), candidates.end());
   // Branch-free membership: candidate outcomes are data-dependent coin
   // flips, and the endpoint flags are the same for every row.
   const auto matches = [&](double x) {
@@ -540,8 +535,8 @@ BitVector probe_intervals(std::span<const BitVector* const> or_side,
   // words is the usual ceiling (candidate one-fills can exceed it: the
   // vector then just grows), and no result has more words than groups.
   std::uint64_t input_words = 0;
-  for (const BitVector* v : or_side) input_words += v->word_count();
-  for (const BitVector* v : candidates) input_words += v->word_count();
+  for (const WahView& v : or_side) input_words += v.words.size();
+  for (const WahView& v : candidates) input_words += v.words.size();
   std::vector<std::uint32_t> words;
   words.reserve(static_cast<std::size_t>(std::min(full_groups, 2 * input_words + 1)));
   std::uint32_t tail_word = complement ? tail_mask : 0u;

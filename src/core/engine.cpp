@@ -160,6 +160,7 @@ EngineStats Engine::stats() const {
   s.range_scans = ranges.scans.load(std::memory_order_relaxed);
   s.probe_words = ranges.probe_words.load(std::memory_order_relaxed);
   s.scan_rows = ranges.scan_rows.load(std::memory_order_relaxed);
+  s.probe_segments = ranges.probe_segments.load(std::memory_order_relaxed);
   s.simd_isa = simd::isa_name(simd::active());
   const simd::DispatchCounts d = simd::dispatch_counts();
   s.positions_vector_calls = d.positions.vector;

@@ -13,7 +13,7 @@ namespace qdv::io {
 namespace {
 
 // Verify one recorded section of @p filename against @p bytes (the exact
-// range a decode is about to trust). Unrecorded sections count as
+// range a reader is about to trust). Unrecorded sections count as
 // unverified; a mismatch counts a failure and throws IntegrityError — the
 // caller decides whether that demotes (index artifacts) or surfaces
 // (ground truth).
@@ -189,43 +189,48 @@ void TimestepTable::prefetch_id_column(const std::string& name) const {
 
 const SegmentedBitmapIndex* TimestepTable::value_index(
     const std::string& name) const {
+  const ValueIndex* opened = open_value_index(name);
+  return opened ? &opened->index : nullptr;
+}
+
+const TimestepTable::ValueIndex* TimestepTable::open_value_index(
+    const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string fname = name + ".bmi";
   if (quarantined_.count(fname)) return nullptr;
   auto it = seg_indices_.find(name);
   if (it == seg_indices_.end()) {
-    std::optional<SegmentedBitmapIndex> opened;
+    std::optional<ValueIndex> opened;
     const std::filesystem::path file = dir_ / fname;
     if (std::filesystem::exists(file)) {
       try {
         auto mapped = MappedFile::map(file);
-        opened = SegmentedBitmapIndex::open(mapped->bytes(), mapped);
+        // Each section is verified before it is trusted, once: the header
+        // and the outside bitmap now, each bin's segment on its first touch
+        // (SegmentedBitmapIndex::pin). The table outlives its indices.
+        SegmentedBitmapIndex index = SegmentedBitmapIndex::open(
+            mapped->bytes(), mapped,
+            [this, fname](std::uint64_t offset, std::span<const std::byte> bytes) {
+              verify_section(sums_.get(), *integrity_, dir_, fname, offset, bytes);
+            });
         // An index of another row count answers for another table.
-        if (opened->num_rows() != rows_)
+        if (index.num_rows() != rows_)
           throw std::runtime_error(fname + " indexes " +
-                                   std::to_string(opened->num_rows()) +
+                                   std::to_string(index.num_rows()) +
                                    " rows, meta.txt declares " +
                                    std::to_string(rows_));
-        // open() decodes the header and the outside bitmap, so both must
-        // verify before anything trusts them; per-bin segments verify
-        // lazily inside segment_fetch().
-        verify_section(sums_.get(), *integrity_, dir_, fname, 0,
-                       mapped->bytes().first(opened->segment_offset(0)));
-        const std::size_t outside = opened->outside_segment();
-        verify_section(sums_.get(), *integrity_, dir_, fname,
-                       opened->segment_offset(outside),
-                       opened->segment_image(outside));
         // The directory (edges + offsets) is pinned: raw pointers to the
         // index are handed out, so it must never be evicted.
         budget_->put(budget_prefix_ + "|idxmeta|" + name, mapped,
-                     opened->metadata_bytes(), ResidentClass::kIndexSegment,
+                     index.metadata_bytes(), ResidentClass::kIndexSegment,
                      {}, /*pinned=*/true);
+        opened = ValueIndex{mapped, budget_prefix_ + "|bmi|" + name,
+                            std::move(index)};
       } catch (const std::exception&) {
         // Corrupt or truncated index: quarantine it — its predicates
         // demote to the scan path (DESIGN.md §15).
         if (quarantined_.insert(fname).second)
           integrity_->demotions.fetch_add(1, std::memory_order_relaxed);
-        opened.reset();
         return nullptr;
       }
     }
@@ -341,26 +346,6 @@ bool TimestepTable::has_indices() const {
   return std::filesystem::exists(dir_ / "id.idi");
 }
 
-SegmentedBitmapIndex::SegmentFetch TimestepTable::segment_fetch(
-    const std::string& name, const SegmentedBitmapIndex& idx) const {
-  // The fetch is where a decode first trusts a segment's bytes, so it is
-  // also where per-segment checksums verify. A cached segment was verified
-  // when it was decoded; eviction re-decodes and therefore re-verifies.
-  return [budget = budget_, prefix = budget_prefix_ + "|seg|" + name + "|",
-          sums = sums_, integrity = integrity_, dir = dir_,
-          fname = name + ".bmi", index = &idx](std::size_t s) {
-    const std::string key = prefix + std::to_string(s);
-    if (auto cached = budget->get(key, ResidentClass::kIndexSegment))
-      return std::static_pointer_cast<const BitVector>(cached);
-    verify_section(sums.get(), *integrity, dir, fname,
-                   index->segment_offset(s), index->segment_image(s));
-    auto decoded = std::make_shared<const BitVector>(index->decode_segment(s));
-    budget->put(key, decoded, decoded->memory_bytes(),
-                ResidentClass::kIndexSegment);
-    return std::shared_ptr<const BitVector>(decoded);
-  };
-}
-
 std::pair<double, double> TimestepTable::domain(const std::string& name) const {
   const auto it = domains_.find(name);
   if (it == domains_.end())
@@ -383,13 +368,13 @@ TimestepTable::RangeStep TimestepTable::range_step(
     return step;
   }
   try {
-    const SegmentedBitmapIndex* idx = value_index(variable);
-    if (!idx) {
+    const ValueIndex* opened = open_value_index(variable);
+    if (!opened) {
       if (mode == EvalMode::kIndex)
         throw std::runtime_error("no bitmap index for variable " + variable);
       return step;
     }
-    const SegmentedBitmapIndex::ProbePlan plan = idx->plan(ivs);
+    const SegmentedBitmapIndex::ProbePlan plan = opened->index.plan(ivs);
     step.probe_words = plan.words;
     const bool probe =
         mode == EvalMode::kIndex || kern::probe_is_cheaper(plan.words, rows_);
@@ -397,14 +382,22 @@ TimestepTable::RangeStep TimestepTable::range_step(
     // costs: a scan would add column I/O. Pinning tells, and the probe
     // needs those segments anyway.
     if (probe || plan.may_be_index_only) {
-      SegmentedBitmapIndex::Probe pinned =
-          idx->pin(plan, segment_fetch(variable, *idx));
+      // The pin reads the image in place: one budget lookup refreshes it,
+      // or charges it again after an eviction dropped its pages (the
+      // mapping, and every view into it, stays valid).
+      if (!budget_->get(opened->budget_key, ResidentClass::kIndexSegment))
+        budget_->put(opened->budget_key, opened->file, opened->file->size(),
+                     ResidentClass::kIndexSegment,
+                     [file = opened->file] { file->release_pages(); });
+      SegmentedBitmapIndex::Probe pinned = opened->index.pin(plan);
+      ranges_->probe_segments.fetch_add(pinned.segments,
+                                        std::memory_order_relaxed);
       if (probe || !pinned.needs_column()) step.pinned = std::move(pinned);
     }
   } catch (const IntegrityError&) {
-    // A segment failed its checksum while being pinned: quarantine the
-    // index and demote this step to the scan — same bits, no index
-    // (DESIGN.md §15).
+    // A segment failed its checksum or its structural checks while being
+    // pinned: quarantine the index and demote this step to the scan —
+    // same bits, no index (DESIGN.md §15).
     if (mode == EvalMode::kIndex) throw;
     quarantine_index(variable);
     step.pinned.reset();

@@ -356,6 +356,7 @@ std::string format_stats_line(const ServiceStats& s) {
       << " range_probes=" << s.range_probes
       << " range_scans=" << s.range_scans
       << " probe_words=" << s.probe_words << " scan_rows=" << s.scan_rows
+      << " probe_segments=" << s.probe_segments
       << " p50_us=" << static_cast<std::uint64_t>(s.p50_seconds * 1e6)
       << " p95_us=" << static_cast<std::uint64_t>(s.p95_seconds * 1e6)
       << " p99_us=" << static_cast<std::uint64_t>(s.p99_seconds * 1e6);

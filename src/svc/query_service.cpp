@@ -1037,6 +1037,7 @@ ServiceStats QueryService::stats() const {
   s.range_scans = ranges.scans.load(std::memory_order_relaxed);
   s.probe_words = ranges.probe_words.load(std::memory_order_relaxed);
   s.scan_rows = ranges.scan_rows.load(std::memory_order_relaxed);
+  s.probe_segments = ranges.probe_segments.load(std::memory_order_relaxed);
   const std::shared_ptr<dist::Coordinator> coordinator =
       impl_->distributor_handle;
   std::vector<double> sorted = impl_->latencies;

@@ -13,8 +13,22 @@
 
 #include "bitmap/bitvector.hpp"
 #include "bitmap/interval.hpp"
+#include "bitmap/kernels.hpp"
 
 namespace qdv::kern::ref {
+
+/// A BitVector copy of the WAH vector @p v reads (a pinned index segment),
+/// so the references below can take it.
+inline BitVector copy_of(const WahView& v) {
+  std::uint64_t groups = 0;
+  for (const std::uint32_t w : v.words)
+    groups += (w & BitVectorOps::kFillFlag) ? (w & BitVectorOps::kCountMask) : 1;
+  BitVector out;
+  BitVectorOps::set_words(out, {v.words.begin(), v.words.end()});
+  BitVectorOps::set_tail(out, v.tail, v.tail_bits);
+  BitVectorOps::set_nbits(out, groups * BitVectorOps::kGroupBits + v.tail_bits);
+  return out;
+}
 
 /// The OR of many bitvectors as a pairwise tree reduction over operator|:
 /// the reference for probe_intervals's OR side, and the old side of the

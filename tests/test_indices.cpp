@@ -6,12 +6,14 @@
 // them. The served interval-union probe must be bit-identical to a scan on
 // every table shape that steers it (NaN and out-of-domain rows, a ragged
 // last group, value-ordered and random-order columns, both sides of its OR
-// rule), and its segment fetches are counted exactly: a probe reads only
+// rule), and the segments it pins are counted exactly: a probe reads only
 // the segments its plan names. The range-step choice between that probe
-// and a column scan is bit-identical either way, fetches nothing when it
+// and a column scan is bit-identical either way, pins nothing when it
 // scans, never loads the column for an index-only answer, and its work
-// counts repeat exactly.
+// counts repeat exactly. Cold probes from four threads at once agree with
+// the scan, and meet a corrupted segment with exactly one quarantine.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bitmap/bitmap_index.hpp"
@@ -87,8 +90,11 @@ void check_index(const SegmentedBitmapIndex& index,
   const std::vector<double> nan(values.size(),
                                 std::numeric_limits<double>::quiet_NaN());
   const BitVector hits = probe.run(ivs, nan);
+  std::vector<BitVector> copies;
+  for (const kern::WahView& c : probe.candidates)
+    copies.push_back(kern::ref::copy_of(c));
   std::vector<const BitVector*> candidates;
-  for (const auto& c : probe.candidates) candidates.push_back(c.get());
+  for (const BitVector& c : copies) candidates.push_back(&c);
   const BitVector maybe =
       hits | kern::ref::or_many_pairwise(candidates, values.size());
   CHECK((hits & ~answer).count() == 0);  // no false certain hits
@@ -129,7 +135,8 @@ void test_precision_binning_index_only() {
   const SegmentedBitmapIndex::Probe probe = index.pin(strict);
   CHECK(probe.needs_column());
   std::uint64_t candidates = 0;
-  for (const auto& c : probe.candidates) candidates += c->count();
+  for (const kern::WahView& c : probe.candidates)
+    candidates += kern::count_words(c);
   CHECK(candidates <= values.size() / 10);  // one bin of twelve
   check_index(index, values, inclusive.front(), "precision");
   check_index(index, values, strict.front(), "precision-strict");
@@ -358,18 +365,13 @@ void test_union_probe_small_tables() {
   }
 }
 
-/// Segment fetches (the budget's kIndexSegment hits plus misses) of one
-/// query straight against the table, bypassing the bitvector cache.
-std::uint64_t fetches(const io::TimestepTable& table,
-                      const io::MemoryBudget& budget, const std::string& text) {
-  const auto count = [&] {
-    const io::ResidentClassStats c =
-        budget.stats().of(io::ResidentClass::kIndexSegment);
-    return c.hits + c.misses;
-  };
-  const std::uint64_t before = count();
+/// Segments pinned (RangeStats::probe_segments) by one query straight
+/// against the table, bypassing the bitvector cache.
+std::uint64_t fetches(const io::TimestepTable& table, const std::string& text) {
+  const std::atomic<std::uint64_t>& pinned = table.range_stats()->probe_segments;
+  const std::uint64_t before = pinned.load();
   (void)table.query(*core::canonicalize(parse_query(text)));
-  return count() - before;
+  return pinned.load() - before;
 }
 
 void test_probe_fetch_counts() {
@@ -381,7 +383,6 @@ void test_probe_fetch_counts() {
                               dir, index_config) > 0);
   const io::Dataset ds = io::Dataset::open(dir);
   const io::TimestepTable& table = ds.table(0);
-  const io::MemoryBudget& budget = *ds.memory_budget();
   const SegmentedBitmapIndex& y = *table.value_index("y");
   CHECK_EQ(y.bins().num_bins(), 1024u);
   const std::uint64_t outside = y.outside_empty() ? 0 : 1;
@@ -391,10 +392,10 @@ void test_probe_fetch_counts() {
   // complement side, and bin 5 is the only candidate. Reading the other
   // ~1,018 full bins instead would be the inside side.
   const std::string above = "y > " + format_double(y.bins().edges()[5]);
-  const std::uint64_t first = fetches(table, budget, above);
+  const std::uint64_t first = fetches(table, above);
   CHECK(first <= 8);
   CHECK_EQ(first, 6 + outside);
-  CHECK_EQ(fetches(table, budget, above), first);  // repeat runs: same work
+  CHECK_EQ(fetches(table, above), first);  // repeat runs: same work
 
   // The brushing gesture `(y <= a || y > b)` reads the gap: the bins from
   // the one holding a to the one holding b, plus the outside segment.
@@ -406,8 +407,8 @@ void test_probe_fetch_counts() {
       "(y <= " + format_double(a) + " || y > " + format_double(b) + ")";
   const std::uint64_t gap =
       static_cast<std::uint64_t>(locate(b) - locate(a) + 1) + outside;
-  CHECK_EQ(fetches(table, budget, gesture), gap);
-  CHECK_EQ(fetches(table, budget, gesture), gap);
+  CHECK_EQ(fetches(table, gesture), gap);
+  CHECK_EQ(fetches(table, gesture), gap);
   CHECK(gap < 64);
 }
 
@@ -426,11 +427,12 @@ void test_range_choice() {
   const auto budget = std::make_shared<io::MemoryBudget>();
   const io::TimestepTable table(dir, budget, std::make_shared<io::IntegrityStats>(),
                                 std::make_shared<io::RangeStats>());
-  const auto count = [&](io::ResidentClass cls) {
-    const io::ResidentClassStats c = budget->stats().of(cls);
+  const auto column_lookups = [&] {
+    const io::ResidentClassStats c =
+        budget->stats().of(io::ResidentClass::kColumn);
     return c.hits + c.misses;
   };
-  /// Runs one union under @p mode; returns the segment fetches it made and
+  /// Runs one union under @p mode; returns the segments it pinned and
   /// whether it read the column.
   struct Run {
     std::uint64_t fetches = 0;
@@ -440,11 +442,11 @@ void test_range_choice() {
   const auto run = [&](const std::string& var, const std::vector<Interval>& ivs,
                        EvalMode mode) {
     Run out;
-    const std::uint64_t seg0 = count(io::ResidentClass::kIndexSegment);
-    const std::uint64_t col0 = count(io::ResidentClass::kColumn);
+    const std::uint64_t seg0 = table.range_stats()->probe_segments.load();
+    const std::uint64_t col0 = column_lookups();
     out.bits = table.query(*union_query(var, ivs), mode);
-    out.fetches = count(io::ResidentClass::kIndexSegment) - seg0;
-    out.column = count(io::ResidentClass::kColumn) != col0;
+    out.fetches = table.range_stats()->probe_segments.load() - seg0;
+    out.column = column_lookups() != col0;
     return out;
   };
   const auto scan = [&](const std::string& var, const std::vector<Interval>& ivs) {
@@ -533,11 +535,101 @@ void test_range_work_counts() {
   const auto words = [&](const std::string& var, std::vector<Interval> ivs) {
     return table.value_index(var)->plan(ivs).words;
   };
+  // The segments a pin reads, from the plan alone: its OR side, the bins
+  // partly inside, and a non-empty outside bitmap.
+  const auto segments = [&](const std::string& var, std::vector<Interval> ivs) {
+    const SegmentedBitmapIndex& idx = *table.value_index(var);
+    const SegmentedBitmapIndex::ProbePlan plan = idx.plan(ivs);
+    std::uint64_t n = idx.outside_empty() ? 0 : 1;
+    for (const std::uint8_t status : plan.status)
+      n += ((status == 2) != plan.complement) || status == 1;
+    return n;
+  };
   CHECK_EQ(after.range_probes - before.range_probes, 2u);
   CHECK_EQ(after.range_scans - before.range_scans, 1u);
   CHECK_EQ(after.probe_words - before.probe_words,
            words("x", {x_narrow}) + words("y", y_gap));
   CHECK_EQ(after.scan_rows - before.scan_rows, table.num_rows());
+  CHECK_EQ(after.probe_segments - before.probe_segments,
+           segments("x", {x_narrow}) + segments("y", y_gap));
+}
+
+/// Cold probes from four threads at once on a freshly opened 1,024-bin
+/// table: each segment's first touch is checked once while the other
+/// threads wait for it or read segments already checked. Unions over the
+/// value-ordered x and the random-order y, under kIndex and kAuto, each
+/// equal kScan. On a copy with one corrupted y segment, the threads that
+/// meet it quarantine the index exactly once and their steps scan.
+void test_concurrent_cold_probes() {
+  const std::filesystem::path dir = test::scratch_dir("indices_cold");
+  io::IndexConfig index_config;
+  index_config.nbins = 1024;
+  index_config.build_pyramids = false;
+  CHECK(sim::generate_dataset(sim::WakefieldConfig::preset_bench(20000, 1),
+                              dir, index_config) > 0);
+  std::vector<QueryPtr> queries;
+  std::size_t victim = 0;  // a y bin inside the narrow y union
+  {
+    const io::Dataset ds = io::Dataset::open(dir);
+    const io::TimestepTable& table = ds.table(0);
+    for (const std::string var : {"x", "y"}) {
+      const auto [lo, hi] = table.domain(var);
+      const auto at = [&](double f) { return lo + f * (hi - lo); };
+      queries.push_back(union_query(var, {Interval::between(at(0.40), at(0.41))}));
+      queries.push_back(union_query(
+          var, {Interval::at_most(at(0.40)), Interval::greater_than(at(0.43))}));
+      queries.push_back(union_query(
+          var, {Interval::less_than(at(0.1)), Interval::between(at(0.3), at(0.32)),
+                Interval::at_least(at(0.95))}));
+      if (var == "y")
+        victim = static_cast<std::size_t>(
+            table.value_index("y")->bins().locator()(at(0.405)));
+    }
+  }
+  // Every query on four threads, each starting at another one, against a
+  // fresh open of @p ds_dir; returns the integrity demotions it counted.
+  const auto run = [&](const std::filesystem::path& ds_dir,
+                       const std::vector<EvalMode>& modes) {
+    const io::Dataset ds = io::Dataset::open(ds_dir);
+    const io::TimestepTable& table = ds.table(0);
+    // The scans read columns only, so the indices stay cold.
+    std::vector<BitVector> want;
+    for (const QueryPtr& q : queries) want.push_back(table.query(*q, EvalMode::kScan));
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t k = 0; k < queries.size(); ++k) {
+          const std::size_t i = (k + 2 * t) % queries.size();
+          for (const EvalMode mode : modes)
+            if (table.query(*queries[i], mode) != want[i]) ++mismatches;
+        }
+      });
+    for (std::thread& t : threads) t.join();
+    CHECK_EQ(mismatches.load(), 0);
+    return ds.integrity_stats()->demotions.load();
+  };
+  CHECK_EQ(run(dir, {EvalMode::kIndex, EvalMode::kAuto}), 0u);
+
+  const std::filesystem::path damaged = test::scratch_dir("indices_cold_bad") / "ds";
+  std::filesystem::copy(dir, damaged, std::filesystem::copy_options::recursive);
+  const std::filesystem::path bmi = damaged / io::step_dir_name(0) / "y.bmi";
+  {
+    const io::Dataset ds = io::Dataset::open(dir);
+    const SegmentedBitmapIndex& y = *ds.table(0).value_index("y");
+    CHECK(y.segment_words(victim) > 0);
+    const auto at = static_cast<std::streamoff>(y.segment_offset(victim) +
+                                                BitVector::kRecordHeaderBytes);
+    std::fstream f(bmi, std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.seekg(at);
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    f.seekp(at);
+    f.write(&byte, 1);
+    CHECK(f.good());
+  }
+  CHECK_EQ(run(damaged, {EvalMode::kAuto}), 1u);
 }
 
 }  // namespace
@@ -552,5 +644,6 @@ int main() {
   test_probe_fetch_counts();
   test_range_choice();
   test_range_work_counts();
+  test_concurrent_cold_probes();
   return qdv::test::finish("test_indices");
 }

@@ -1,19 +1,24 @@
 // Integrity layer suite (DESIGN.md §15): CRC32C vectors and chaining, the
 // checksum sidecar round-trip, fsck over pristine / damaged / sidecar-less
 // datasets, deterministic fault-injector behavior, quarantine-and-demote
-// degradation against a pristine reference, and the hardened service edges
+// degradation against a pristine reference (a checksum mismatch, and a
+// malformed segment no checksum covers), and the hardened service edges
 // (deadline expiry, load shedding, and their wire statuses).
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bitmap/index_segments.hpp"
 #include "core/selection.hpp"
 #include "fault/fault.hpp"
 #include "fuzz_common.hpp"
 #include "io/checksum.hpp"
+#include "io/mapped_file.hpp"
+#include "sim/wakefield.hpp"
 #include "svc/protocol.hpp"
 #include "svc/query_service.hpp"
 #include "test_common.hpp"
@@ -380,6 +385,77 @@ void test_union_probe_column_damage_is_typed() {
   CHECK(!engine.dataset().table(0).index_quarantined("a"));
 }
 
+// A segment whose fill counts disagree with its bit count, on a dataset
+// without checksum sidecars, so no CRC can catch it: the first touch's
+// structural checks quarantine the index once and the step scans, as a
+// checksum mismatch does. kIndex, which refuses the fallback, still throws.
+void test_malformed_segment_demotes() {
+  const std::filesystem::path dir =
+      qdv::test::scratch_dir("integrity_malformed") / "ds";
+  io::IndexConfig index_config;
+  index_config.nbins = 64;
+  index_config.build_pyramids = false;
+  CHECK(sim::generate_dataset(sim::WakefieldConfig::preset_bench(20000, 1),
+                              dir, index_config) > 0);
+  std::vector<std::filesystem::path> sidecars;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir))
+    if (entry.path().filename() == "checksums.qdv") sidecars.push_back(entry.path());
+  CHECK(!sidecars.empty());
+  for (const std::filesystem::path& file : sidecars) std::filesystem::remove(file);
+
+  // Rewrite the first literal word of bin 0 as a 1,000-group zero fill.
+  const std::filesystem::path bmi = dir / io::step_dir_name(0) / "y.bmi";
+  double edge = 0.0;  // bin 0's upper edge
+  {
+    const auto mapped = io::MappedFile::map(bmi);
+    const SegmentedBitmapIndex y = SegmentedBitmapIndex::open(mapped->bytes(), mapped);
+    edge = y.bins().edges()[1];
+    const std::uint64_t words = y.segment_offset(0) + BitVector::kRecordHeaderBytes;
+    std::uint64_t literal = 0;
+    for (std::uint64_t w = 0; w < y.segment_words(0) && literal == 0; ++w) {
+      std::uint32_t word = 0;
+      std::memcpy(&word, mapped->bytes().data() + words + 4 * w, 4);
+      if (!(word & 0x80000000u)) literal = words + 4 * w;
+    }
+    CHECK(literal > 0);
+    std::fstream f(bmi, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t fill = 0x80000000u | 1000u;
+    f.seekp(static_cast<std::streamoff>(literal));
+    f.write(reinterpret_cast<const char*>(&fill), 4);
+    CHECK(f.good());
+  }
+
+  const QueryPtr q = parse_query("y < " + format_double(edge));
+  const auto count = [&](const core::Engine& engine, EvalMode mode) {
+    try {
+      return static_cast<std::int64_t>(
+          engine.dataset().table(0).query(*q, mode).count());
+    } catch (const std::exception&) {
+      return std::int64_t{-1};
+    }
+  };
+  const core::Engine engine = core::Engine::open(dir);
+  const std::int64_t scanned = count(engine, EvalMode::kScan);
+  CHECK(scanned > 0);
+  CHECK_EQ(count(engine, EvalMode::kAuto), scanned);
+  CHECK_EQ(engine.stats().integrity_demotions, 1u);
+  CHECK(engine.dataset().table(0).index_quarantined("y"));
+  CHECK_EQ(count(engine, EvalMode::kAuto), scanned);
+  CHECK_EQ(engine.stats().integrity_demotions, 1u);
+  CHECK_EQ(count(engine, EvalMode::kIndex), -1);
+  // On a fresh open, kIndex meets the damage itself: a typed error, and
+  // no quarantine.
+  const core::Engine fresh = core::Engine::open(dir);
+  bool typed = false;
+  try {
+    (void)fresh.dataset().table(0).query(*q, EvalMode::kIndex);
+  } catch (const io::IntegrityError&) {
+    typed = true;
+  }
+  CHECK(typed);
+  CHECK_EQ(fresh.stats().integrity_demotions, 0u);
+}
+
 // ---------------------------------------------------------- service edges ---
 
 void test_service_deadline_and_shedding() {
@@ -510,6 +586,7 @@ int main() {
   test_corrupt_column_is_typed_error();
   test_union_probe_demotes_on_complement_segment();
   test_union_probe_column_damage_is_typed();
+  test_malformed_segment_demotes();
   test_service_deadline_and_shedding();
   test_protocol_deadline_and_statuses();
   return qdv::test::finish("test_integrity");

@@ -260,16 +260,18 @@ void test_probe_intervals_vs_reference() {
       std::vector<double> values(nbits);
       for (std::uint64_t r = 0; r < nbits; ++r) values[r] = double(r % 97);
       // The whole set as the OR side, plain and inverted.
+      std::vector<qdv::kern::WahView> views;
+      for (const BitVector* v : ops) views.emplace_back(*v);
       const BitVector all = qdv::kern::ref::or_many_pairwise(ops, nbits);
-      CHECK(qdv::kern::probe_intervals(ops, false, {}, ivs, {}, nbits) == all);
-      CHECK(qdv::kern::probe_intervals(ops, true, {}, ivs, {}, nbits) == ~all);
+      CHECK(qdv::kern::probe_intervals(views, false, {}, ivs, {}, nbits) == all);
+      CHECK(qdv::kern::probe_intervals(views, true, {}, ivs, {}, nbits) == ~all);
       // The first two as the OR side, the rest as candidates.
-      const std::span<const BitVector* const> or_side(ops.data(), 2);
-      const std::span<const BitVector* const> cands(ops.data() + 2,
-                                                    ops.size() - 2);
+      const std::span<const qdv::kern::WahView> or_side(views.data(), 2);
+      const std::span<const qdv::kern::WahView> cands(views.data() + 2,
+                                                      views.size() - 2);
       std::vector<std::uint32_t> rows;
-      for (const BitVector* c : cands)
-        c->for_each_set([&](std::uint64_t r) {
+      for (std::size_t i = 2; i < ops.size(); ++i)
+        ops[i]->for_each_set([&](std::uint64_t r) {
           if (r < nbits && (ivs[0].contains(values[r]) || ivs[1].contains(values[r])))
             rows.push_back(static_cast<std::uint32_t>(r));
         });
@@ -277,7 +279,7 @@ void test_probe_intervals_vs_reference() {
       rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
       const BitVector survivors = BitVector::from_positions(rows, nbits);
       const BitVector base = qdv::kern::ref::or_many_pairwise(
-          std::vector<const BitVector*>(or_side.begin(), or_side.end()), nbits);
+          std::span<const BitVector* const>(ops.data(), 2), nbits);
       CHECK(qdv::kern::probe_intervals(or_side, false, cands, ivs, values,
                                        nbits) == (base | survivors));
       CHECK(qdv::kern::probe_intervals(or_side, true, cands, ivs, values,

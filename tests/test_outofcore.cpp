@@ -1,5 +1,6 @@
 // Out-of-core io layer: MappedFile/ColumnHandle lifecycle, segment-wise
-// index decoding equivalence, MemoryBudget accounting and eviction, and the
+// index equivalence (probed in place, and decoded), MemoryBudget accounting
+// and eviction, and the
 // budget edge cases — eviction under a tiny budget mid-query, a column
 // larger than the whole budget (streaming scan), concurrent selections
 // sharing one mapped file, and O(touched-columns) load volume.
@@ -118,18 +119,8 @@ void test_segmented_index_matches_eager() {
   for (std::size_t b = 0; b < bins.num_bins(); ++b)
     CHECK(lazy.decode_segment(b) == eager.bin_bitmap(b));
 
-  // Evaluation equivalence across interval shapes (with and without a
-  // caching fetch hook).
-  io::MemoryBudget cache;
-  const auto fetch = [&](std::size_t s) {
-    const std::string key = "seg|" + std::to_string(s);
-    if (auto hit = cache.get(key, io::ResidentClass::kIndexSegment))
-      return std::static_pointer_cast<const BitVector>(hit);
-    auto decoded = std::make_shared<const BitVector>(lazy.decode_segment(s));
-    cache.put(key, decoded, decoded->memory_bytes(),
-              io::ResidentClass::kIndexSegment);
-    return std::shared_ptr<const BitVector>(decoded);
-  };
+  // Evaluation equivalence across interval shapes, each pinned cold (its
+  // segments' first touch checks them) and again warm.
   for (const Interval& iv :
        {Interval::greater_than(40.0), Interval::at_most(-3.5),
         Interval::between(0.0, 55.0), Interval::at_least(119.0),
@@ -137,9 +128,8 @@ void test_segmented_index_matches_eager() {
     const std::span<const Interval> ivs(&iv, 1);
     const BitVector expect = kern::ref::scan_intervals_rows(values, ivs);
     CHECK(lazy.pin(ivs).run(ivs, values) == expect);
-    CHECK(lazy.pin(ivs, fetch).run(ivs, values) == expect);
+    CHECK(lazy.pin(ivs).run(ivs, values) == expect);
   }
-  CHECK(cache.stats().of(io::ResidentClass::kIndexSegment).hits > 0);
 }
 
 void test_memory_budget_accounting() {
