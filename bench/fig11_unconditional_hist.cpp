@@ -29,7 +29,7 @@ int main() {
   (void)table.column("x");
   (void)table.column("px");
 
-  const HistogramEngine fastbit = table.engine(EvalMode::kAuto);
+  const HistogramEngine fastbit = table.engine();
   const core::CustomScan custom(table);
 
   std::printf("# Figure 11: serial unconditional 2D histograms (x, px)\n");

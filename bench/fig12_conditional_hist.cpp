@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "core/custom_scan.hpp"
+#include "core/plan.hpp"
 #include "io/timestep_table.hpp"
 
 int main(int argc, char** argv) {
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const HistogramEngine fastbit = table.engine(EvalMode::kAuto);
+  const HistogramEngine fastbit = table.engine();
   const core::CustomScan custom(table);
   constexpr std::size_t kBins = 1024;
 
@@ -61,19 +62,24 @@ int main(int argc, char** argv) {
   double small_fb = 0.0, small_custom = 0.0;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const QueryPtr cond = Query::compare("px", CompareOp::kGt, thresholds[i]);
-    const BitVector selected = table.query(*cond);
+    // Planned outside the timed regions; each FastBit row runs both steps,
+    // the plan's evaluation and the gather.
+    const core::ExecutionPlan plan = core::plan_query(cond);
+    const auto conditioned = [&] { return plan.evaluate(table, EvalMode::kAuto); };
+    const BitVector selected = *conditioned();
     const std::uint64_t hits = selected.count();
-    const double t_regular = bench::time_best(
-        [&] { (void)fastbit.histogram2d("x", "px", kBins, kBins, cond.get()); });
+    const double t_regular = bench::time_best([&] {
+      (void)fastbit.histogram2d("x", "px", kBins, kBins, conditioned().get());
+    });
     const double t_adaptive = bench::time_best([&] {
-      (void)fastbit.histogram2d("x", "px", kBins, kBins, cond.get(),
+      (void)fastbit.histogram2d("x", "px", kBins, kBins, conditioned().get(),
                                 BinningMode::kAdaptive);
     });
     const double t_custom = bench::time_best(
         [&] { (void)custom.histogram2d("x", "px", kBins, kBins, cond.get()); });
     // Old/new kernel rows. Full path: pre-PR two-step (pairwise OR tree +
     // per-bit resolve, reconstructed by ScalarTwoStepRef) + scalar gather,
-    // against the production histogram2d(condition) call. Gather-only:
+    // against the production evaluate-then-histogram2d. Gather-only:
     // identical precomputed condition bitvector on both sides.
     const bench::ScalarTwoStepRef scalar_ref(table, "px",
                                              Interval::greater_than(thresholds[i]));
@@ -83,7 +89,7 @@ int main(int argc, char** argv) {
     const double t_gather_old = bench::time_best(
         [&] { (void)bench::scalar_hist2d(table, "x", "px", kBins, selected); });
     const double t_gather_new = bench::time_best(
-        [&] { (void)fastbit.histogram2d("x", "px", kBins, kBins, selected); });
+        [&] { (void)fastbit.histogram2d("x", "px", kBins, kBins, &selected); });
     std::printf("%14llu %20.4f %20.4f %20.4f %20.4f\n",
                 static_cast<unsigned long long>(hits), t_regular, t_adaptive,
                 t_custom, t_full_old);

@@ -49,10 +49,10 @@ par::ClusterRun run_scalar_ref(const io::Dataset& dataset, double threshold,
     const bench::ScalarTwoStepRef scalar_ref(
         *table, "px", Interval::greater_than(threshold));
     for (const auto& [vx, vy] : kPairs) {
-      // Two-step per pair, exactly like the pre-PR
-      // HistogramEngine::histogram2d(condition) call the workload made
-      // (the reference decodes its segments once, so they stay warm
-      // across pairs).
+      // Two-step per pair, exactly like the fresh-table
+      // par::parallel_histograms workload it is compared with (the
+      // reference decodes its segments once, so they stay warm across
+      // pairs).
       (void)bench::scalar_hist2d(*table, vx, vy, kBins, scalar_ref.evaluate());
     }
   });

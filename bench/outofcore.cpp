@@ -49,7 +49,8 @@ int main() {
     const auto start = std::chrono::steady_clock::now();
     const io::Dataset ds = io::Dataset::open(dir);
     const std::string q = cut_query(ds, "px");
-    const std::uint64_t count = ds.table(0).query(q).count();
+    const std::uint64_t count =
+        core::plan_query(parse_query(q)).evaluate(ds.table(0), EvalMode::kAuto)->count();
     const double seconds = seconds_since(start);
     const io::MemoryBudgetStats s = ds.memory_budget()->stats();
     // What reading the column and its index whole would have cost.

@@ -61,7 +61,7 @@ int main() {
   const QueryPtr refined_query = Query::land(
       beam_query, Query::compare("x", CompareOp::kGt, x_threshold));
   const std::vector<std::uint32_t> refined_rows =
-      evaluate(*refined_query, t14).to_positions();
+      session.engine().select(refined_query).bits(14)->to_positions();
   const auto id_col = t14.id_column("id");
   std::vector<std::uint64_t> refined_ids;
   for (const std::uint32_t r : refined_rows) refined_ids.push_back(id_col[r]);

@@ -1,6 +1,7 @@
 // Conditional histograms through the FastBit-style two-step evaluation:
-// the condition is answered by the bitmap indices first, then only the
-// matching records are gathered and binned (DESIGN.md Section 5).
+// the condition's rows come first (a query plan answers them, from the
+// bitmap indices or a scan: core/plan.hpp), then only those records are
+// gathered and binned (DESIGN.md Section 5).
 #pragma once
 
 #include <cstdint>
@@ -9,7 +10,6 @@
 
 #include "bitmap/bins.hpp"
 #include "bitmap/bitvector.hpp"
-#include "core/query.hpp"
 
 namespace qdv {
 
@@ -74,31 +74,22 @@ Histogram1D tally1d(std::span<const double> values, Bins bins,
 Histogram2D tally2d(std::span<const double> xs, std::span<const double> ys,
                     Bins xbins, Bins ybins, const BitVector* rows = nullptr);
 
-/// Index-backed histogram computation over one timestep table. Lightweight
-/// handle: obtained from TimestepTable::engine().
+/// Histograms over one timestep table's columns. Lightweight handle:
+/// obtained from TimestepTable::engine().
 class HistogramEngine {
  public:
-  HistogramEngine(const io::TimestepTable& table, EvalMode mode)
-      : table_(&table), mode_(mode) {}
+  explicit HistogramEngine(const io::TimestepTable& table) : table_(&table) {}
 
+  /// Over the table domain's bins: every row, or only the set rows of
+  /// @p rows when given (an evaluated condition, e.g. a Selection's
+  /// cached bitvector).
   Histogram1D histogram1d(const std::string& variable, std::size_t nbins,
-                          const Query* condition = nullptr,
+                          const BitVector* rows = nullptr,
                           BinningMode binning = BinningMode::kUniform) const;
 
   Histogram2D histogram2d(const std::string& x, const std::string& y,
                           std::size_t nxbins, std::size_t nybins,
-                          const Query* condition = nullptr,
-                          BinningMode binning = BinningMode::kUniform) const;
-
-  /// Variants over an already-evaluated row set — the path Selection uses
-  /// so a cached condition bitvector is not re-derived.
-  Histogram1D histogram1d(const std::string& variable, std::size_t nbins,
-                          const BitVector& rows,
-                          BinningMode binning = BinningMode::kUniform) const;
-
-  Histogram2D histogram2d(const std::string& x, const std::string& y,
-                          std::size_t nxbins, std::size_t nybins,
-                          const BitVector& rows,
+                          const BitVector* rows = nullptr,
                           BinningMode binning = BinningMode::kUniform) const;
 
   /// Variants over caller-supplied bin edges — the exact twin of a
@@ -112,11 +103,8 @@ class HistogramEngine {
                           const Bins& xbins, const Bins& ybins,
                           const BitVector& rows) const;
 
-  EvalMode mode() const { return mode_; }
-
  private:
   const io::TimestepTable* table_;
-  EvalMode mode_;
 };
 
 }  // namespace qdv

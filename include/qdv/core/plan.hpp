@@ -6,22 +6,26 @@
 // nested And/Or chains are flattened, conjoined comparisons on one variable
 // are fused into a single IntervalQuery (one index probe instead of one per
 // comparison), duplicate operands are dropped, and operand lists are sorted.
-// plan_query() then records, per step (a leaf predicate, or a same-variable
-// Or of range leaves), whether the engine will answer it from a bitmap/id
-// index or a sequential scan, and renders the whole decision as a
-// human-readable explain() string.
+// plan_query() then builds the plan's tree once: And/Or/Not nodes over step
+// leaves, where a step is what a table answers in one call (a range step:
+// a leaf, or a same-variable Or of range leaves; or an id step). The
+// plan's evaluate() is the executor: it runs that tree, so the steps
+// explain() lists are the calls a query makes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bitmap/bitvector.hpp"
 #include "bitmap/interval.hpp"
 #include "core/query.hpp"
 
 namespace qdv::io {
+class MemoryBudget;
 class TimestepTable;
 }  // namespace qdv::io
 
@@ -52,21 +56,24 @@ enum class AccessPath {
   kPyramid,      // histogram-pyramid node classification (zoom routing only)
 };
 
-/// One step of a plan: an id-set leaf, or a range predicate — a Compare or
-/// Interval leaf, or an Or of such leaves on one variable, which one index
-/// probe answers as the union of their intervals (DESIGN.md Section 3).
+/// One step of a plan: what a table answers in one call. A range step —
+/// a Compare or Interval leaf, or an Or of such leaves on one variable —
+/// is one TimestepTable::range call over the union of its intervals
+/// (DESIGN.md Section 3); an id step is one TimestepTable::id_in call.
 struct PredicateStep {
   std::string predicate;  // canonical text of the leaf (or the Or)
   std::string variable;
   AccessPath access = AccessPath::kScan;
   bool fused = false;     // true when the leaf is a fused IntervalQuery
-  /// A range step's non-empty intervals (empty for an id-set step, and
-  /// for a contradiction folded to kConstant).
+  /// A range step's non-empty intervals (empty for an id step, and for a
+  /// contradiction folded to kConstant, which no table call answers).
   std::vector<Interval> intervals;
+  /// An id step's search set, sorted and deduplicated.
+  std::vector<std::uint64_t> ids;
   // True when the index exists on disk but was quarantined after failing a
   // checksum (DESIGN.md §15): the step planned kScan as a demotion, not
   // because no index was built. Plans cached before the quarantine keep
-  // their index steps — the evaluation layer demotes those at run time.
+  // their index steps — the table demotes those at run time.
   bool demoted = false;
 };
 
@@ -103,20 +110,50 @@ class ExecutionPlan {
   /// kScan otherwise. Empty when marginal_intervals() is nullopt or empty.
   const std::vector<PredicateStep>& zoom_steps() const { return zoom_steps_; }
 
+  /// The rows the plan selects at @p table under @p mode: every step is
+  /// one call of the table (TimestepTable::range or id_in) and the plan's
+  /// And/Or/Not nodes combine their answers; the match-everything plan
+  /// selects every row. Given @p cache, every node is looked up there
+  /// first and stored there after (ResidentClass::kBitVector) under
+  /// @p key_prefix followed by its canonical text — the root's is key() —
+  /// so a refined plan reuses the nodes it shares with its parent.
+  std::shared_ptr<const BitVector> evaluate(const io::TimestepTable& table,
+                                            EvalMode mode,
+                                            io::MemoryBudget* cache = nullptr,
+                                            const std::string& key_prefix = {}) const;
+
   /// Multi-line report: canonical query, cache key, the access path of
   /// every step, and the zoom-tier routing decision. Given @p table, each
-  /// range step also reports the probe-or-scan choice the executor makes
+  /// range step also reports the probe-or-scan choice evaluate() makes
   /// there under @p mode (TimestepTable::range_step): the compressed words
-  /// a probe reads, the rows a scan reads, and the path taken.
+  /// a probe reads, the rows a scan reads, and the path taken. Pricing
+  /// reads the segment directories only: explain() pins, charges and
+  /// counts no segment.
   std::string explain(const io::TimestepTable* table = nullptr,
                       EvalMode mode = EvalMode::kAuto) const;
 
  private:
   friend ExecutionPlan plan_query(QueryPtr query, const io::TimestepTable* probe);
 
+  /// One node of the plan's tree. And/Or nodes mirror the canonical AST's
+  /// binary nodes, so every node keeps the cache key it had as an AST node.
+  struct Node {
+    enum class Kind { kAnd, kOr, kNot, kRange, kIdIn } kind;
+    std::string text;  // canonical text: the node's cache key
+    std::size_t lhs = 0, rhs = 0;  // operand nodes (And/Or both; Not lhs)
+    std::size_t step = 0;          // kRange/kIdIn: index into steps_
+  };
+
+  /// Appends @p q's node after its operands' nodes; returns its index.
+  std::size_t add_node(const Query& q, const io::TimestepTable* probe);
+  std::shared_ptr<const BitVector> evaluate_node(
+      std::size_t node, const io::TimestepTable& table, EvalMode mode,
+      io::MemoryBudget* cache, const std::string& key_prefix) const;
+
   QueryPtr canonical_;   // nullptr = select everything
   std::string key_;
-  std::vector<PredicateStep> steps_;
+  std::vector<PredicateStep> steps_;  // the step leaves, in tree order
+  std::vector<Node> nodes_;           // operands before parents; root last
   std::optional<std::vector<std::pair<std::string, Interval>>> marginal_;
   std::vector<PredicateStep> zoom_steps_;
 };

@@ -6,8 +6,9 @@
 // shared_ptr<const Query>); subtrees are shared freely between ASTs (e.g.
 // by Selection::refine) and live as long as any referencing tree.
 // Thread-safety: immutability makes every Query method safe to call
-// concurrently. Evaluation against a timestep table lives in
-// io/timestep_table.hpp so the AST stays free of I/O dependencies.
+// concurrently. Evaluation is the planner's (core/plan.hpp): a plan runs
+// its steps against a timestep table, so the AST stays free of I/O
+// dependencies.
 #pragma once
 
 #include <cstdint>
@@ -148,14 +149,6 @@ class NotQuery final : public Query {
  private:
   QueryPtr a_;
 };
-
-/// The intervals of @p q when it is a Compare or Interval leaf, or an Or
-/// tree whose every leaf is one of those on a single variable: the shape
-/// one index probe answers as a union of intervals (DESIGN.md Section 3).
-/// Returns false for any other shape, leaving the outputs unspecified.
-/// @p intervals must start empty.
-bool interval_union(const Query& q, std::string& variable,
-                    std::vector<Interval>& intervals);
 
 /// Parse a range-query expression, e.g. "px > 8.872e10 && (y > 0 || !(x < 1))".
 /// Grammar: comparisons `var (<|<=|>|>=|==) number` combined with `&&`, `||`,

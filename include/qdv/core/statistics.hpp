@@ -1,5 +1,5 @@
-// Conditional summary statistics of one variable, evaluated through the
-// same two-step query path as the histograms.
+// Conditional summary statistics of one variable over an evaluated row
+// set — the second step of the same two-step path as the histograms.
 //
 // Free functions over a borrowed table: the caller keeps the TimestepTable
 // alive for the duration of the call; results are plain values. Safe to
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/query.hpp"
 #include "io/timestep_table.hpp"
 
 namespace qdv::core {
@@ -22,17 +21,11 @@ struct SummaryStats {
   double stddev = 0.0;
 };
 
-/// Statistics of @p variable over the rows matching @p condition (all rows
-/// when nullptr).
+/// Statistics of @p variable over every row, or only the set rows of
+/// @p rows when given (an evaluated condition, e.g. a Selection's cached
+/// bitvector).
 SummaryStats conditional_stats(const io::TimestepTable& table,
                                const std::string& variable,
-                               const Query* condition = nullptr,
-                               EvalMode mode = EvalMode::kAuto);
-
-/// Statistics of @p variable over an already-evaluated row set — the path
-/// Selection::summary() uses so a cached bitvector is not re-derived.
-SummaryStats conditional_stats(const io::TimestepTable& table,
-                               const std::string& variable,
-                               const BitVector& rows);
+                               const BitVector* rows = nullptr);
 
 }  // namespace qdv::core

@@ -1,6 +1,7 @@
 // One timestep of a dataset: memory-mapped, lazily-loaded column files plus
-// their bitmap and identifier indices, with index-backed or scan query
-// evaluation.
+// their bitmap and identifier indices, and the two steps a query plan runs
+// against them (core/plan.hpp): a range step, answered by an index probe or
+// a column scan, and an id step.
 //
 // On-disk layout (DESIGN.md Section 2): the timestep directory holds
 // `meta.txt` (row count + per-variable domains), raw little-endian column
@@ -21,7 +22,7 @@
 // returned by column()/id_column() and pointers returned by the index
 // accessors are valid for the lifetime of the table.
 // Thread-safety: all lazy-loading accessors are guarded by one internal
-// mutex; query evaluation itself runs outside that lock, so concurrent
+// mutex; step evaluation itself runs outside that lock, so concurrent
 // queries (and concurrent Selections sharing one mapped file) are safe.
 #pragma once
 
@@ -148,23 +149,44 @@ class TimestepTable {
   /// How one range step — the rows of @p variable in the union of the
   /// non-empty intervals @p ivs — is answered at this timestep under
   /// @p mode: the one place the probe-or-scan choice is made (DESIGN.md
-  /// Section 3). kIndex always probes (and throws without a usable index),
-  /// kScan always scans. kAuto probes a usable index when the probe reads
-  /// no column (it is index-only) or when kern::probe_is_cheaper weighs
-  /// its compressed words below a scan of the rows; otherwise it scans. A
-  /// pin refreshes the `.bmi` image in the budget (one lookup) and counts
-  /// its segments in RangeStats::probe_segments. A segment failing its
-  /// checksum or its structural checks while pinned quarantines the index,
-  /// and the step scans.
+  /// Section 3), worked out from the segment directory alone, so pricing
+  /// pins, charges and counts no segment. kIndex always probes (and throws
+  /// without a usable index), kScan always scans. kAuto probes a usable
+  /// index when kern::probe_is_cheaper weighs its compressed words below a
+  /// scan of the rows; otherwise it scans, unless the directory allows an
+  /// index-only answer (the probe then reads no column), which only the
+  /// probe's pinned segments can confirm.
   struct RangeStep {
     std::uint64_t probe_words = 0;  // what a probe reads (0: no usable index)
     std::uint64_t scan_rows = 0;    // what a scan reads
-    /// The probe's segments, pinned, when the step probes; empty when it
-    /// scans.
-    std::optional<SegmentedBitmapIndex::Probe> pinned;
+    enum class Path {
+      kScan,
+      kProbe,
+      /// range() pins the probe's segments, and probes when none of the
+      /// segments it checks against the column holds a row.
+      kProbeIfIndexOnly,
+    } path = Path::kScan;
   };
   RangeStep range_step(const std::string& variable, std::span<const Interval> ivs,
                        EvalMode mode) const;
+
+  /// One range step: the rows whose @p variable value lies in at least one
+  /// of @p ivs (empty intervals are ignored), by the path range_step()
+  /// prices, counted in RangeStats as one probe or one scan. A probe's pin
+  /// refreshes the `.bmi` image in the budget (one lookup) and counts its
+  /// segments in RangeStats::probe_segments; a
+  /// segment failing its checksum or its structural checks while pinned
+  /// quarantines the index, and the step scans (kIndex throws instead).
+  /// The column is read outside that catch: a corrupt column is
+  /// ground-truth damage, not an index demotion.
+  BitVector range(const std::string& variable, std::span<const Interval> ivs,
+                  EvalMode mode) const;
+
+  /// One id step: the rows whose @p variable id is in @p ids (sorted and
+  /// deduplicated, as IdInQuery::ids() is), by the id index unless @p mode
+  /// is kScan or none exists (kIndex then throws).
+  BitVector id_in(const std::string& variable,
+                  std::span<const std::uint64_t> ids, EvalMode mode) const;
 
   /// Histogram pyramid of one column (`<name>.pyr`) or of a column pair
   /// (`<x>__<y>.pyr`, exactly that axis order — callers try both
@@ -186,15 +208,7 @@ class TimestepTable {
   std::pair<double, double> domain(const std::string& name) const;
 
   /// Histogram computation handle bound to this table.
-  HistogramEngine engine(EvalMode mode = EvalMode::kAuto) const {
-    return HistogramEngine(*this, mode);
-  }
-
-  /// Evaluate a query against this timestep. A Compare or Interval leaf,
-  /// or an Or of such leaves on one variable, is one index probe of the
-  /// union of their intervals (DESIGN.md Section 3).
-  BitVector query(const Query& q, EvalMode mode = EvalMode::kAuto) const;
-  BitVector query(const std::string& text, EvalMode mode = EvalMode::kAuto) const;
+  HistogramEngine engine() const { return HistogramEngine(*this); }
 
   const std::filesystem::path& dir() const { return dir_; }
 
@@ -238,6 +252,16 @@ class TimestepTable {
   // quarantined.
   const ValueIndex* open_value_index(const std::string& name) const;
 
+  // range_step() with what range() needs to pin: the opened index (null
+  // when the step scans for want of one) and the probe's plan.
+  struct PricedRange {
+    const ValueIndex* index = nullptr;
+    SegmentedBitmapIndex::ProbePlan plan;
+    RangeStep step;
+  };
+  PricedRange price_range(const std::string& variable,
+                          std::span<const Interval> ivs, EvalMode mode) const;
+
   // Whole-file verification of a mapped column or id index, at most once
   // per file (mutex_ held). Throws IntegrityError on mismatch: a column is
   // ground truth and surfaces it, an id index demotes to the scan path.
@@ -251,11 +275,3 @@ class TimestepTable {
 };
 
 }  // namespace qdv::io
-
-namespace qdv {
-
-/// Evaluate @p query against @p table (indices when available under kAuto).
-BitVector evaluate(const Query& query, const io::TimestepTable& table,
-                   EvalMode mode = EvalMode::kAuto);
-
-}  // namespace qdv

@@ -67,7 +67,9 @@ struct HistogramBatch {
 
 /// Compute the workload's histogram set for every timestep of @p dataset.
 /// Opens a fresh table per task (each virtual node pays its own column
-/// reads — the paper's cold-I/O setup).
+/// reads — the paper's cold-I/O setup). The condition is planned once and
+/// evaluated uncached under workload.mode (core::ExecutionPlan::evaluate),
+/// once per histogram.
 HistogramBatch parallel_histograms(const io::Dataset& dataset,
                                    const HistogramWorkload& workload,
                                    VirtualCluster& cluster);
@@ -91,7 +93,8 @@ struct TrackBatch {
 };
 
 /// Run the identifier query for @p ids against every timestep (Figures
-/// 16/17).
+/// 16/17): planned once, evaluated uncached under @p mode on a fresh table
+/// per task.
 TrackBatch parallel_track(const io::Dataset& dataset,
                           const std::vector<std::uint64_t>& ids, EvalMode mode,
                           VirtualCluster& cluster);

@@ -149,24 +149,11 @@ Histogram2D tally2d(std::span<const double> xs, std::span<const double> ys,
 }
 
 Histogram1D HistogramEngine::histogram1d(const std::string& variable,
-                                         std::size_t nbins, const Query* condition,
-                                         BinningMode binning) const {
-  if (condition != nullptr) {
-    // Two-step conditional evaluation: index answer first, then gather only
-    // the matching records.
-    return histogram1d(variable, nbins, table_->query(*condition, mode_), binning);
-  }
-  const auto [lo, hi] = table_->domain(variable);
-  const std::span<const double> values = table_->column(variable);
-  return tally1d(values, make_bins(lo, hi, values, nbins, binning));
-}
-
-Histogram1D HistogramEngine::histogram1d(const std::string& variable,
-                                         std::size_t nbins, const BitVector& rows,
+                                         std::size_t nbins, const BitVector* rows,
                                          BinningMode binning) const {
   const auto [lo, hi] = table_->domain(variable);
   const std::span<const double> values = table_->column(variable);
-  return tally1d(values, make_bins(lo, hi, values, nbins, binning), &rows);
+  return tally1d(values, make_bins(lo, hi, values, nbins, binning), rows);
 }
 
 Histogram1D HistogramEngine::histogram1d(const std::string& variable,
@@ -177,29 +164,14 @@ Histogram1D HistogramEngine::histogram1d(const std::string& variable,
 
 Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string& y,
                                          std::size_t nxbins, std::size_t nybins,
-                                         const Query* condition,
-                                         BinningMode binning) const {
-  if (condition != nullptr)
-    return histogram2d(x, y, nxbins, nybins, table_->query(*condition, mode_),
-                       binning);
-  const auto [xlo, xhi] = table_->domain(x);
-  const auto [ylo, yhi] = table_->domain(y);
-  const std::span<const double> xs = table_->column(x);
-  const std::span<const double> ys = table_->column(y);
-  return tally2d(xs, ys, make_bins(xlo, xhi, xs, nxbins, binning),
-                 make_bins(ylo, yhi, ys, nybins, binning));
-}
-
-Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string& y,
-                                         std::size_t nxbins, std::size_t nybins,
-                                         const BitVector& rows,
+                                         const BitVector* rows,
                                          BinningMode binning) const {
   const auto [xlo, xhi] = table_->domain(x);
   const auto [ylo, yhi] = table_->domain(y);
   const std::span<const double> xs = table_->column(x);
   const std::span<const double> ys = table_->column(y);
   return tally2d(xs, ys, make_bins(xlo, xhi, xs, nxbins, binning),
-                 make_bins(ylo, yhi, ys, nybins, binning), &rows);
+                 make_bins(ylo, yhi, ys, nybins, binning), rows);
 }
 
 Histogram2D HistogramEngine::histogram2d(const std::string& x, const std::string& y,

@@ -228,7 +228,7 @@ Histogram1D Brush::histogram1d(const Snapshot& snap, std::size_t t,
                                const std::string& variable, std::size_t nbins,
                                BinningMode binning) {
   const io::TimestepTable& tbl = engine_.dataset().table(t);
-  return tbl.engine().histogram1d(variable, nbins, *bits(snap, t), binning);
+  return tbl.engine().histogram1d(variable, nbins, bits(snap, t).get(), binning);
 }
 
 Histogram2D Brush::histogram2d(const Snapshot& snap, std::size_t t,
@@ -236,14 +236,14 @@ Histogram2D Brush::histogram2d(const Snapshot& snap, std::size_t t,
                                std::size_t nxbins, std::size_t nybins,
                                BinningMode binning) {
   const io::TimestepTable& tbl = engine_.dataset().table(t);
-  return tbl.engine().histogram2d(x, y, nxbins, nybins, *bits(snap, t),
+  return tbl.engine().histogram2d(x, y, nxbins, nybins, bits(snap, t).get(),
                                   binning);
 }
 
 SummaryStats Brush::summary(const Snapshot& snap, std::size_t t,
                             const std::string& variable) {
   const io::TimestepTable& tbl = engine_.dataset().table(t);
-  return conditional_stats(tbl, variable, *bits(snap, t));
+  return conditional_stats(tbl, variable, bits(snap, t).get());
 }
 
 }  // namespace qdv::core

@@ -89,6 +89,14 @@ Histogram2D CustomScan::histogram2d(const std::string& x, const std::string& y,
   return h;
 }
 
+BitVector CustomScan::select(const Query& q) const {
+  const std::function<bool(std::uint32_t)> predicate = compile(q, *table_);
+  BitVector out;
+  for (std::uint32_t row = 0; row < table_->num_rows(); ++row)
+    out.append_bit(predicate(row));
+  return out;
+}
+
 std::vector<std::uint32_t> CustomScan::find_ids(
     const std::vector<std::uint64_t>& search) const {
   std::vector<std::uint64_t> sorted(search);

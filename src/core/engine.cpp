@@ -8,62 +8,9 @@
 
 namespace qdv::core {
 
-namespace detail {
-
 namespace {
 constexpr std::size_t kDefaultCacheEntries = 1024;
 }  // namespace
-
-std::string entry_key(std::size_t t, const std::string& node_key) {
-  return "bv|t#" + std::to_string(t) + "|" + node_key;
-}
-
-BitVector EngineState::compute(const Query& q, std::size_t t) {
-  switch (q.kind()) {
-    case Query::Kind::kAnd: {
-      const auto& aq = static_cast<const AndQuery&>(q);
-      return *evaluate(aq.lhs(), t) & *evaluate(aq.rhs(), t);
-    }
-    case Query::Kind::kOr: {
-      // An Or of range leaves on one variable is one probe of the table,
-      // cached under this node's key; its leaves are never evaluated alone.
-      std::string variable;
-      std::vector<Interval> ivs;
-      if (interval_union(q, variable, ivs)) return dataset.table(t).query(q, mode);
-      const auto& oq = static_cast<const OrQuery&>(q);
-      return *evaluate(oq.lhs(), t) | *evaluate(oq.rhs(), t);
-    }
-    case Query::Kind::kNot:
-      return ~*evaluate(static_cast<const NotQuery&>(q).operand(), t);
-    case Query::Kind::kCompare:
-    case Query::Kind::kInterval:
-    case Query::Kind::kIdIn:
-      return dataset.table(t).query(q, mode);
-  }
-  throw std::logic_error("EngineState::compute: bad query kind");
-}
-
-std::shared_ptr<const BitVector> EngineState::evaluate(const Query& q,
-                                                       std::size_t t) {
-  const std::string key = entry_key(t, q.to_string());
-  if (auto cached = budget->get(key, io::ResidentClass::kBitVector))
-    return std::static_pointer_cast<const BitVector>(cached);
-  auto bits = std::make_shared<const BitVector>(compute(q, t));
-  budget->put(key, bits, bits->memory_bytes(), io::ResidentClass::kBitVector);
-  return bits;
-}
-
-std::shared_ptr<const BitVector> EngineState::all_rows(std::size_t t) {
-  const std::string key = entry_key(t, "<all records>");
-  if (auto cached = budget->get(key, io::ResidentClass::kBitVector))
-    return std::static_pointer_cast<const BitVector>(cached);
-  auto bits =
-      std::make_shared<const BitVector>(BitVector::ones(dataset.table(t).num_rows()));
-  budget->put(key, bits, bits->memory_bytes(), io::ResidentClass::kBitVector);
-  return bits;
-}
-
-}  // namespace detail
 
 Engine Engine::open(const std::filesystem::path& dir) {
   return Engine(io::Dataset::open(dir));
@@ -77,7 +24,7 @@ Engine::Engine(io::Dataset dataset, EvalMode mode)
   if (state_->budget->class_entry_cap(io::ResidentClass::kBitVector) ==
       io::MemoryBudget::kNoEntryCap)
     state_->budget->set_class_entry_cap(io::ResidentClass::kBitVector,
-                                        detail::kDefaultCacheEntries);
+                                        kDefaultCacheEntries);
 }
 
 const io::Dataset& Engine::dataset() const { return state_->dataset; }

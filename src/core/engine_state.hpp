@@ -11,7 +11,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "bitmap/bitvector.hpp"
 #include "core/plan.hpp"
 #include "io/dataset.hpp"
 #include "io/memory_budget.hpp"
@@ -36,27 +35,15 @@ struct EngineState {
   // The dataset's budget, adopted at Engine construction: bitvector cache
   // entries (ResidentClass::kBitVector) live next to the io residents, so
   // one byte ceiling governs everything the engine can re-create from disk.
-  // Evaluation happens outside the budget's lock: two threads missing the
-  // same key may both compute it (idempotent; the first insert wins). The
-  // budget's kBitVector hits and misses are the cache's hit/miss counters.
+  // Every plan node is cached under `bv|t#<t>|<canonical text>`
+  // (Selection::bits). Evaluation happens outside the budget's lock: two
+  // threads missing the same key may both compute it (idempotent; the
+  // first insert wins). The budget's kBitVector hits and misses are the
+  // cache's hit/miss counters.
   std::shared_ptr<io::MemoryBudget> budget;
   // Zoom tier routing (Selection::zoom_histogram* under ZoomMode::kAuto).
   std::atomic<std::uint64_t> pyramid_served{0};
   std::atomic<std::uint64_t> pyramid_fallback{0};
-
-  /// Cached evaluation of one canonical AST node at timestep @p t. Every
-  /// node of the tree is cached under its own key, so a refined selection
-  /// reuses the leaf (and subtree) bitvectors of the selection it came from.
-  std::shared_ptr<const BitVector> evaluate(const Query& canonical, std::size_t t);
-
-  /// Cached all-rows bitvector of timestep @p t (the match-everything plan).
-  std::shared_ptr<const BitVector> all_rows(std::size_t t);
-
- private:
-  BitVector compute(const Query& canonical, std::size_t t);
 };
-
-/// Cache key of one (timestep, canonical node) pair.
-std::string entry_key(std::size_t t, const std::string& node_key);
 
 }  // namespace qdv::core::detail

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "io/memory_budget.hpp"
 #include "io/timestep_table.hpp"
 
 namespace qdv::core {
@@ -252,13 +253,48 @@ bool collect_marginals(const Query& q,
   }
 }
 
+/// The intervals of @p q when it is a Compare or Interval leaf, or an Or
+/// tree whose every leaf is one of those on a single variable: the shape
+/// one range step answers as a union of intervals (DESIGN.md Section 3).
+/// Returns false for any other shape, leaving the outputs unspecified.
+/// @p intervals must start empty.
+bool interval_union(const Query& q, std::string& variable,
+                    std::vector<Interval>& intervals) {
+  const auto leaf = [&](const std::string& var, const Interval& iv) {
+    if (intervals.empty())
+      variable = var;
+    else if (var != variable)
+      return false;
+    intervals.push_back(iv);
+    return true;
+  };
+  switch (q.kind()) {
+    case Query::Kind::kCompare: {
+      const auto& cq = static_cast<const CompareQuery&>(q);
+      return leaf(cq.variable(), interval_for(cq.op(), cq.value()));
+    }
+    case Query::Kind::kInterval: {
+      const auto& vq = static_cast<const IntervalQuery&>(q);
+      return leaf(vq.variable(), vq.interval());
+    }
+    case Query::Kind::kOr: {
+      const auto& oq = static_cast<const OrQuery&>(q);
+      return interval_union(oq.lhs(), variable, intervals) &&
+             interval_union(oq.rhs(), variable, intervals);
+    }
+    default:
+      return false;
+  }
+}
+
 /// The step of one range predicate — a Compare or Interval leaf, or an Or
 /// of such leaves on one variable, which one probe answers as a union.
-PredicateStep range_predicate_step(const Query& q, std::string variable,
+PredicateStep range_predicate_step(const Query& q, std::string text,
+                                   std::string variable,
                                    std::vector<Interval> intervals,
                                    const io::TimestepTable* probe) {
   PredicateStep step;
-  step.predicate = q.to_string();
+  step.predicate = std::move(text);
   step.variable = std::move(variable);
   step.fused = q.kind() == Query::Kind::kInterval;
   std::erase_if(intervals, [](const Interval& iv) { return iv.empty(); });
@@ -275,46 +311,29 @@ PredicateStep range_predicate_step(const Query& q, std::string variable,
   return step;
 }
 
-void collect_steps(const Query& q, const io::TimestepTable* probe,
-                   std::vector<PredicateStep>& steps) {
-  switch (q.kind()) {
-    case Query::Kind::kAnd: {
-      const auto& aq = static_cast<const AndQuery&>(q);
-      collect_steps(aq.lhs(), probe, steps);
-      collect_steps(aq.rhs(), probe, steps);
-      return;
-    }
-    case Query::Kind::kOr:
-    case Query::Kind::kCompare:
-    case Query::Kind::kInterval: {
-      std::string variable;
-      std::vector<Interval> intervals;
-      if (interval_union(q, variable, intervals)) {
-        steps.push_back(range_predicate_step(q, std::move(variable),
-                                             std::move(intervals), probe));
-        return;
-      }
-      const auto& oq = static_cast<const OrQuery&>(q);  // Or over variables
-      collect_steps(oq.lhs(), probe, steps);
-      collect_steps(oq.rhs(), probe, steps);
-      return;
-    }
-    case Query::Kind::kNot:
-      collect_steps(static_cast<const NotQuery&>(q).operand(), probe, steps);
-      return;
-    case Query::Kind::kIdIn: {
-      const auto& iq = static_cast<const IdInQuery&>(q);
-      PredicateStep step;
-      step.predicate = iq.to_string();
-      step.variable = iq.variable();
-      step.access = (!probe || probe->has_id_index(iq.variable()))
-                        ? AccessPath::kIdIndex
-                        : AccessPath::kScan;
-      steps.push_back(std::move(step));
-      return;
-    }
+/// @p compute's answer, first looked up in @p cache under @p key and stored
+/// there after; computed afresh when there is no cache.
+template <typename Compute>
+std::shared_ptr<const BitVector> cached(io::MemoryBudget* cache,
+                                        const std::string& key,
+                                        Compute&& compute) {
+  if (cache)
+    if (auto hit = cache->get(key, io::ResidentClass::kBitVector))
+      return std::static_pointer_cast<const BitVector>(hit);
+  auto bits = std::make_shared<const BitVector>(compute());
+  if (cache)
+    cache->put(key, bits, bits->memory_bytes(), io::ResidentClass::kBitVector);
+  return bits;
+}
+
+const char* range_path_text(io::TimestepTable::RangeStep::Path path) {
+  switch (path) {
+    case io::TimestepTable::RangeStep::Path::kProbe: return "probe";
+    case io::TimestepTable::RangeStep::Path::kScan: return "scan";
+    case io::TimestepTable::RangeStep::Path::kProbeIfIndexOnly:
+      return "probe if its pin finds no candidate row (index-only), else scan";
   }
-  throw std::logic_error("collect_steps: bad query kind");
+  return "?";
 }
 
 }  // namespace
@@ -338,7 +357,7 @@ ExecutionPlan plan_query(QueryPtr query, const io::TimestepTable* probe) {
     return plan;
   }
   plan.key_ = cache_key(*plan.canonical_);
-  collect_steps(*plan.canonical_, probe, plan.steps_);
+  plan.add_node(*plan.canonical_, probe);
   std::vector<std::pair<std::string, Interval>> marginals;
   if (collect_marginals(*plan.canonical_, marginals)) {
     for (const auto& [variable, iv] : marginals) {
@@ -353,6 +372,87 @@ ExecutionPlan plan_query(QueryPtr query, const io::TimestepTable* probe) {
     plan.marginal_ = std::move(marginals);
   }
   return plan;
+}
+
+std::size_t ExecutionPlan::add_node(const Query& q,
+                                    const io::TimestepTable* probe) {
+  Node node{Node::Kind::kRange, q.to_string()};
+  std::string variable;
+  std::vector<Interval> intervals;
+  if (interval_union(q, variable, intervals)) {
+    node.step = steps_.size();
+    steps_.push_back(range_predicate_step(q, node.text, std::move(variable),
+                                          std::move(intervals), probe));
+  } else if (q.kind() == Query::Kind::kAnd) {
+    const auto& aq = static_cast<const AndQuery&>(q);
+    node.kind = Node::Kind::kAnd;
+    node.lhs = add_node(aq.lhs(), probe);
+    node.rhs = add_node(aq.rhs(), probe);
+  } else if (q.kind() == Query::Kind::kOr) {  // an Or over variables
+    const auto& oq = static_cast<const OrQuery&>(q);
+    node.kind = Node::Kind::kOr;
+    node.lhs = add_node(oq.lhs(), probe);
+    node.rhs = add_node(oq.rhs(), probe);
+  } else if (q.kind() == Query::Kind::kNot) {
+    node.kind = Node::Kind::kNot;
+    node.lhs = add_node(static_cast<const NotQuery&>(q).operand(), probe);
+  } else {
+    const auto& iq = static_cast<const IdInQuery&>(q);
+    node.kind = Node::Kind::kIdIn;
+    node.step = steps_.size();
+    PredicateStep step;
+    step.predicate = node.text;
+    step.variable = iq.variable();
+    step.ids = iq.ids();
+    step.access = (!probe || probe->has_id_index(iq.variable()))
+                      ? AccessPath::kIdIndex
+                      : AccessPath::kScan;
+    steps_.push_back(std::move(step));
+  }
+  nodes_.push_back(std::move(node));
+  return nodes_.size() - 1;
+}
+
+std::shared_ptr<const BitVector> ExecutionPlan::evaluate(
+    const io::TimestepTable& table, EvalMode mode, io::MemoryBudget* cache,
+    const std::string& key_prefix) const {
+  if (nodes_.empty())
+    return cached(cache, key_prefix + key_,
+                  [&] { return BitVector::ones(table.num_rows()); });
+  return evaluate_node(nodes_.size() - 1, table, mode, cache, key_prefix);
+}
+
+std::shared_ptr<const BitVector> ExecutionPlan::evaluate_node(
+    std::size_t index, const io::TimestepTable& table, EvalMode mode,
+    io::MemoryBudget* cache, const std::string& key_prefix) const {
+  const Node& node = nodes_[index];
+  const auto operand = [&](std::size_t i) {
+    return evaluate_node(i, table, mode, cache, key_prefix);
+  };
+  return cached(cache, cache ? key_prefix + node.text : std::string(),
+                [&]() -> BitVector {
+    switch (node.kind) {
+      case Node::Kind::kAnd: {
+        const auto lhs = operand(node.lhs);
+        return *lhs & *operand(node.rhs);
+      }
+      case Node::Kind::kOr: {
+        const auto lhs = operand(node.lhs);
+        return *lhs | *operand(node.rhs);
+      }
+      case Node::Kind::kNot:
+        return ~*operand(node.lhs);
+      case Node::Kind::kRange: {
+        const PredicateStep& step = steps_[node.step];
+        return table.range(step.variable, step.intervals, mode);
+      }
+      case Node::Kind::kIdIn: {
+        const PredicateStep& step = steps_[node.step];
+        return table.id_in(step.variable, step.ids, mode);
+      }
+    }
+    throw std::logic_error("ExecutionPlan::evaluate: bad node kind");
+  });
 }
 
 std::vector<std::string> ExecutionPlan::variables() const {
@@ -380,12 +480,12 @@ std::string ExecutionPlan::explain(const io::TimestepTable* table,
       out << "  [union of " << step.intervals.size() << " intervals]";
     if (step.demoted) out << "  [demoted: index quarantined]";
     if (table && !step.intervals.empty()) {
-      // The range-step choice the executor makes at this timestep.
+      // The range-step choice evaluate() makes at this timestep, priced
+      // from the segment directory alone.
       const io::TimestepTable::RangeStep verdict =
           table->range_step(step.variable, step.intervals, mode);
       out << "\n        t0: probe " << verdict.probe_words << " words, scan "
-          << verdict.scan_rows << " rows -> "
-          << (verdict.pinned ? "probe" : "scan");
+          << verdict.scan_rows << " rows -> " << range_path_text(verdict.path);
     }
     out << "\n";
   }

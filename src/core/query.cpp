@@ -58,35 +58,6 @@ Interval interval_for(CompareOp op, double value) {
   throw std::logic_error("interval_for: bad op");
 }
 
-bool interval_union(const Query& q, std::string& variable,
-                    std::vector<Interval>& intervals) {
-  const auto leaf = [&](const std::string& var, const Interval& iv) {
-    if (intervals.empty())
-      variable = var;
-    else if (var != variable)
-      return false;
-    intervals.push_back(iv);
-    return true;
-  };
-  switch (q.kind()) {
-    case Query::Kind::kCompare: {
-      const auto& cq = static_cast<const CompareQuery&>(q);
-      return leaf(cq.variable(), interval_for(cq.op(), cq.value()));
-    }
-    case Query::Kind::kInterval: {
-      const auto& vq = static_cast<const IntervalQuery&>(q);
-      return leaf(vq.variable(), vq.interval());
-    }
-    case Query::Kind::kOr: {
-      const auto& oq = static_cast<const OrQuery&>(q);
-      return interval_union(oq.lhs(), variable, intervals) &&
-             interval_union(oq.rhs(), variable, intervals);
-    }
-    default:
-      return false;
-  }
-}
-
 std::string CompareQuery::to_string() const {
   return variable_ + ' ' + op_text(op_) + ' ' + format_double(value_);
 }

@@ -146,9 +146,9 @@ const io::TimestepTable& Selection::table(std::size_t t) const {
 bool Selection::selects_all() const { return !plan_ || !plan_->canonical(); }
 
 std::shared_ptr<const BitVector> Selection::bits(std::size_t t) const {
-  if (!state_) throw std::logic_error("Selection: invalid (default-constructed)");
-  if (selects_all()) return state_->all_rows(t);
-  return state_->evaluate(*plan_->canonical(), t);
+  const io::TimestepTable& tbl = table(t);  // throws on an invalid handle
+  return plan_->evaluate(tbl, state_->mode, state_->budget.get(),
+                         "bv|t#" + std::to_string(t) + "|");
 }
 
 std::uint64_t Selection::count(std::size_t t) const {
@@ -183,18 +183,15 @@ Selection Selection::refine(QueryPtr extra) const {
 
 Histogram1D Selection::histogram1d(std::size_t t, const std::string& variable,
                                    std::size_t nbins, BinningMode binning) const {
-  const HistogramEngine engine = table(t).engine();
-  if (selects_all()) return engine.histogram1d(variable, nbins, nullptr, binning);
-  return engine.histogram1d(variable, nbins, *bits(t), binning);
+  return table(t).engine().histogram1d(
+      variable, nbins, selects_all() ? nullptr : bits(t).get(), binning);
 }
 
 Histogram2D Selection::histogram2d(std::size_t t, const std::string& x,
                                    const std::string& y, std::size_t nxbins,
                                    std::size_t nybins, BinningMode binning) const {
-  const HistogramEngine engine = table(t).engine();
-  if (selects_all())
-    return engine.histogram2d(x, y, nxbins, nybins, nullptr, binning);
-  return engine.histogram2d(x, y, nxbins, nybins, *bits(t), binning);
+  return table(t).engine().histogram2d(
+      x, y, nxbins, nybins, selects_all() ? nullptr : bits(t).get(), binning);
 }
 
 Zoom1DResult Selection::zoom_histogram1d(std::size_t t,
@@ -397,8 +394,8 @@ std::optional<ZoomPlan> Selection::zoom_plan2d(
 }
 
 SummaryStats Selection::summary(std::size_t t, const std::string& variable) const {
-  if (selects_all()) return conditional_stats(table(t), variable);
-  return conditional_stats(table(t), variable, *bits(t));
+  return conditional_stats(table(t), variable,
+                           selects_all() ? nullptr : bits(t).get());
 }
 
 const ExecutionPlan& Selection::plan() const {

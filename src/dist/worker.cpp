@@ -217,7 +217,7 @@ struct WorkerServer::Impl {
           // worker produces identical edges and partial counts sum to the
           // single-process histogram bit for bit.
           const Histogram1D h = table.engine().histogram1d(
-              q.var_x, static_cast<std::size_t>(q.nxbins), rows,
+              q.var_x, static_cast<std::size_t>(q.nxbins), &rows,
               BinningMode::kUniform);
           w.f64(cpu_seconds() - start);
           w.u32(static_cast<std::uint32_t>(h.bins.edges().size()));
@@ -230,7 +230,7 @@ struct WorkerServer::Impl {
         case ShardKind::kHist2: {
           const Histogram2D h = table.engine().histogram2d(
               q.var_x, q.var_y, static_cast<std::size_t>(q.nxbins),
-              static_cast<std::size_t>(q.nybins), rows, BinningMode::kUniform);
+              static_cast<std::size_t>(q.nybins), &rows, BinningMode::kUniform);
           w.f64(cpu_seconds() - start);
           w.u32(static_cast<std::uint32_t>(h.xbins.edges().size()));
           for (const double e : h.xbins.edges()) w.f64(e);

@@ -353,162 +353,99 @@ std::pair<double, double> TimestepTable::domain(const std::string& name) const {
   return it->second;
 }
 
-TimestepTable::RangeStep TimestepTable::range_step(
+TimestepTable::PricedRange TimestepTable::price_range(
     const std::string& variable, std::span<const Interval> ivs,
     EvalMode mode) const {
-  RangeStep step;
-  step.scan_rows = rows_;
-  if (mode == EvalMode::kScan) return step;
+  PricedRange out;
+  out.step.scan_rows = rows_;
+  if (mode == EvalMode::kScan) return out;
   if (index_quarantined(variable)) {
     // Already demoted: go straight to the scan, no re-verification per
     // query. kIndex callers explicitly refused the fallback.
     if (mode == EvalMode::kIndex)
       throw IntegrityError("bitmap index for variable " + variable +
                            " is quarantined");
-    return step;
+    return out;
   }
-  try {
-    const ValueIndex* opened = open_value_index(variable);
-    if (!opened) {
-      if (mode == EvalMode::kIndex)
-        throw std::runtime_error("no bitmap index for variable " + variable);
-      return step;
-    }
-    const SegmentedBitmapIndex::ProbePlan plan = opened->index.plan(ivs);
-    step.probe_words = plan.words;
-    const bool probe =
-        mode == EvalMode::kIndex || kern::probe_is_cheaper(plan.words, rows_);
+  out.index = open_value_index(variable);
+  if (!out.index) {
+    if (mode == EvalMode::kIndex)
+      throw std::runtime_error("no bitmap index for variable " + variable);
+    return out;
+  }
+  out.plan = out.index->index.plan(ivs);
+  out.step.probe_words = out.plan.words;
+  if (mode == EvalMode::kIndex || kern::probe_is_cheaper(out.plan.words, rows_))
+    out.step.path = RangeStep::Path::kProbe;
+  else if (out.plan.may_be_index_only)
     // An index-only probe never reads the column, so it wins whatever it
-    // costs: a scan would add column I/O. Pinning tells, and the probe
-    // needs those segments anyway.
-    if (probe || plan.may_be_index_only) {
-      // The pin reads the image in place: one budget lookup refreshes it,
-      // or charges it again after an eviction dropped its pages (the
-      // mapping, and every view into it, stays valid).
-      if (!budget_->get(opened->budget_key, ResidentClass::kIndexSegment))
-        budget_->put(opened->budget_key, opened->file, opened->file->size(),
-                     ResidentClass::kIndexSegment,
-                     [file = opened->file] { file->release_pages(); });
-      SegmentedBitmapIndex::Probe pinned = opened->index.pin(plan);
-      ranges_->probe_segments.fetch_add(pinned.segments,
-                                        std::memory_order_relaxed);
-      if (probe || !pinned.needs_column()) step.pinned = std::move(pinned);
-    }
+    // costs: a scan would add column I/O. Only the pin can tell.
+    out.step.path = RangeStep::Path::kProbeIfIndexOnly;
+  return out;
+}
+
+TimestepTable::RangeStep TimestepTable::range_step(
+    const std::string& variable, std::span<const Interval> ivs,
+    EvalMode mode) const {
+  return price_range(variable, ivs, mode).step;
+}
+
+BitVector TimestepTable::range(const std::string& variable,
+                               std::span<const Interval> ivs,
+                               EvalMode mode) const {
+  std::vector<Interval> live(ivs.begin(), ivs.end());
+  std::erase_if(live, [](const Interval& iv) { return iv.empty(); });
+  if (live.empty()) return BitVector::zeros(rows_);
+  const PricedRange priced = price_range(variable, live, mode);
+  std::optional<SegmentedBitmapIndex::Probe> pinned;
+  if (priced.step.path != RangeStep::Path::kScan) try {
+    // The pin reads the image in place: one budget lookup refreshes it, or
+    // charges it again after an eviction dropped its pages (the mapping,
+    // and every view into it, stays valid).
+    const ValueIndex& opened = *priced.index;
+    if (!budget_->get(opened.budget_key, ResidentClass::kIndexSegment))
+      budget_->put(opened.budget_key, opened.file, opened.file->size(),
+                   ResidentClass::kIndexSegment,
+                   [file = opened.file] { file->release_pages(); });
+    SegmentedBitmapIndex::Probe probe = opened.index.pin(priced.plan);
+    ranges_->probe_segments.fetch_add(probe.segments, std::memory_order_relaxed);
+    if (priced.step.path == RangeStep::Path::kProbe || !probe.needs_column())
+      pinned = std::move(probe);
   } catch (const IntegrityError&) {
     // A segment failed its checksum or its structural checks while being
     // pinned: quarantine the index and demote this step to the scan —
     // same bits, no index (DESIGN.md §15).
     if (mode == EvalMode::kIndex) throw;
     quarantine_index(variable);
-    step.pinned.reset();
   }
-  return step;
-}
-
-namespace {
-
-/// Append one bit per row, coalescing equal neighbors into append_run calls
-/// so the WAH encoder sees whole runs instead of 31 single-bit appends per
-/// group (scan results are run-heavy at both selectivity extremes).
-template <typename Pred>
-BitVector scan_predicate(std::uint64_t rows, Pred&& pred) {
-  BitVector out;
-  std::uint64_t run_start = 0;
-  bool run_value = false;
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    const bool v = pred(row);
-    if (row == 0) {
-      run_value = v;
-    } else if (v != run_value) {
-      out.append_run(run_value, row - run_start);
-      run_start = row;
-      run_value = v;
-    }
-  }
-  out.append_run(run_value, rows - run_start);
-  return out;
-}
-
-/// The one served range path: rows whose value lies in at least one of
-/// @p ivs, by the probe or the scan range_step() picks. The column is read
-/// outside range_step()'s checksum catch: a corrupt column is ground-truth
-/// damage, not an index demotion.
-BitVector eval_intervals(const TimestepTable& table, const std::string& variable,
-                         std::vector<Interval> ivs, EvalMode mode,
-                         std::uint64_t rows) {
-  std::erase_if(ivs, [](const Interval& iv) { return iv.empty(); });
-  if (ivs.empty()) return BitVector::zeros(rows);
-  TimestepTable::RangeStep step = table.range_step(variable, ivs, mode);
-  RangeStats& counts = *table.range_stats();
-  if (step.pinned) {
-    counts.probes.fetch_add(1, std::memory_order_relaxed);
-    counts.probe_words.fetch_add(step.probe_words, std::memory_order_relaxed);
+  if (pinned) {
+    ranges_->probes.fetch_add(1, std::memory_order_relaxed);
+    ranges_->probe_words.fetch_add(priced.step.probe_words,
+                                   std::memory_order_relaxed);
     // Index-only answers (precision binning) never touch the data.
-    return step.pinned->run(ivs, step.pinned->needs_column()
-                                     ? table.column(variable)
-                                     : std::span<const double>{});
+    return pinned->run(live, pinned->needs_column() ? column(variable)
+                                                    : std::span<const double>{});
   }
-  counts.scans.fetch_add(1, std::memory_order_relaxed);
-  counts.scan_rows.fetch_add(step.scan_rows, std::memory_order_relaxed);
-  return kern::scan_intervals(table.column(variable), ivs);
+  ranges_->scans.fetch_add(1, std::memory_order_relaxed);
+  ranges_->scan_rows.fetch_add(rows_, std::memory_order_relaxed);
+  return kern::scan_intervals(column(variable), live);
 }
 
-BitVector scan_id_in(const TimestepTable& table, const IdInQuery& q) {
-  const std::span<const std::uint64_t> ids = table.id_column(q.variable());
-  const std::vector<std::uint64_t>& search = q.ids();
-  return scan_predicate(ids.size(), [&](std::uint64_t row) {
-    return std::binary_search(search.begin(), search.end(), ids[row]);
-  });
-}
-
-}  // namespace
-
-BitVector TimestepTable::query(const Query& q, EvalMode mode) const {
-  switch (q.kind()) {
-    case Query::Kind::kCompare:
-    case Query::Kind::kInterval:
-    case Query::Kind::kOr: {
-      // A leaf, or an Or of leaves on one variable: one probe of the union.
-      std::string variable;
-      std::vector<Interval> ivs;
-      if (interval_union(q, variable, ivs))
-        return eval_intervals(*this, variable, std::move(ivs), mode, rows_);
-      const auto& oq = static_cast<const OrQuery&>(q);
-      return query(oq.lhs(), mode) | query(oq.rhs(), mode);
-    }
-    case Query::Kind::kIdIn: {
-      const auto& iq = static_cast<const IdInQuery&>(q);
-      if (mode != EvalMode::kScan) {
-        if (const IdIndex* idx = id_index(iq.variable()))
-          return BitVector::from_positions(idx->lookup_rows(iq.ids()), rows_);
-        if (mode == EvalMode::kIndex)
-          throw std::runtime_error("no id index for variable " + iq.variable());
-      }
-      return scan_id_in(*this, iq);
-    }
-    case Query::Kind::kAnd: {
-      const auto& aq = static_cast<const AndQuery&>(q);
-      return query(aq.lhs(), mode) & query(aq.rhs(), mode);
-    }
-    case Query::Kind::kNot: {
-      const auto& nq = static_cast<const NotQuery&>(q);
-      return ~query(nq.operand(), mode);
-    }
+BitVector TimestepTable::id_in(const std::string& variable,
+                               std::span<const std::uint64_t> ids,
+                               EvalMode mode) const {
+  if (mode != EvalMode::kScan) {
+    if (const IdIndex* idx = id_index(variable))
+      return BitVector::from_positions(idx->lookup_rows(ids), rows_);
+    if (mode == EvalMode::kIndex)
+      throw std::runtime_error("no id index for variable " + variable);
   }
-  throw std::logic_error("TimestepTable::query: bad query kind");
-}
-
-BitVector TimestepTable::query(const std::string& text, EvalMode mode) const {
-  return query(*parse_query(text), mode);
+  const std::span<const std::uint64_t> column = id_column(variable);
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t row = 0; row < column.size(); ++row)
+    if (std::binary_search(ids.begin(), ids.end(), column[row]))
+      rows.push_back(row);
+  return BitVector::from_positions(rows, rows_);
 }
 
 }  // namespace qdv::io
-
-namespace qdv {
-
-BitVector evaluate(const Query& query, const io::TimestepTable& table,
-                   EvalMode mode) {
-  return table.query(query, mode);
-}
-
-}  // namespace qdv

@@ -7,7 +7,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/custom_scan.hpp"
 #include "parallel/prefetch.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -79,17 +78,20 @@ HistogramBatch parallel_histograms(const io::Dataset& dataset,
                                    VirtualCluster& cluster) {
   HistogramBatch batch;
   std::atomic<std::uint64_t> total{0};
+  // Planned once, outside the timed tasks; each task runs the plan uncached.
+  const core::ExecutionPlan plan = core::plan_query(workload.condition);
   batch.run = cluster.run(dataset.num_timesteps(), [&](std::size_t t) {
     // A fresh table per task: each virtual node owns its timestep file and
     // pays its own column reads, as in the paper's setup.
     const auto table = dataset.open_table(t);
-    const HistogramEngine engine = table->engine(workload.mode);
+    const HistogramEngine engine = table->engine();
     std::uint64_t local = 0;
     for (const auto& [x, y] : workload.pairs) {
+      // Two steps per histogram: its condition's rows, then the gather.
+      const std::shared_ptr<const BitVector> rows =
+          workload.condition ? plan.evaluate(*table, workload.mode) : nullptr;
       const Histogram2D h = engine.histogram2d(
-          x, y, workload.nbins, workload.nbins,
-          workload.condition ? workload.condition.get() : nullptr,
-          workload.binning);
+          x, y, workload.nbins, workload.nbins, rows.get(), workload.binning);
       local += h.total();
     }
     total.fetch_add(local, std::memory_order_relaxed);
@@ -150,10 +152,11 @@ TrackBatch parallel_track(const io::Dataset& dataset,
                           VirtualCluster& cluster) {
   TrackBatch batch;
   std::atomic<std::uint64_t> hits{0};
-  const QueryPtr query = Query::id_in("id", ids);
+  const core::ExecutionPlan plan = core::plan_query(Query::id_in("id", ids));
   batch.run = cluster.run(dataset.num_timesteps(), [&](std::size_t t) {
     const auto table = dataset.open_table(t);
-    hits.fetch_add(table->query(*query, mode).count(), std::memory_order_relaxed);
+    hits.fetch_add(plan.evaluate(*table, mode)->count(),
+                   std::memory_order_relaxed);
   });
   batch.total_hits = hits.load();
   return batch;

@@ -41,7 +41,7 @@ void check_matches_scan(core::Brush& brush, const core::Brush::Snapshot& snap,
                         const core::Engine& engine, const QueryPtr& expected) {
   for (std::size_t t = 0; t < engine.num_timesteps(); ++t) {
     const BitVector scanned =
-        engine.dataset().table(t).query(*expected, EvalMode::kScan);
+        test::scan_oracle(engine.dataset().table(t), *expected);
     CHECK(brush.bits(snap, t)->to_positions() == scanned.to_positions());
     CHECK_EQ(brush.count(snap, t), scanned.count());
   }
@@ -122,7 +122,7 @@ void test_delta_vs_full_accounting() {
   brush.refine(parse_query("b <= 5"));
   expected = Query::land(expected, parse_query("b <= 5"));
   CHECK_EQ(brush.count(brush.snapshot(), 0),
-           engine.dataset().table(0).query(*expected, EvalMode::kScan).count());
+           test::scan_oracle(engine.dataset().table(0), *expected).count());
   CHECK_EQ(counters->full_evals.load(), 1u);
   CHECK(counters->delta_evals.load() >= 1u);
 
@@ -242,9 +242,7 @@ void test_fuzz_edit_sequences() {
           const std::size_t t = fuzz::next(state) % timesteps;
           const core::Brush::Snapshot snap = brush.snapshot();
           CHECK_EQ(brush.count(snap, t),
-                   engine.dataset()
-                       .table(t)
-                       .query(*expected, EvalMode::kScan)
+                   test::scan_oracle(engine.dataset().table(t), *expected)
                        .count());
           break;
         }
@@ -253,7 +251,7 @@ void test_fuzz_edit_sequences() {
     const std::size_t t = fuzz::next(state) % timesteps;
     const core::Brush::Snapshot snap = brush.snapshot();
     const BitVector scanned =
-        engine.dataset().table(t).query(*expected, EvalMode::kScan);
+        test::scan_oracle(engine.dataset().table(t), *expected);
     CHECK(brush.bits(snap, t)->to_positions() == scanned.to_positions());
   }
 }
@@ -308,7 +306,7 @@ void test_concurrent_editors_and_readers() {
   // Settled: one final full differential against a scan.
   const core::Brush::Snapshot snap = brush.snapshot();
   const BitVector scanned =
-      engine.dataset().table(0).query(*snap.query, EvalMode::kScan);
+      test::scan_oracle(engine.dataset().table(0), *snap.query);
   CHECK(brush.bits(snap, 0)->to_positions() == scanned.to_positions());
 }
 

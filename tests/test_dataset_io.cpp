@@ -60,9 +60,10 @@ void test_index_vs_scan() {
   for (const char* text :
        {"px > 8.872e10", "px > 8.872e10 && y > 0", "px <= 1e9 || xrel >= 0.9",
         "!(px > 1e10)", "y > 0 && y < 1e-5"}) {
-    const BitVector via_index = table.query(text, EvalMode::kAuto);
-    const BitVector via_scan = table.query(text, EvalMode::kScan);
-    CHECK(via_index.to_positions() == via_scan.to_positions());
+    const QueryPtr q = parse_query(text);
+    const BitVector via_index = test::run_plan(table, q, EvalMode::kAuto);
+    CHECK(via_index.to_positions() == test::scan_oracle(table, *q).to_positions());
+    CHECK(via_index == test::run_plan(table, q, EvalMode::kScan));
   }
 }
 
@@ -128,15 +129,15 @@ void test_id_queries_match_scan() {
 void test_stats_and_export() {
   const io::Dataset ds = io::Dataset::open(dataset_dir());
   const io::TimestepTable& table = ds.table(37);
-  const QueryPtr cond = parse_query("px > 8.872e10");
-  const core::SummaryStats s = core::conditional_stats(table, "px", cond.get());
+  const BitVector cond = test::run_plan(table, parse_query("px > 8.872e10"));
+  const core::SummaryStats s = core::conditional_stats(table, "px", &cond);
   CHECK(s.count > 0);
   CHECK(s.min > 8.872e10);
   CHECK(s.mean >= s.min && s.mean <= s.max);
   const core::SummaryStats all = core::conditional_stats(table, "px");
   CHECK_EQ(all.count, table.num_rows());
 
-  const Histogram2D h = table.engine().histogram2d("x", "px", 16, 16, cond.get());
+  const Histogram2D h = table.engine().histogram2d("x", "px", 16, 16, &cond);
   CHECK_EQ(h.total(), s.count);
   const auto csv = qdv::test::scratch_dir("csv") / "hist.csv";
   io::export_csv(csv, h);

@@ -3,7 +3,9 @@
 // random ASTs over a random table must (1) round-trip exactly through
 // parse(to_string(q)) — raw and canonicalized — and (2) produce
 // bit-identical selections through the planner/index path and a naive
-// sequential scan. A second phase replays a random query stream against an
+// sequential scan (core::CustomScan), the plan's uncached evaluation under
+// every EvalMode running exactly one probe or scan per range step it
+// lists, random interval unions included. A second phase replays a random query stream against an
 // engine under a randomly shrunk MemoryBudget and checks every answer
 // against a sequential scan: answers must stay bit-identical while
 // evictions are actually happening. A third phase fuzzes the zoom tier
@@ -31,6 +33,23 @@ namespace {
 using namespace qdv;
 namespace fuzz = qdv::test::fuzz;
 
+/// The plan's uncached evaluation of @p q at @p table, under each mode,
+/// equals the reference, and calls the table once per step with non-empty
+/// intervals: the steps explain() lists are the probes and scans that run.
+void check_plan_steps(const io::TimestepTable& table, const QueryPtr& q,
+                      const BitVector& want) {
+  const core::ExecutionPlan plan = core::plan_query(q, &table);
+  std::uint64_t steps = 0;
+  for (const core::PredicateStep& step : plan.steps())
+    steps += step.intervals.empty() ? 0 : 1;
+  const io::RangeStats& ranges = *table.range_stats();
+  for (const EvalMode mode : {EvalMode::kAuto, EvalMode::kIndex, EvalMode::kScan}) {
+    const std::uint64_t before = ranges.probes.load() + ranges.scans.load();
+    CHECK(*plan.evaluate(table, mode) == want);
+    CHECK_EQ(ranges.probes.load() + ranges.scans.load() - before, steps);
+  }
+}
+
 void test_round_trip_and_plan_vs_scan() {
   const std::filesystem::path dir =
       fuzz::write_random_dataset("fuzz_query", /*timesteps=*/1, /*rows=*/500,
@@ -38,6 +57,7 @@ void test_round_trip_and_plan_vs_scan() {
   const core::Engine engine = core::Engine::open(dir);
   const io::TimestepTable& table = engine.dataset().table(0);
   std::uint64_t state = 0xf22dull;
+  std::uint64_t union_state = 0xb1d0ull;  // its own stream: q's is unchanged
   const std::size_t iters = fuzz::iterations();
   for (std::size_t i = 0; i < iters; ++i) {
     const QueryPtr q = fuzz::random_query(state, 1 + fuzz::next(state) % 3);
@@ -54,9 +74,13 @@ void test_round_trip_and_plan_vs_scan() {
     // Planner/index execution vs a naive sequential scan of the ORIGINAL
     // tree: bit-identical selections.
     const core::Selection planned = engine.select(q);
-    const BitVector scanned = table.query(*q, EvalMode::kScan);
+    const BitVector scanned = test::scan_oracle(table, *q);
     CHECK(planned.bits(0)->to_positions() == scanned.to_positions());
     CHECK_EQ(planned.count(0), scanned.count());
+
+    check_plan_steps(table, q, scanned);
+    const QueryPtr u = fuzz::random_union(union_state);
+    check_plan_steps(table, u, test::scan_oracle(table, *u));
   }
 }
 
@@ -77,7 +101,7 @@ void test_out_of_core_differential() {
     const QueryPtr q = fuzz::random_query(state, 1 + fuzz::next(state) % 3);
     for (std::size_t t = 0; t < 3; ++t) {
       const auto expect =
-          reference.table(t).query(*q, EvalMode::kScan).to_positions();
+          test::scan_oracle(reference.table(t), *q).to_positions();
       const auto got = lazy.select(q).bits(t)->to_positions();
       CHECK(got == expect);
     }
@@ -236,7 +260,7 @@ void test_corruption_differential() {
         const QueryPtr q = fuzz::random_query(state, 1 + fuzz::next(state) % 2);
         try {
           const auto got = engine.select(q).bits(0)->to_positions();
-          CHECK(got == ref_table.query(*q, EvalMode::kScan).to_positions());
+          CHECK(got == test::scan_oracle(ref_table, *q).to_positions());
           ++matched;
         } catch (const io::IntegrityError&) {
           ++typed_errors;

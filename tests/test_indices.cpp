@@ -267,13 +267,14 @@ QueryPtr union_query(const std::string& var, const std::vector<Interval>& ivs) {
   return q;
 }
 
-/// Probe, kIndex and canonical-form answers all equal the scan, bit for
-/// bit. Returns whether the probe ORed the complement side.
+/// The range step under every mode, and the plan of the union and of its
+/// canonical form, all equal the reference scan, bit for bit. Returns
+/// whether the probe ORed the complement side.
 bool check_union(const io::TimestepTable& table, const std::string& var,
                  const std::vector<Interval>& ivs) {
   const QueryPtr q = union_query(var, ivs);
-  const BitVector want = table.query(*q, EvalMode::kScan);
-  const BitVector got = table.query(*q, EvalMode::kIndex);
+  const BitVector want = test::scan_oracle(table, *q);
+  const BitVector got = table.range(var, ivs, EvalMode::kIndex);
   if (!(got == want)) {
     std::fprintf(stderr, "union probe mismatch on %s: %s (got %llu want %llu)\n",
                  var.c_str(), q->to_string().c_str(),
@@ -281,8 +282,9 @@ bool check_union(const io::TimestepTable& table, const std::string& var,
                  static_cast<unsigned long long>(want.count()));
     ++test::failures;
   }
-  CHECK(table.query(*q) == want);
-  CHECK(table.query(*core::canonicalize(q), EvalMode::kIndex) == want);
+  CHECK(table.range(var, ivs, EvalMode::kScan) == want);
+  CHECK(test::run_plan(table, q) == want);
+  CHECK(test::run_plan(table, core::canonicalize(q), EvalMode::kIndex) == want);
   std::vector<Interval> live;
   for (const Interval& iv : ivs)
     if (!iv.empty()) live.push_back(iv);
@@ -370,7 +372,7 @@ void test_union_probe_small_tables() {
 std::uint64_t fetches(const io::TimestepTable& table, const std::string& text) {
   const std::atomic<std::uint64_t>& pinned = table.range_stats()->probe_segments;
   const std::uint64_t before = pinned.load();
-  (void)table.query(*core::canonicalize(parse_query(text)));
+  (void)test::run_plan(table, parse_query(text));
   return pinned.load() - before;
 }
 
@@ -444,16 +446,19 @@ void test_range_choice() {
     Run out;
     const std::uint64_t seg0 = table.range_stats()->probe_segments.load();
     const std::uint64_t col0 = column_lookups();
-    out.bits = table.query(*union_query(var, ivs), mode);
+    out.bits = table.range(var, ivs, mode);
     out.fetches = table.range_stats()->probe_segments.load() - seg0;
     out.column = column_lookups() != col0;
     return out;
   };
   const auto scan = [&](const std::string& var, const std::vector<Interval>& ivs) {
-    return table.query(*union_query(var, ivs), EvalMode::kScan);
+    return test::scan_oracle(table, *union_query(var, ivs));
   };
+  /// Whether the step under kAuto probed (RangeStats::probes).
   const auto probes = [&](const std::string& var, const std::vector<Interval>& ivs) {
-    return table.range_step(var, ivs, EvalMode::kAuto).pinned.has_value();
+    const std::uint64_t before = table.range_stats()->probes.load();
+    (void)table.range(var, ivs, EvalMode::kAuto);
+    return table.range_stats()->probes.load() != before;
   };
 
   // A wide interval on the random-order column: the probe would read about
@@ -500,7 +505,7 @@ void test_range_choice() {
   // And every path agrees on the value-ordered column too.
   for (const std::vector<Interval>& ivs : {wide, narrow})
     for (const EvalMode mode : {EvalMode::kAuto, EvalMode::kIndex})
-      CHECK(table.query(*union_query("s", ivs), mode) == scan("s", ivs));
+      CHECK(table.range("s", ivs, mode) == scan("s", ivs));
 }
 
 /// Work counts of the range-step choice through the engine: a fixed query
@@ -594,7 +599,7 @@ void test_concurrent_cold_probes() {
     const io::TimestepTable& table = ds.table(0);
     // The scans read columns only, so the indices stay cold.
     std::vector<BitVector> want;
-    for (const QueryPtr& q : queries) want.push_back(table.query(*q, EvalMode::kScan));
+    for (const QueryPtr& q : queries) want.push_back(test::scan_oracle(table, *q));
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < 4; ++t)
@@ -602,7 +607,7 @@ void test_concurrent_cold_probes() {
         for (std::size_t k = 0; k < queries.size(); ++k) {
           const std::size_t i = (k + 2 * t) % queries.size();
           for (const EvalMode mode : modes)
-            if (table.query(*queries[i], mode) != want[i]) ++mismatches;
+            if (test::run_plan(table, queries[i], mode) != want[i]) ++mismatches;
         }
       });
     for (std::thread& t : threads) t.join();

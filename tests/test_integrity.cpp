@@ -193,7 +193,7 @@ void test_bitmap_demotion_matches_scan() {
   const core::Engine engine = core::Engine::open(dir);
   const QueryPtr q = parse_query("a > 0");
   const auto want =
-      reference.dataset().table(0).query(*q, EvalMode::kScan).to_positions();
+      test::scan_oracle(reference.dataset().table(0), *q).to_positions();
   // First query demotes the damaged index to a column scan — same bits.
   CHECK(engine.select(q).bits(0)->to_positions() == want);
   const core::EngineStats after = engine.stats();
@@ -204,7 +204,7 @@ void test_bitmap_demotion_matches_scan() {
         reference.select("a > 0.5").bits(0)->to_positions());
   CHECK_EQ(engine.stats().integrity_demotions, after.integrity_demotions);
   // Forcing the index path on a quarantined index is a typed error.
-  CHECK_THROWS(engine.dataset().table(0).query(*q, EvalMode::kIndex));
+  CHECK_THROWS(test::run_plan(engine.dataset().table(0), q, EvalMode::kIndex));
 }
 
 // The id index is verified whole from the mapped bytes it is parsed from:
@@ -222,9 +222,9 @@ void test_id_index_demotion_matches_scan() {
   const core::Engine engine = core::Engine::open(dir);
   const io::TimestepTable& table = engine.dataset().table(0);
   const QueryPtr q = Query::id_in("id", {1003, 1100, 1299, 5});
-  const auto got = table.query(*q).to_positions();
+  const auto got = test::run_plan(table, q).to_positions();
   CHECK(table.id_index("id") == nullptr);
-  CHECK(got == table.query(*q, EvalMode::kScan).to_positions());
+  CHECK(got == test::scan_oracle(table, *q).to_positions());
   CHECK_EQ(got.size(), 3u);
   CHECK(engine.stats().integrity_demotions >= 1);
 }
@@ -284,8 +284,8 @@ void test_corrupt_column_is_typed_error() {
   const core::Engine engine = core::Engine::open(dir);
   bool typed = false;
   try {
-    (void)engine.dataset().table(0).query(*parse_query("a > 0"),
-                                          EvalMode::kScan);
+    (void)test::run_plan(engine.dataset().table(0), parse_query("a > 0"),
+                         EvalMode::kScan);
   } catch (const io::IntegrityError&) {
     typed = true;
   }
@@ -344,16 +344,17 @@ void test_union_probe_demotes_on_complement_segment() {
   // A probe whose plan skips bin 10 answers from the index, undisturbed.
   const std::string inside = "a >= " + format_double(e[14]);
   CHECK(engine.select(inside).bits(0)->to_positions() ==
-        ref_table.query(inside, EvalMode::kScan).to_positions());
+        test::scan_oracle(ref_table, *parse_query(inside)).to_positions());
   CHECK_EQ(engine.stats().integrity_demotions, 0u);
   // The gesture reads bin 10, fails its checksum, quarantines the index
   // once, and demotes to the scan: the same bits.
   CHECK(engine.select(gesture).bits(0)->to_positions() ==
-        ref_table.query(gesture, EvalMode::kScan).to_positions());
+        test::scan_oracle(ref_table, *parse_query(gesture)).to_positions());
   CHECK_EQ(engine.stats().integrity_demotions, 1u);
   CHECK(engine.dataset().table(0).index_quarantined("a"));
   CHECK(engine.select("(a <= 1 || a > 7)").bits(0)->to_positions() ==
-        ref_table.query("(a <= 1 || a > 7)", EvalMode::kScan).to_positions());
+        test::scan_oracle(ref_table, *parse_query("(a <= 1 || a > 7)"))
+            .to_positions());
   CHECK_EQ(engine.stats().integrity_demotions, 1u);
 }
 
@@ -429,14 +430,16 @@ void test_malformed_segment_demotes() {
   const auto count = [&](const core::Engine& engine, EvalMode mode) {
     try {
       return static_cast<std::int64_t>(
-          engine.dataset().table(0).query(*q, mode).count());
+          test::run_plan(engine.dataset().table(0), q, mode).count());
     } catch (const std::exception&) {
       return std::int64_t{-1};
     }
   };
   const core::Engine engine = core::Engine::open(dir);
-  const std::int64_t scanned = count(engine, EvalMode::kScan);
+  const auto scanned = static_cast<std::int64_t>(
+      test::scan_oracle(engine.dataset().table(0), *q).count());
   CHECK(scanned > 0);
+  CHECK_EQ(count(engine, EvalMode::kScan), scanned);
   CHECK_EQ(count(engine, EvalMode::kAuto), scanned);
   CHECK_EQ(engine.stats().integrity_demotions, 1u);
   CHECK(engine.dataset().table(0).index_quarantined("y"));
@@ -448,7 +451,7 @@ void test_malformed_segment_demotes() {
   const core::Engine fresh = core::Engine::open(dir);
   bool typed = false;
   try {
-    (void)fresh.dataset().table(0).query(*q, EvalMode::kIndex);
+    (void)test::run_plan(fresh.dataset().table(0), q, EvalMode::kIndex);
   } catch (const io::IntegrityError&) {
     typed = true;
   }
@@ -464,7 +467,10 @@ void test_service_deadline_and_shedding() {
       /*index_bins=*/24);
 
   // Leg 1 — load shedding: one dispatch slot, a shed threshold far below
-  // the flood size. Some requests execute, some bounce with kRetryLater.
+  // the flood size. The flood is submitted while the pool is gated, so the
+  // dispatch slot cannot drain the queue under it: the first 8 requests
+  // queue and execute once the gate opens, the other 56 bounce with
+  // kRetryLater.
   {
     svc::ServiceConfig config;
     config.max_concurrency = 1;
@@ -473,6 +479,7 @@ void test_service_deadline_and_shedding() {
     svc::QueryService service{core::Engine::open(dir), config};
     const auto session = service.open_session("shed");
     std::vector<svc::ResultFuture> futures;
+    test::PoolGate gate;
     for (int i = 0; i < 64; ++i) {
       svc::Request r;
       r.kind = svc::RequestKind::kHistogram1D;
@@ -481,6 +488,7 @@ void test_service_deadline_and_shedding() {
       r.query = "a > " + std::to_string(i);
       futures.push_back(service.submit(session, std::move(r)));
     }
+    gate.release();
     std::size_t ok = 0, shed = 0;
     for (auto& f : futures) {
       const svc::ResultPtr r = f.get();
@@ -488,8 +496,8 @@ void test_service_deadline_and_shedding() {
       if (r->status == svc::Status::kRetryLater) ++shed;
     }
     service.drain();
-    CHECK(ok > 0);
-    CHECK(shed > 0);
+    CHECK_EQ(ok, 8u);
+    CHECK_EQ(shed, 56u);
     const svc::ServiceStats stats = service.stats();
     CHECK_EQ(stats.rejected_shed, shed);
     CHECK_EQ(ok + shed, futures.size());

@@ -177,14 +177,15 @@ void test_memory_budget_accounting() {
   CHECK(budget.get("v1", io::ResidentClass::kBitVector) == nullptr);
 }
 
-/// Scan-mode reference counts, computed on a fresh open_table() table.
+/// Reference counts (core::CustomScan), computed on a fresh open_table()
+/// table.
 std::vector<std::uint64_t> reference_counts(const std::vector<const char*>& texts,
                                             std::size_t t) {
   const io::Dataset ds = io::Dataset::open(dataset_dir());
   const auto table = ds.open_table(t);
   std::vector<std::uint64_t> counts;
   for (const char* text : texts)
-    counts.push_back(table->query(text, EvalMode::kScan).count());
+    counts.push_back(test::scan_oracle(*table, *parse_query(text)).count());
   return counts;
 }
 

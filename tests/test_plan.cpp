@@ -153,6 +153,9 @@ void test_same_variable_or_is_one_step() {
 /// Given a table, each range step reports the range-step verdict there: a
 /// narrow conjunct on the value-ordered x probes, a wide one on the
 /// random-order y scans (both far from every ISA level's crossover).
+/// Pricing reads the segment directories only: explain() on a fresh engine
+/// runs no step, pins no segment, and leaves just the two directories
+/// resident.
 void test_explain_reports_range_verdicts() {
   const std::filesystem::path dir = test::scratch_dir("plan_verdicts");
   io::IndexConfig index_config;
@@ -172,6 +175,12 @@ void test_explain_reports_range_verdicts() {
       engine.select(Query::interval("x", x)->to_string() + " && " +
                     Query::interval("y", y)->to_string())
           .explain();
+  const core::EngineStats stats = engine.stats();
+  CHECK_EQ(stats.range_probes, 0u);
+  CHECK_EQ(stats.range_scans, 0u);
+  CHECK_EQ(stats.probe_segments, 0u);
+  CHECK_EQ(stats.segment_bytes, table.value_index("x")->metadata_bytes() +
+                                    table.value_index("y")->metadata_bytes());
   const auto verdict = [&](const std::string& var, const Interval& iv,
                            const char* path) {
     return "t0: probe " +

@@ -8,16 +8,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/selection.hpp"
 #include "fuzz_common.hpp"
 #include "io/io_util.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/wakefield.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -39,42 +36,6 @@ const std::filesystem::path& dataset_dir() {
   }();
   return dir;
 }
-
-/// Occupies every worker of the global pool until release(): while held,
-/// nothing submitted to the pool can start, so queued service flights stay
-/// queued — the deterministic window the coalescing/ordering tests need.
-class PoolGate {
- public:
-  PoolGate() {
-    const std::size_t n = par::ThreadPool::global().size();
-    for (std::size_t i = 0; i < n; ++i)
-      par::ThreadPool::global().submit([this] {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ++held_;
-        changed_.notify_all();
-        changed_.wait(lock, [this] { return open_; });
-        --held_;
-        changed_.notify_all();
-      });
-    std::unique_lock<std::mutex> lock(mutex_);
-    changed_.wait(lock, [&] { return held_ == n; });
-  }
-
-  void release() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    open_ = true;
-    changed_.notify_all();
-    changed_.wait(lock, [this] { return held_ == 0; });
-  }
-
-  ~PoolGate() { release(); }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable changed_;
-  std::size_t held_ = 0;
-  bool open_ = false;
-};
 
 svc::Request count_request(const std::string& query, std::size_t t,
                            svc::Priority pri = svc::Priority::kNormal) {
@@ -190,7 +151,7 @@ void test_inflight_coalescing_single_flight() {
 
   std::vector<svc::ResultFuture> futures;
   {
-    PoolGate gate;
+    test::PoolGate gate;
     // Leader + four duplicates queue while the pool is gated: the
     // duplicates must attach to the leader's flight, not enqueue.
     for (int i = 0; i < 5; ++i)
@@ -224,7 +185,7 @@ void test_priority_and_fairness_order() {
   svc::ResultFuture interactive;
   svc::ResultFuture polite_one;
   {
-    PoolGate gate;
+    test::PoolGate gate;
     // The flooder queues four batch requests, then "polite" one batch
     // request, then the flooder one interactive request.
     for (int i = 0; i < 4; ++i)
@@ -261,7 +222,7 @@ void test_session_byte_budget() {
   CHECK_EQ(service.execute(tight, ids)->status, svc::Status::kRejectedBudget);
 
   {
-    PoolGate gate;
+    test::PoolGate gate;
     const svc::ResultFuture a = service.submit(tight, count_request("px > 1e9", 0));
     const svc::ResultFuture b = service.submit(tight, count_request("px > 2e9", 0));
     CHECK_EQ(b.get()->status, svc::Status::kRejectedBudget);
@@ -283,7 +244,7 @@ void test_session_byte_budget() {
   svc::QueryService small{core::Engine::open(dataset_dir()), tiny};
   const auto session = small.open_session("q");
   {
-    PoolGate gate;
+    test::PoolGate gate;
     (void)small.submit(session, count_request("px > 1e9", 0));
     (void)small.submit(session, count_request("px > 2e9", 0));
     const svc::ResultFuture rejected =
