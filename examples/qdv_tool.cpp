@@ -14,15 +14,13 @@
 //            [--vars a,b,c] [--limit N]
 //   render   <dir> -t <timestep> --axes a,b,c [-q "<query>"] [--bins N]
 //            [--gamma G] -o <out.ppm>
-//   serve    <dir> --socket <path> [--workers N] [--concurrency N]
-//            [--no-cache] [--budget <MiB>]
-//   worker   <dir> --socket <path>
-//   bombard  <dir> [--socket <path>] [--workers N] [--clients N]
-//            [--requests M] [--seed S] [--dup F] [--hot N] [--json <file>]
+//   serve    <dir> --socket <path> [--concurrency N] [--no-cache]
+//            [--budget <MiB>]
+//   bombard  <dir> [--socket <path>] [--clients N] [--requests M]
+//            [--seed S] [--dup F] [--hot N] [--json <file>]
 //            [--chaos] [--chaos-spec <fault-spec>]
 //   fsck     <dir> [--verbose]
 //   corrupt  <dir> --file <rel-path> [--offset N | --tail N] [--xor B]
-#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,7 +28,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -41,8 +38,6 @@
 
 #include "core/session.hpp"
 #include "core/statistics.hpp"
-#include "dist/coordinator.hpp"
-#include "dist/worker.hpp"
 #include "fault/fault.hpp"
 #include "io/checksum.hpp"
 #include "io/export.hpp"
@@ -438,37 +433,12 @@ core::Engine open_service_engine(const std::string& dir, const Args& args) {
   return core::Engine(io::Dataset::open(dir, open_options(args)));
 }
 
-/// Blocking entry point of `qdv_tool worker`: one engine, one framed-wire
-/// socket, serve until the coordinator sends kShutdown.
-int cmd_worker(const std::string& dir, const Args& args) {
-  const auto socket = args.option("--socket");
-  if (!socket) {
-    std::cerr << "worker: missing --socket <path>\n";
+int cmd_serve(const std::string& dir, const Args& args) {
+  if (const auto bad = args.unknown_option(
+          {"--socket", "--concurrency", "--no-cache", "--budget"})) {
+    std::cerr << "serve: unknown option " << *bad << "\n";
     return 2;
   }
-  return dist::run_worker(dir, *socket);
-}
-
-/// Spawn @p n local worker processes (this binary, `worker` subcommand) on
-/// `<base_socket>.wK` sockets and attach them all to a fresh coordinator.
-/// The coordinator's destructor shuts the workers down and reaps them.
-std::shared_ptr<dist::Coordinator> spawn_local_workers(
-    const std::string& dir, const std::string& base_socket, std::size_t n,
-    std::vector<pid_t>* pids_out = nullptr) {
-  auto coordinator =
-      std::make_shared<dist::Coordinator>(io::Dataset::open(dir));
-  const std::string exe = dist::self_exe_path("qdv_tool");
-  for (std::size_t w = 0; w < n; ++w) {
-    const std::string wsock = base_socket + ".w" + std::to_string(w);
-    const pid_t pid =
-        dist::spawn_worker_process(exe, {"worker", dir, "--socket", wsock});
-    coordinator->attach_worker(wsock, pid);
-    if (pids_out) pids_out->push_back(pid);
-  }
-  return coordinator;
-}
-
-int cmd_serve(const std::string& dir, const Args& args) {
   const auto socket = args.option("--socket");
   if (!socket) {
     std::cerr << "serve: missing --socket <path>\n";
@@ -476,21 +446,10 @@ int cmd_serve(const std::string& dir, const Args& args) {
   }
   svc::QueryService service(open_service_engine(dir, args),
                             service_config_from(args));
-  const std::size_t workers = args.size_option("--workers", 0);
-  std::shared_ptr<dist::Coordinator> coordinator;
-  if (workers > 0) {
-    coordinator = spawn_local_workers(dir, *socket, workers);
-    coordinator->save_manifest(*socket + ".shards");
-    service.set_distributor(coordinator);
-  }
   svc::SocketServer server(service, *socket);
   server.start();
-  std::cout << "serving " << dir << " on " << *socket;
-  if (coordinator)
-    std::cout << " with " << coordinator->live_workers()
-              << " worker processes (shard manifest: " << *socket
-              << ".shards)";
-  std::cout << " (line protocol; Ctrl-C to stop)\n";
+  std::cout << "serving " << dir << " on " << *socket
+            << " (line protocol; Ctrl-C to stop)\n";
   for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
 }
 
@@ -577,12 +536,12 @@ class BombardWorkload {
 };
 
 /// Load plus verification, not timing (bench/qdvbench times the wire): the
-/// seeded mixed stream through a real socket, optionally through worker
-/// processes and injected faults, then a differential check of the
-/// distributed path. Exits 1 on any error reply or verify mismatch.
+/// seeded mixed stream through a real socket, optionally under injected
+/// faults, then a differential check of served counts against a direct
+/// engine. Exits 1 on any error reply or verify mismatch.
 int cmd_bombard(const std::string& dir, const Args& args) {
   if (const auto bad = args.unknown_option(
-          {"--socket", "--workers", "--clients", "--requests", "--seed",
+          {"--socket", "--clients", "--requests", "--seed",
            "--dup", "--hot", "--json", "--chaos", "--chaos-spec",
            "--concurrency", "--no-cache", "--budget"})) {
     std::cerr << "bombard: unknown option " << *bad
@@ -595,16 +554,15 @@ int cmd_bombard(const std::string& dir, const Args& args) {
   const double dup = args.double_option("--dup", 0.5);
   const std::size_t hot_pool = args.size_option("--hot", 8);
 
-  // --chaos: seeded fault injection on the coordinator<->worker wire plus
-  // one SIGKILLed worker mid-run. Only detectable faults (connection reset,
-  // EINTR, short transfers, latency) are in the default spec — the dist
-  // frames carry no payload checksums, so a silent bit flip there is not a
-  // survivable fault, and the differential verify below must stay clean.
+  // --chaos: seeded fault injection on the service socket. The default spec
+  // holds only the faults a request survives: EINTR (the transfer loop
+  // retries) and latency. The socket lines carry no checksums and a reset
+  // drops the connection, so a flip or a reset would fail the request, not
+  // test its recovery.
   const bool chaos = args.flag("--chaos");
   const std::string chaos_spec = args.option_or(
       "--chaos-spec", "seed:" + std::to_string(seed) +
-                          ",spec:wire.reset@0.02,spec:wire.eintr@0.05"
-                          ",spec:wire.short@0.05,spec:wire.delay@0.01");
+                          ",spec:svc.eintr@0.05,spec:svc.delay@0.01");
   if (chaos) {
     std::string error;
     if (!fault::configure(chaos_spec, &error)) {
@@ -615,44 +573,21 @@ int cmd_bombard(const std::string& dir, const Args& args) {
 
   // Self-host unless pointed at an external server: spin up the service and
   // a socket in-process so one command drives the full wire path.
-  const std::size_t dist_workers = args.size_option("--workers", 0);
   std::optional<svc::QueryService> service;
   std::optional<svc::SocketServer> server;
-  std::shared_ptr<dist::Coordinator> coordinator;
-  std::vector<pid_t> worker_pids;
   std::string socket = args.option_or("--socket", "");
   if (socket.empty()) {
     socket = (std::filesystem::temp_directory_path() /
               ("qdv_bombard_" + std::to_string(::getpid()) + ".sock"))
                  .string();
     service.emplace(open_service_engine(dir, args), service_config_from(args));
-    if (dist_workers > 0) {
-      coordinator = spawn_local_workers(dir, socket, dist_workers,
-                                        &worker_pids);
-      service->set_distributor(coordinator);
-    }
     server.emplace(*service, socket);
     server->start();
-  } else if (dist_workers > 0) {
-    std::cerr << "bombard: --workers needs the self-hosted mode "
-                 "(drop --socket)\n";
-    return 2;
   }
 
   const BombardWorkload workload(io::Dataset::open(dir), seed, dup, hot_pool);
   std::mutex merge_mutex;
   std::uint64_t errors = 0;
-  // Chaos: take one worker down mid-run. The coordinator must detect the
-  // death, reshard over the survivors, and keep every answer exact.
-  bool chaos_killed = false;
-  std::thread chaos_killer;
-  if (chaos && !worker_pids.empty()) {
-    chaos_killed = true;
-    chaos_killer = std::thread([pid = worker_pids.front()] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ::kill(pid, SIGKILL);
-    });
-  }
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (std::size_t c = 0; c < clients; ++c) {
@@ -680,7 +615,6 @@ int cmd_bombard(const std::string& dir, const Args& args) {
     });
   }
   for (std::thread& t : threads) t.join();
-  if (chaos_killer.joinable()) chaos_killer.join();
 
   std::string server_stats = "unavailable";
   try {
@@ -691,77 +625,58 @@ int cmd_bombard(const std::string& dir, const Args& args) {
   } catch (const std::exception&) {
     // Still report when the server died mid-run.
   }
-  if (server) server->stop();
 
-  // Chaos accounting: what the injector actually fired, plus the kill.
-  // Injection stops here — the verify phase below measures what state the
-  // chaos left behind, not fresh faults.
+  // Chaos accounting: what the injector actually fired. Injection stops
+  // here — the verify phase below measures what state the chaos left
+  // behind, not fresh faults.
   std::ostringstream chaos_json;
   if (chaos) {
-    const auto wire = [](fault::Kind kind) {
-      return fault::injected(fault::Site::kWire, kind);
+    const auto svc_site = [](fault::Kind kind) {
+      return fault::injected(fault::Site::kSvc, kind);
     };
     chaos_json << "  \"chaos\": {\"spec\": \"" << chaos_spec
-               << "\", \"killed_worker\": "
-               << (chaos_killed ? "true" : "false")
-               << ", \"injected\": {\"wire.reset\": "
-               << wire(fault::Kind::kConnReset)
-               << ", \"wire.eintr\": " << wire(fault::Kind::kEintr)
-               << ", \"wire.short\": " << wire(fault::Kind::kShortRead)
-               << ", \"wire.delay\": " << wire(fault::Kind::kLatency)
+               << "\", \"injected\": {\"svc.eintr\": "
+               << svc_site(fault::Kind::kEintr)
+               << ", \"svc.delay\": " << svc_site(fault::Kind::kLatency)
                << "}, \"injected_total\": " << fault::injected_total()
                << "},\n";
     std::cout << "chaos: " << fault::injected_total()
-              << " faults injected (spec " << chaos_spec << ")"
-              << (chaos_killed ? ", 1 worker killed" : "") << "\n";
+              << " faults injected (spec " << chaos_spec << ")\n";
     fault::reset();
   }
 
-  // Distributed correctness guard: scatter one count per timestep and check
-  // each merged answer against a direct single-process engine. Under
-  // --chaos the whole fleet may have been declared dead (injected resets
-  // can fail the reconnect probe that would have cleared a healthy
-  // worker); that is graceful degradation, not a verification failure —
-  // the run already answered through the service's local fallback.
+  // Served correctness guard: one count per timestep through the socket,
+  // each checked against a direct engine on the same dataset.
   std::size_t verify_failures = 0;
-  std::ostringstream dist_json;
-  if (coordinator) {
+  {
     const core::Engine direct = core::Engine::open(dir);
     const io::Dataset& ds = direct.dataset();
     const std::string& var = ds.variables().front();
     const auto domain = ds.global_domain(var);
-    for (std::size_t t = 0; t < ds.num_timesteps(); ++t) {
-      const std::string query =
-          var + " > " +
-          qdv::format_double(domain.first +
-                             0.5 * (domain.second - domain.first));
-      dist::GatherResult g;
-      try {
-        g = coordinator->execute(dist::ShardKind::kCount, t, query);
-      } catch (const dist::NoLiveWorkers& e) {
-        if (!chaos) throw;
-        std::cout << "distributed verify skipped: " << e.what() << "\n";
-        break;
+    const std::string query =
+        var + " > " +
+        qdv::format_double(domain.first + 0.5 * (domain.second - domain.first));
+    try {
+      svc::SocketClient client{std::filesystem::path(socket)};
+      for (std::size_t t = 0; t < ds.num_timesteps(); ++t) {
+        svc::WireRequest wire;
+        wire.request.timestep = t;
+        wire.request.query = query;
+        std::string body;
+        const bool ok = svc::parse_response_line(
+            client.request(svc::format_request_line(wire)), body);
+        const std::uint64_t expect = direct.select(query).count(t);
+        if (!ok || body.rfind("count=" + std::to_string(expect) + " ", 0) != 0)
+          ++verify_failures;
       }
-      const std::uint64_t expect = direct.select(query).bits(t)->count();
-      if (!g.ok || g.count != expect) ++verify_failures;
+    } catch (const std::exception& e) {
+      std::cerr << "verify: " << e.what() << "\n";
+      ++verify_failures;
     }
-    const dist::DistStats dstats = coordinator->stats();
-    dist_json << "  \"distributed\": {\"workers\": " << dstats.workers
-              << ", \"alive\": " << dstats.alive
-              << ", \"queries\": " << dstats.queries
-              << ", \"scatters\": " << dstats.scatters
-              << ", \"gathers\": " << dstats.gathers
-              << ", \"retries\": " << dstats.retries
-              << ", \"reshards\": " << dstats.reshards
-              << ", \"deaths\": " << dstats.deaths
-              << ", \"remote_errors\": " << dstats.remote_errors
-              << ", \"verify_failures\": " << verify_failures << "},\n";
-    std::cout << "distributed: " << dstats.alive << "/" << dstats.workers
-              << " workers alive, " << dstats.scatters << " scatters, "
-              << dstats.gathers << " gathers, " << verify_failures
-              << " verify failures\n";
+    std::cout << "verify: " << ds.num_timesteps() << " served counts, "
+              << verify_failures << " failures\n";
   }
+  if (server) server->stop();
 
   std::ostringstream json;
   json << "{\n"
@@ -770,8 +685,8 @@ int cmd_bombard(const std::string& dir, const Args& args) {
        << ", \"dup_fraction\": " << dup << ", \"hot_pool\": " << hot_pool
        << "},\n"
        << "  \"errors\": " << errors << ",\n"
+       << "  \"verify_failures\": " << verify_failures << ",\n"
        << chaos_json.str()
-       << dist_json.str()
        << "  \"server_stats\": \"" << server_stats << "\"\n"
        << "}\n";
   std::cout << "bombard: " << clients << " clients x " << requests
@@ -803,7 +718,6 @@ commands:
   track      select particles, trace them across timesteps
   render     histogram-based parallel coordinates to a PPM image
   serve      host the dataset as a concurrent query service (unix socket)
-  worker     run one sharded worker process (spawned by serve --workers)
   bombard    drive seeded concurrent load at a service and verify it
   fsck       verify every on-disk artifact against its checksum sidecars
   corrupt    flip one byte of one artifact (integrity drills, CI chaos)
@@ -839,7 +753,6 @@ int main(int argc, char** argv) {
     if (command == "track") return cmd_track(dir, args);
     if (command == "render") return cmd_render(dir, args);
     if (command == "serve") return cmd_serve(dir, args);
-    if (command == "worker") return cmd_worker(dir, args);
     if (command == "bombard") return cmd_bombard(dir, args);
     if (command == "fsck") return cmd_fsck(dir, args);
     if (command == "corrupt") return cmd_corrupt(dir, args);

@@ -1,5 +1,5 @@
 // Deterministic fault injection (DESIGN.md §15): a seeded, schedule-driven
-// injector the low-level I/O helpers (io::io_util, dist::wire framing, svc
+// injector the low-level I/O helpers (io::io_util file reads and svc
 // sockets) consult on every operation. Faults — short reads, EINTR, ENOSPC,
 // bit-flips, truncation, connection resets, latency spikes — fire with a
 // configured per-site probability drawn from one seeded xorshift stream, so
@@ -12,11 +12,11 @@
 // Configuration: programmatic (configure/reset below) or the QDV_FAULT
 // environment variable, parsed once at process start:
 //
-//   QDV_FAULT=seed:42,spec:file.flip@0.01,spec:wire.reset@0.005
+//   QDV_FAULT=seed:42,spec:file.flip@0.01,spec:svc.eintr@0.2
 //
-// Sites: file (pread/mapped-file paths), wire (dist frame I/O), svc
-// (service socket lines). Kinds: short, eintr, enospc, flip, trunc, reset,
-// delay. Rates are probabilities in [0, 1].
+// Sites: file (pread/mapped-file paths), svc (service socket lines).
+// Kinds: short, eintr, enospc, flip, trunc, reset, delay. Rates are
+// probabilities in [0, 1].
 //
 // Thread-safety: all functions are safe from any thread; roll()/draw()
 // serialize on an internal mutex (only when enabled).
@@ -32,8 +32,7 @@ namespace qdv::fault {
 /// Where an I/O operation happens — each spec targets one site.
 enum class Site : unsigned {
   kFile = 0,  // file reads: pread loops, mapped-file heap fallback
-  kWire = 1,  // dist frame send/recv
-  kSvc = 2,   // service socket line I/O
+  kSvc = 1,   // service socket line I/O
 };
 
 /// What goes wrong.
@@ -47,7 +46,7 @@ enum class Kind : unsigned {
   kLatency = 6,    // injected delay before the operation
 };
 
-inline constexpr std::size_t kNumSites = 3;
+inline constexpr std::size_t kNumSites = 2;
 inline constexpr std::size_t kNumKinds = 7;
 
 namespace detail {

@@ -10,9 +10,9 @@
 // state beyond the fault schedule).
 //
 // The AF_UNIX socket layer lives here too: UnixServer (the listener, accept
-// thread and per-connection threads under svc::SocketServer and
-// dist::WorkerServer) and connect_unix (the client side of both). The lint
-// also fails any raw socket/bind/listen/accept/connect outside this file.
+// thread and per-connection threads under svc::SocketServer) and
+// connect_unix (its client side). The lint also fails any raw
+// socket/bind/listen/accept/connect outside this file.
 #pragma once
 
 #include <chrono>
@@ -48,9 +48,6 @@ enum class XferResult {
 /// send() exactly @p n bytes on a socket, looping over short sends and
 /// EINTR; @p site tags the transfer for fault injection.
 XferResult send_full(int fd, const void* src, std::size_t n, fault::Site site);
-
-/// recv() exactly @p n bytes, same contract.
-XferResult recv_full(int fd, void* dst, std::size_t n, fault::Site site);
 
 /// One recv() of at most @p cap bytes — line-oriented protocols read in
 /// chunks and scan for the delimiter themselves. On kOk, @p got holds the

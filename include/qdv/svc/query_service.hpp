@@ -26,7 +26,6 @@
 #include "core/engine.hpp"
 #include "core/selection.hpp"
 #include "core/statistics.hpp"
-#include "dist/coordinator.hpp"
 
 namespace qdv::svc {
 
@@ -85,10 +84,9 @@ struct Request {
 
   /// Time budget from submission, milliseconds; 0 = none. The deadline
   /// propagates through the queue: a flight whose deadline passes before
-  /// dispatch — or whose distributed merge finishes past it — resolves
-  /// kDeadlineExpired instead of wasting an evaluation (a result already
-  /// computed locally is still returned). Coalesced attaches keep the
-  /// leader's deadline.
+  /// dispatch resolves kDeadlineExpired instead of wasting an evaluation (a
+  /// result already computed is still returned). Coalesced attaches keep
+  /// the leader's deadline.
   std::uint64_t deadline_ms = 0;
 };
 
@@ -266,13 +264,6 @@ struct ServiceStats {
   double p99_seconds = 0.0;
   double max_seconds = 0.0;
 
-  // Distributed scatter/gather: the attached dist::Coordinator's own
-  // counters (all zero unless one is attached — see
-  // QueryService::set_distributor()), plus the service-side count of
-  // flights that fell back to the local engine.
-  dist::DistStats dist;
-  std::uint64_t dist_local_fallbacks = 0;
-
   /// Fraction of accepted requests served without their own evaluation
   /// (in-flight attach or result-cache hit).
   double coalesce_rate() const {
@@ -326,16 +317,6 @@ class QueryService {
 
   /// Block until no request is queued or executing.
   void drain();
-
-  /// Attach a distributed-execution coordinator: decomposable requests
-  /// (counts, ids, uniform-bin histograms) scatter across its worker
-  /// processes and merge bit-identically; everything else — and any flight
-  /// the coordinator cannot serve (all workers dead) — runs on the local
-  /// engine. Admission, coalescing, and result caching are unchanged: the
-  /// distributed path only replaces the evaluation inside a flight, keyed
-  /// by the same canonical plan. Pass nullptr to detach.
-  void set_distributor(std::shared_ptr<dist::Coordinator> coordinator);
-  std::shared_ptr<dist::Coordinator> distributor() const;
 
   ServiceStats stats() const;
   const core::Engine& engine() const;

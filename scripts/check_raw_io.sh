@@ -18,7 +18,7 @@ offenders=$(grep -rnE '(^|[^[:alnum:]_])::(pread|pwrite|read|write|send|recv)[[:
     "$root/src" "$root/include" \
     --include='*.cpp' --include='*.hpp' \
     | grep -v 'src/io/io_util.cpp' \
-    | grep -vE '(read_full|write_full|send_full|recv_full|recv_some|pread_full)' \
+    | grep -vE '(read_full|write_full|send_full|recv_some|pread_full)' \
     || true)
 
 if [ -n "$offenders" ]; then

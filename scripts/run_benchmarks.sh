@@ -2,21 +2,18 @@
 # Runs the kernel-comparison benchmarks and assembles BENCH_kernels.json:
 # old (scalar) vs new (block-kernel) rows for the kernel microbenchmarks,
 # fig12 conditional histograms, and the fig14/15 parallel histogram batch.
-# The distributed sweep (1/2/4 real worker processes behind the
-# coordinator, results verified bit-identical to the local engine) lands in
-# BENCH_distributed.json. Wire-level latency (explore, zoom, brush, sweep)
-# is measured by bench/qdvbench, not here.
+# Wire-level latency (explore, zoom, brush, sweep) is measured by
+# bench/qdvbench, not here.
 #
-#   scripts/run_benchmarks.sh <build-dir> [kernels.json] [distributed.json]
+#   scripts/run_benchmarks.sh <build-dir> [kernels.json]
 #
 # Sizes scale via the usual QDV_BENCH_* environment variables; CI's smoke
 # job runs with tiny sizes (the benchmarks assert kernel/reference result
 # equality regardless of size, so the smoke run still verifies correctness).
 set -euo pipefail
 
-build_dir=${1:?usage: run_benchmarks.sh <build-dir> [kernels.json] [distributed.json]}
+build_dir=${1:?usage: run_benchmarks.sh <build-dir> [kernels.json]}
 output=${2:-BENCH_kernels.json}
-dist_output=${3:-BENCH_distributed.json}
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
@@ -48,16 +45,3 @@ run fig14_15 "$build_dir/bench_fig14_15_parallel_hist"
 } > "$output"
 
 echo "[run_benchmarks] wrote $output" >&2
-
-# Distributed sweep: 1/2/4 worker processes behind the coordinator, every
-# merged result checked bit-identical against the local engine before it
-# is timed. The JSON rows carry both honest wall seconds and the makespan
-# model (per-shard worker CPU seconds); host_cpus in each row says which
-# regime the wall numbers came from.
-if [ -x "$build_dir/bench_distributed" ]; then
-  run distributed "$build_dir/bench_distributed"
-  cp "$tmpdir/distributed.json" "$dist_output"
-  echo "[run_benchmarks] wrote $dist_output" >&2
-else
-  echo "[run_benchmarks] no bench_distributed in $build_dir: skipping distributed bench" >&2
-fi

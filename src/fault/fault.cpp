@@ -37,7 +37,6 @@ std::uint64_t xorshift(std::uint64_t& state) {
 
 bool parse_site(const std::string& text, Site& out) {
   if (text == "file") out = Site::kFile;
-  else if (text == "wire") out = Site::kWire;
   else if (text == "svc") out = Site::kSvc;
   else return false;
   return true;
@@ -180,7 +179,6 @@ std::uint64_t injected_total() {
 const char* site_name(Site site) {
   switch (site) {
     case Site::kFile: return "file";
-    case Site::kWire: return "wire";
     case Site::kSvc: return "svc";
   }
   return "?";

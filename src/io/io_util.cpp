@@ -147,34 +147,6 @@ XferResult send_full(int fd, const void* src, std::size_t n,
   return XferResult::kOk;
 }
 
-XferResult recv_full(int fd, void* dst, std::size_t n, fault::Site site) {
-  auto* out = static_cast<char*>(dst);
-  std::size_t total = 0;
-  while (total < n) {
-    std::size_t ask = n - total;
-    if (fault::enabled()) {
-      maybe_delay(site);
-      if (fault::roll(site, fault::Kind::kEintr)) continue;
-      if (fault::roll(site, fault::Kind::kConnReset) ||
-          fault::roll(site, fault::Kind::kTruncate))
-        return XferResult::kClosed;
-      if (ask > 1 && fault::roll(site, fault::Kind::kShortRead))
-        ask = 1 + ask / 2;
-    }
-    const ssize_t got = ::recv(fd, out + total, ask, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return XferResult::kTimeout;
-      return XferResult::kClosed;
-    }
-    if (got == 0) return XferResult::kClosed;  // orderly peer shutdown
-    if (fault::enabled() && fault::roll(site, fault::Kind::kBitFlip))
-      flip_bit(out + total, static_cast<std::size_t>(got));
-    total += static_cast<std::size_t>(got);
-  }
-  return XferResult::kOk;
-}
-
 XferResult recv_some(int fd, void* dst, std::size_t cap, fault::Site site,
                      std::size_t& got) {
   got = 0;

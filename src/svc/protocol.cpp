@@ -373,15 +373,6 @@ std::string format_stats_line(const ServiceStats& s) {
         << " brush_full=" << s.brush_full_evals
         << " brush_bytes=" << s.brush_bytes
         << " brush_stale=" << s.brush_stale_hits;
-  if (s.dist.workers > 0)
-    out << " dist_workers=" << s.dist.workers << " dist_alive=" << s.dist.alive
-        << " dist_queries=" << s.dist.queries
-        << " dist_scatters=" << s.dist.scatters
-        << " dist_gathers=" << s.dist.gathers
-        << " dist_retries=" << s.dist.retries
-        << " dist_reshards=" << s.dist.reshards
-        << " dist_deaths=" << s.dist.deaths
-        << " dist_fallbacks=" << s.dist_local_fallbacks;
   return out.str();
 }
 

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "core/selection.hpp"
-#include "dist/coordinator.hpp"
 #include "io/memory_budget.hpp"
 #include "parallel/thread_pool.hpp"
 #include "svc/protocol.hpp"
@@ -162,39 +161,6 @@ void zoom(const core::Selection& sel, const Request& req, Result& r) {
   }
 }
 
-/// True when @p r decomposes into shard partials that merge bit-identically
-/// to local execution: counts and ids always do; histograms only under
-/// uniform binning (adaptive bins depend on the selected value
-/// distribution, which no shard sees in full). Summaries stay local (their
-/// floating-point moments are not order-independent).
-bool distributable(const Request& r) {
-  switch (r.kind) {
-    case RequestKind::kCount:
-    case RequestKind::kIds:
-      return true;
-    case RequestKind::kHistogram1D:
-    case RequestKind::kHistogram2D:
-      return r.binning == BinningMode::kUniform;
-    case RequestKind::kSummary:
-      return false;
-    case RequestKind::kZoom1D:
-    case RequestKind::kZoom2D:
-      // Zooms stay local: the pyramid serve is O(visible bins) on resident
-      // levels, so scattering it would cost more than answering it.
-      return false;
-  }
-  return false;
-}
-
-dist::ShardKind shard_kind(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kIds: return dist::ShardKind::kBits;
-    case RequestKind::kHistogram1D: return dist::ShardKind::kHist1;
-    case RequestKind::kHistogram2D: return dist::ShardKind::kHist2;
-    default: return dist::ShardKind::kCount;
-  }
-}
-
 /// Brush names travel the wire as bare tokens and become cache-key and
 /// stats material, so keep them to a tight charset.
 bool valid_brush_name(const std::string& name) {
@@ -310,11 +276,6 @@ struct QueryService::Impl {
   std::size_t executing = 0;
   std::size_t active_workers = 0;
   std::uint64_t exec_ordinal = 0;  // dispatch order, exposed as Result::sequence
-
-  // Distributed execution (optional). The handle is read per flight under
-  // the mutex; the coordinator itself is internally synchronized.
-  std::shared_ptr<dist::Coordinator> distributor_handle;
-  std::uint64_t dist_local_fallbacks = 0;
 
   // Shared delta-vs-full evaluation counters, aggregated across every brush
   // this service creates (core::Brush increments them lock-free).
@@ -451,82 +412,24 @@ struct QueryService::Impl {
     return nullptr;
   }
 
-  /// Distributed evaluation of a distributable() flight. True when the
-  /// coordinator produced @p r (a merged result or a remote query error);
-  /// false to fall back to the local engine — the caller is still owed an
-  /// answer when every worker is gone.
-  bool run_distributed(const Flight& flight, dist::Coordinator& coordinator,
-                       Result& r) {
-    const Request& req = flight.request;
-    try {
-      const std::string query_text =
-          flight.selection->selects_all()
-              ? std::string()
-              : flight.selection->query()->to_string();
-      dist::GatherResult g =
-          coordinator.execute(shard_kind(req.kind), req.timestep, query_text,
-                              req.var_x, req.var_y, req.nxbins, req.nybins);
-      if (!g.ok) {
-        r.status = Status::kError;
-        r.error = g.error;
-        return true;
-      }
-      if (flight.deadline && Clock::now() > *flight.deadline) {
-        // The scatter/gather (worker retries included) outran the time
-        // budget: the merged answer is stale to its requester.
-        r = Result{};
-        r.kind = req.kind;
-        r.status = Status::kDeadlineExpired;
-        r.error = "deadline expired during distributed merge";
-        std::lock_guard<std::mutex> lock(mutex);
-        ++counters.deadline_expired;
-        return true;
-      }
-      // The merge fills exactly the fields of the shard kind it ran (and
-      // the matching count), so copying all four is the answer.
-      r.count = g.count;
-      r.ids = std::move(g.ids);
-      r.hist1d = std::move(g.hist1d);
-      r.hist2d = std::move(g.hist2d);
-      return true;
-    } catch (const std::exception&) {
-      // NoLiveWorkers, or any coordinator-side infrastructure failure:
-      // answer from the local engine instead.
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    ++dist_local_fallbacks;
-    return false;
-  }
-
   std::shared_ptr<Result> run_flight(const Flight& flight) {
     const Request& req = flight.request;
     auto r = std::make_shared<Result>();
     r->kind = req.kind;
     const Clock::time_point start = Clock::now();
 
-    // Brush flights never distribute (nor look for a coordinator): the
-    // whole point is the local delta path against the cached parent
-    // bitvector — a remote worker re-parsing the composed text would
-    // execute from scratch every time.
-    std::shared_ptr<dist::Coordinator> coordinator;
-    if (!flight.brush && distributable(req)) {
-      std::lock_guard<std::mutex> lock(mutex);
-      coordinator = distributor_handle;
-    }
-    if (!coordinator || !run_distributed(flight, *coordinator, *r)) {
-      try {
-        if (flight.brush) {
-          answer(BrushAt{*flight.brush, flight.brush_snap}, req, *r);
-          r->brush_epoch = flight.brush_snap.epoch;
-        } else if (is_zoom(req.kind)) {
-          zoom(*flight.selection, req, *r);
-        } else {
-          answer(*flight.selection, req, *r);
-        }
-      } catch (const std::exception& e) {
-        r->status = Status::kError;
-        r->error = e.what();
+    try {
+      if (flight.brush) {
+        answer(BrushAt{*flight.brush, flight.brush_snap}, req, *r);
+        r->brush_epoch = flight.brush_snap.epoch;
+      } else if (is_zoom(req.kind)) {
+        zoom(*flight.selection, req, *r);
+      } else {
+        answer(*flight.selection, req, *r);
       }
+    } catch (const std::exception& e) {
+      r->status = Status::kError;
+      r->error = e.what();
     }
     if (r->status == Status::kOk) r->payload_bytes = payload_bytes(*r);
     r->exec_seconds = seconds_since(start, Clock::now());
@@ -999,17 +902,6 @@ void QueryService::drain() {
   });
 }
 
-void QueryService::set_distributor(
-    std::shared_ptr<dist::Coordinator> coordinator) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->distributor_handle = std::move(coordinator);
-}
-
-std::shared_ptr<dist::Coordinator> QueryService::distributor() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->distributor_handle;
-}
-
 ServiceStats QueryService::stats() const {
   std::unique_lock<std::mutex> lock(impl_->mutex);
   ServiceStats s = impl_->counters;
@@ -1026,7 +918,6 @@ ServiceStats QueryService::stats() const {
   s.brush_full_evals =
       impl_->brush_counters->full_evals.load(std::memory_order_relaxed);
   s.max_seconds = impl_->latency_max;
-  s.dist_local_fallbacks = impl_->dist_local_fallbacks;
   const io::IntegrityStats& integ = *impl_->engine.dataset().integrity_stats();
   s.integrity_verified = integ.verified.load(std::memory_order_relaxed);
   s.integrity_failures = integ.failures.load(std::memory_order_relaxed);
@@ -1038,11 +929,8 @@ ServiceStats QueryService::stats() const {
   s.probe_words = ranges.probe_words.load(std::memory_order_relaxed);
   s.scan_rows = ranges.scan_rows.load(std::memory_order_relaxed);
   s.probe_segments = ranges.probe_segments.load(std::memory_order_relaxed);
-  const std::shared_ptr<dist::Coordinator> coordinator =
-      impl_->distributor_handle;
   std::vector<double> sorted = impl_->latencies;
   lock.unlock();
-  if (coordinator) s.dist = coordinator->stats();
   std::sort(sorted.begin(), sorted.end());
   s.p50_seconds = sorted_percentile(sorted, 0.50);
   s.p95_seconds = sorted_percentile(sorted, 0.95);

@@ -1,9 +1,8 @@
 // Shared property-based fuzz machinery: the seeded xorshift generator, the
 // random dataset writer (columns + bitmap/id indices + histogram pyramids +
-// manifest), and the random query-AST generator. test_fuzz_query drives the single-process
-// differential legs with it; test_dist reuses the exact same distributions
-// for its scatter/gather-vs-local leg, so a distribution tweak here widens
-// every fuzzer at once.
+// manifest), and the random query-AST generator. test_fuzz_query drives its
+// differential legs with it, and the brush, integrity and service suites
+// build their datasets with it.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,5 @@
 // Property-based differential fuzzer for the query pipeline (random AST /
-// dataset machinery shared with test_dist via fuzz_common.hpp). Fixed-seed
+// dataset machinery in fuzz_common.hpp). Fixed-seed
 // random ASTs over a random table must (1) round-trip exactly through
 // parse(to_string(q)) — raw and canonicalized — and (2) produce
 // bit-identical selections through the planner/index path and a naive

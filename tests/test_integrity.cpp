@@ -151,7 +151,7 @@ void test_fault_injector() {
   CHECK(fault::configure("seed:7,spec:file.flip@1.0", &error));
   CHECK(fault::enabled());
   CHECK(fault::roll(fault::Site::kFile, fault::Kind::kBitFlip));
-  CHECK(!fault::roll(fault::Site::kWire, fault::Kind::kBitFlip));  // other site
+  CHECK(!fault::roll(fault::Site::kSvc, fault::Kind::kBitFlip));   // other site
   CHECK(!fault::roll(fault::Site::kFile, fault::Kind::kEintr));    // other kind
   const std::uint64_t d1 = fault::draw();
   const std::uint64_t d2 = fault::draw();
@@ -168,6 +168,10 @@ void test_fault_injector() {
   CHECK(!fault::configure("spec:bogus", &error));
   CHECK(!error.empty());
   CHECK(fault::enabled());
+  // `wire` names no site, so a spec for it is malformed.
+  error.clear();
+  CHECK(!fault::configure("spec:wire.reset@0.1", &error));
+  CHECK(!error.empty());
 
   fault::reset();
   CHECK(!fault::enabled());

@@ -2,7 +2,8 @@
 // Selection answers, deterministic in-flight coalescing and result-cache
 // reuse, priority and per-client fairness dispatch order (observed through
 // Result::sequence while the pool is gated), session byte budgets, the
-// line protocol round-trip, and the unix-socket server end-to-end.
+// line protocol round-trip, and the unix-socket server end-to-end (also
+// under injected svc-site socket faults).
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/selection.hpp"
+#include "fault/fault.hpp"
 #include "fuzz_common.hpp"
 #include "io/io_util.hpp"
 #include "sim/wakefield.hpp"
@@ -467,11 +469,13 @@ void test_request_line_cap() {
   server.stop();
 }
 
-void test_socket_server_end_to_end() {
+/// One wire session against a fresh server under @p scratch: every reply
+/// parses (or fails) as it should and carries the engine's own count.
+void drive_socket_session(const std::string& scratch) {
   const core::Engine engine = core::Engine::open(dataset_dir());
   svc::QueryService service{core::Engine::open(dataset_dir())};
-  svc::SocketServer server(
-      service, qdv::test::scratch_dir("service_sock") / "qdv.sock");
+  svc::SocketServer server(service,
+                           qdv::test::scratch_dir(scratch) / "qdv.sock");
   server.start();
 
   svc::SocketClient client(server.socket_path());
@@ -503,6 +507,20 @@ void test_socket_server_end_to_end() {
   server.stop();
   CHECK(server.connections() >= 2);
   CHECK(!std::filesystem::exists(server.socket_path()));
+}
+
+void test_socket_server_end_to_end() { drive_socket_session("service_sock"); }
+
+/// The same session with the svc fault site firing EINTR and latency on
+/// both ends of the socket: the transfer loops retry and wait, so no reply
+/// changes.
+void test_socket_server_under_svc_faults() {
+  std::string error;
+  CHECK(fault::configure("seed:29,spec:svc.eintr@0.2,spec:svc.delay@0.01",
+                         &error));
+  drive_socket_session("service_sock_faults");
+  CHECK(fault::injected(fault::Site::kSvc, fault::Kind::kEintr) > 0);
+  fault::reset();
 }
 
 /// Brush verbs end-to-end over the wire: create/refine/invert/combine/drop
@@ -735,6 +753,7 @@ int main() {
   test_protocol_version_handshake();
   test_request_line_cap();
   test_socket_server_end_to_end();
+  test_socket_server_under_svc_faults();
   test_brush_wire_session();
   test_abrupt_disconnect_releases_session_state();
   test_malformed_query_text_probes();
